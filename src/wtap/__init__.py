@@ -7,7 +7,6 @@ decomposition machinery used to verify the structural guarantees and
 brute-force oracles for desk-scale ground truth.
 """
 
-from .backend import USE_NUMBA, backend_name
 from .baseline import (InfeasibleError, UpLinkSolution, UpPath,
                        cheapest_disjoint_uplink_cover, uplink_from_link)
 from .component_dp import (ComponentSearch, SearchLink, original_search_links,

@@ -1,24 +1,22 @@
 """Hot integer kernels.
 
-Each kernel is written once against numpy arrays and exported twice: the
-default name (numba-compiled unless ``WTAP_NUMBA=0``) and a ``*_py`` twin
-that always runs uncompiled.  The twins let tests and the benchmark compare
-both backends on identical inputs.
+Three plain-Python loops over numpy int64 arrays: the vertical cost table
+fill, the baseline DP sweep and the Gray-code minimum cover.  Callers reach
+them as ``_kernels.<name>(...)`` so that a tracer can patch them in place.
 
 All arithmetic is exact int64; ``INF = 2**62`` is the "no entry" sentinel.
-Callers bound their weights so that finite sums stay below ``INF``.
+Callers bound their weights so that finite sums stay below ``INF``
+(see ``model.guard_weight_range``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .backend import maybe_njit
-
 INF = 1 << 62
 
 
-def _fill_vertical_table(la, lb, lapex, lw, lid, parent, depth, anc_off, cost, best):
+def fill_vertical_table(la, lb, lapex, lw, lid, parent, depth, anc_off, cost, best):
     """Relax vertical-path costs for every link.
 
     For link j and every vertical pair (t, b) contained in one of its two
@@ -47,7 +45,7 @@ def _fill_vertical_table(la, lb, lapex, lw, lid, parent, depth, anc_off, cost, b
                 y = parent[y]
 
 
-def _fill_baseline_dp(order, kids_off, kids, depth, anc_off, cost, h, bp):
+def fill_baseline_dp(order, kids_off, kids, depth, anc_off, cost, h, bp):
     """Bottom-up table fill for the disjoint vertical-path cover.
 
     ``h[anc_off[c] + depth[t]]`` is the cheapest cover of the subtree below c
@@ -100,7 +98,7 @@ def _fill_baseline_dp(order, kids_off, kids, depth, anc_off, cost, h, bp):
             bp[slot] = sel
 
 
-def _min_cover_gray(pmask, w, n_edges):
+def min_cover_gray(pmask, w, n_edges):
     """Minimum-weight covering subset by Gray-code enumeration.
 
     ``pmask[j]`` is the edge bitmask covered by link j (edge bits < 63).
@@ -169,11 +167,3 @@ def _min_cover_gray(pmask, w, n_edges):
                     bestmask = cur
     return bestw, bestmask
 
-
-fill_vertical_table_py = _fill_vertical_table
-fill_baseline_dp_py = _fill_baseline_dp
-min_cover_gray_py = _min_cover_gray
-
-fill_vertical_table = maybe_njit(_fill_vertical_table)
-fill_baseline_dp = maybe_njit(_fill_baseline_dp)
-min_cover_gray = maybe_njit(_min_cover_gray)

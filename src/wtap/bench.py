@@ -17,14 +17,13 @@ from fractions import Fraction
 from typing import Any
 
 from . import __version__ as _version
-from .backend import backend_name
 from .generators import gen_fig2, gen_fig3, gen_random
 from .greedy import solve, two_approx_only
 from .io import load
 from .model import Instance, validate
 from .oracle import BudgetExceededError, OracleBudget, exact_opt
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 CSV_COLUMNS = ["instance", "algorithm", "n", "links", "weight",
                "exact_weight", "ratio", "iterations", "status", "wall_time_ms"]
@@ -140,7 +139,6 @@ def bench(config: dict, timings: bool = False) -> dict:
         "schema_version": SCHEMA_VERSION,
         "metadata": {
             "version": _version,
-            "backend": backend_name(),
             "config": config,
         },
         "rows": rows,

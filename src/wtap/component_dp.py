@@ -26,7 +26,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .baseline import UpPath
-from .model import Instance, link_vertices
+from .model import Instance, link_vertices, mask_bits
 
 MINUS = 0
 PLUS = 1
@@ -80,15 +80,6 @@ def lex_less(m1: int, m2: int) -> bool:
     if m1 & low:
         return (m2 & hi) != 0
     return (m1 & hi) == 0
-
-
-def mask_bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & (-mask)
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 @dataclass(frozen=True)

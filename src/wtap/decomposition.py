@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .baseline import UpPath
-from .model import Instance, link_vertices
+from .model import Instance, cover_mask, link_vertices, mask_bits
 
 
 class NotABranchingError(AssertionError):
@@ -59,13 +59,6 @@ class Decomposition:
     graph: DependencyGraph
 
 
-def _cover(instance: Instance, ids) -> int:
-    mask = 0
-    for lid in ids:
-        mask |= instance.link_paths[lid]
-    return mask
-
-
 def compute_cover_witness(instance: Instance, f_ids: Sequence[int],
                           up: UpPath) -> CoverWitness:
     """Minimal ordered witness for one up-link.
@@ -90,7 +83,7 @@ def compute_cover_witness(instance: Instance, f_ids: Sequence[int],
     candidates: list[int] = []
     for v in reversed(chain):  # root first, descending toward top
         b_v = [lid for lid in f_ids if idx.is_ancestor(v, apexes[lid])]
-        if pu & ~_cover(instance, b_v) == 0:
+        if pu & ~cover_mask(instance, b_v) == 0:
             v_u = v
             candidates = b_v
         else:
@@ -103,7 +96,7 @@ def compute_cover_witness(instance: Instance, f_ids: Sequence[int],
         removable = None
         for lid in current:
             rest = [x for x in current if x != lid]
-            if pu & ~_cover(instance, rest) == 0:
+            if pu & ~cover_mask(instance, rest) == 0:
                 removable = lid
                 break
         if removable is None:
@@ -112,22 +105,15 @@ def compute_cover_witness(instance: Instance, f_ids: Sequence[int],
 
     own = {}
     for lid in current:
-        rest_cover = _cover(instance, (x for x in current if x != lid))
+        rest_cover = cover_mask(instance, (x for x in current if x != lid))
         own[lid] = pu & ~rest_cover
     # Order by where each link's own edges sit on the top-to-bottom walk.
     def pos(lid: int) -> int:
         mask = own[lid]
-        return min(int(idx.depth[e]) for e in _bits(mask))
+        return min(int(idx.depth[e]) for e in mask_bits(mask))
 
     ordered = tuple(sorted(current, key=pos))
     return CoverWitness(uplink=up, v_u=v_u, links=ordered, own_edges=own)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & (-mask)
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def build_dependency_graph(instance: Instance, f_ids: Sequence[int],
@@ -241,7 +227,7 @@ def check_decomposition(instance: Instance, f_ids: Sequence[int],
     for part in dec.parts:
         if not _is_k_thin_links(instance, part, dec.k):
             issues.append(f"part {part} is not {dec.k}-thin")
-    part_cover = [_cover(instance, part) for part in dec.parts]
+    part_cover = [cover_mask(instance, part) for part in dec.parts]
     removed_set = set(dec.removed)
     drop_total = 0
     for pc in part_cover:
@@ -309,7 +295,7 @@ def verify_cover_structure(instance: Instance, f_ids: Sequence[int],
                 continue
             # Edges of a vertical path are contiguous iff their child depths
             # form a consecutive run.
-            depths = sorted(int(idx.depth[c]) for c in _bits(own))
+            depths = sorted(int(idx.depth[c]) for c in mask_bits(own))
             if depths[-1] - depths[0] + 1 != len(depths):
                 checks["own_edges_nonempty_contiguous"].append((ui, lid, "not a path"))
         pu = idx.vertical_edge_mask(wit.uplink.top, wit.uplink.bottom)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from numpy.random import PCG64, Generator, SeedSequence
 
 from .baseline import UpPath, uplink_from_link
-from .model import Instance, Link, cover_mask
+from .model import Instance, Link, cover_mask, mask_bits
 
 
 def _stream(seed: int, purpose: int) -> Generator:
@@ -58,15 +58,10 @@ def gen_random(n: int, link_count: int, weight_max: int, seed: int) -> Instance:
 
     inst = Instance(n=n, root=0, edges=edges, links=links)
     missing = inst.full_edge_mask & ~cover_mask(inst, range(len(links)))
-    next_id = len(links)
-    while missing:
-        low = missing & (-missing)
-        child = low.bit_length() - 1
+    for child in mask_bits(missing):
         parent = int(inst.index.parent[child])
-        links.append(Link(id=next_id, u=parent, v=child, weight=weight_max))
-        next_id += 1
-        missing ^= low
-    if next_id != len(inst.links):
+        links.append(Link(id=len(links), u=parent, v=child, weight=weight_max))
+    if len(links) != len(inst.links):
         inst = Instance(n=n, root=0, edges=edges, links=links)
     return inst
 

@@ -20,7 +20,7 @@ from typing import Sequence
 from .baseline import UpLinkSolution, UpPath, cheapest_disjoint_uplink_cover
 from .component_dp import (ComponentSearch, SearchLink, original_search_links,
                            shadow_closure_search_links, uplink_search_links)
-from .model import Instance, vertical_cost_table
+from .model import Instance, cover_mask, vertical_cost_table
 from .ratio import best_ratio_component
 
 
@@ -43,10 +43,7 @@ class Solution:
     deduped_weight: int
 
     def covers(self, instance: Instance) -> bool:
-        mask = 0
-        for lid in self.link_ids:
-            mask |= instance.link_paths[lid]
-        return mask == instance.full_edge_mask
+        return cover_mask(instance, self.link_ids) == instance.full_edge_mask
 
 
 @dataclass(frozen=True)
@@ -90,8 +87,7 @@ def _finish(instance: Instance, chosen: dict[tuple, SearchLink],
         cover |= instance.index.path_edge_mask(sl.a, sl.b)
     for p in remaining:
         ids.add(p.link_id)
-    for lid in ids:
-        cover |= instance.link_paths[lid]
+    cover |= cover_mask(instance, ids)
     if cover != instance.full_edge_mask:
         raise AssertionError("greedy output does not cover all tree edges")
     deduped = sum(instance.link(l).weight for l in ids)

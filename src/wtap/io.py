@@ -49,10 +49,13 @@ def _build(n: int, root: int, edges: list[tuple[int, int]],
 
 def _parse_rational(text: str) -> Fraction:
     text = text.strip()
-    if "/" in text:
-        p, q = text.split("/", 1)
-        return Fraction(int(p), int(q))
-    return Fraction(text)
+    try:
+        if "/" in text:
+            p, q = text.split("/", 1)
+            return Fraction(int(p), int(q))
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in weight {text!r}") from None
 
 
 def loads_json(text: str) -> Instance:
@@ -68,20 +71,31 @@ def loads_json(text: str) -> Instance:
     return _build(int(data["n"]), int(data["root"]), edges, raw_links, prior)
 
 
+def _fields(lines: list[str], i: int, count: int, what: str) -> list[str]:
+    """The first ``count`` fields of line ``i``; ValueError if absent or short."""
+    if not 0 <= i < len(lines):
+        raise ValueError(f"missing {what} line")
+    parts = lines[i].split()
+    if len(parts) < count:
+        raise ValueError(f"{what} line {lines[i]!r} needs {count} fields")
+    return parts[:count]
+
+
 def loads_text(text: str) -> Instance:
     lines = [ln.split("#")[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
-    head = lines[0].split()
-    n, root = int(head[0]), int(head[1])
+    n, root = (int(x) for x in _fields(lines, 0, 2, "header"))
     edges = []
-    for ln in lines[1:n]:
-        u, v = ln.split()[:2]
+    for i in range(1, n):
+        u, v = _fields(lines, i, 2, "edge")
         edges.append((int(u), int(v)))
-    m = int(lines[n].split()[0])
+    m = int(_fields(lines, n, 1, "link count")[0])
+    if len(lines) - n - 1 != m:
+        raise ValueError(f"declared {m} links, found {len(lines) - n - 1} link lines")
     raw_links = []
-    for ln in lines[n + 1:n + 1 + m]:
-        parts = ln.split()
-        raw_links.append((int(parts[0]), int(parts[1]), _parse_rational(parts[2])))
+    for i in range(n + 1, n + 1 + m):
+        u, v, w = _fields(lines, i, 3, "link")
+        raw_links.append((int(u), int(v), _parse_rational(w)))
     return _build(n, root, edges, raw_links)
 
 

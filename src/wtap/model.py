@@ -31,7 +31,6 @@ class Link:
     u: int
     v: int
     weight: int
-    shadow_of: int | None = None
 
     def endpoints(self) -> tuple[int, int]:
         return (self.u, self.v)
@@ -59,7 +58,9 @@ class Instance:
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range")
-        for lk in links:
+        for pos, lk in enumerate(links):
+            if lk.id != pos:
+                raise ValueError(f"link at position {pos} has id {lk.id}")
             if lk.u == lk.v:
                 raise ValueError(f"link {lk.id} is a self-loop")
             if not (0 <= lk.u < n and 0 <= lk.v < n):
@@ -269,17 +270,11 @@ def validate(instance: Instance) -> list[ValidationIssue]:
     issues.extend(_check_tree(instance))
     if any(i.code == "NotATree" for i in issues):
         return issues
-    covered = 0
-    for mask in instance.link_paths:
-        covered |= mask
-    missing = instance.full_edge_mask & ~covered
-    while missing:
-        low = missing & (-missing)
-        child = low.bit_length() - 1
+    covered = cover_mask(instance, range(len(instance.links)))
+    for child in mask_bits(instance.full_edge_mask & ~covered):
         issues.append(ValidationIssue(
             "UncoverableEdge", child,
             f"edge ({int(instance.index.parent[child])},{child}) not on any link path"))
-        missing ^= low
     return issues
 
 
@@ -332,7 +327,8 @@ def is_k_thin(instance: Instance, c_ids: Iterable[int], k: int) -> bool:
     return True
 
 
-def edge_ids(mask: int) -> list[int]:
+def mask_bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
     out = []
     while mask:
         low = mask & (-mask)

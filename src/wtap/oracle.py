@@ -17,9 +17,10 @@ import numpy as np
 
 from . import _kernels
 from .baseline import UpPath
-from .component_dp import SearchLink, lex_less, mask_bits
+from .component_dp import SearchLink, lex_less
 from .greedy import Solution
-from .model import Instance, VerticalCostTable, link_vertices, vertical_cost_table
+from .model import (Instance, VerticalCostTable, link_vertices, mask_bits,
+                    vertical_cost_table)
 from .ratio import RatioResult
 
 

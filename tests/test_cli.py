@@ -75,6 +75,16 @@ def test_validation_exit_code(tmp_path, capsys):
     assert "UncoverableEdge" in err
 
 
+def test_malformed_text_exit_code(tmp_path, capsys):
+    # A truncated file and a link line without a weight: an error line, no traceback.
+    for i, doc in enumerate(["3 0\n0 1\n", "3 0\n0 1\n1 2\n1\n0 2\n"]):
+        bad = tmp_path / f"bad{i}.txt"
+        bad.write_text(doc)
+        code, out, err = run_cli(["solve", "--algorithm", "uplink2", str(bad)], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error: cannot parse instance")
+
+
 def test_budget_exit_code(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     run_cli(["gen", "random", "--n", "8", "--links", "12", "--seed", "1",
@@ -99,7 +109,8 @@ def test_bench_json_csv_and_determinism(tmp_path, capsys):
     assert run_cli(["bench", "--config", str(cfg), "--out", str(r2)], capsys)[0] == 0
     assert r1.read_bytes() == r2.read_bytes()
     report = json.loads(r1.read_text())
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
+    assert "backend" not in report["metadata"]
     assert len(report["rows"]) == 10
     assert all(row["status"] == "ok" for row in report["rows"])
     # greedy never loses to the baseline on any row

@@ -63,3 +63,17 @@ def test_decimal_float_parsed_exactly():
     inst = wio.loads('{"n":2,"root":0,"edges":[[0,1]],"links":[{"u":0,"v":1,"w":0.1}]}')
     assert inst.scale == 10
     assert inst.links[0].weight == 1
+
+
+@pytest.mark.parametrize("doc, match", [
+    ("", "missing header"),
+    ("3 0\n0 1\n", "missing edge"),
+    ("3 0\n0\n1 2\n1\n0 2 7\n", "edge line '0' needs 2"),
+    ("3 0\n0 1\n1 2\n1\n0 2\n", "link line '0 2' needs 3"),
+    ("3 0\n0 1\n1 2\n3\n0 2 7\n", "declared 3 links, found 1"),
+    ("3 0\n0 1\n1 2\n1\n0 2 7\n0 1 1\n", "declared 1 links, found 2"),
+    ("3 0\n0 1\n1 2\n1\n0 2 7/0\n", "zero denominator"),
+])
+def test_malformed_text_raises_value_error(doc, match):
+    with pytest.raises(ValueError, match=match):
+        wio.loads(doc)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import wtap
 from wtap import Instance, Link
 from wtap.component_dp import shadow_closure_search_links
-from wtap.model import edge_ids, link_vertices
+from wtap.model import link_vertices, mask_bits
 
 
 def test_validate_minimal_ok(single_edge):
@@ -45,6 +45,10 @@ def test_validate_single_vertex():
 def test_self_loop_rejected_at_construction():
     with pytest.raises(ValueError):
         Instance(2, 0, [(0, 1)], [Link(0, 1, 1, 3)])
+    # Link ids index link_paths and the cost tables, so they must be positions.
+    with pytest.raises(ValueError, match="position 0 has id 1"):
+        Instance(3, 0, [(0, 1), (1, 2)],
+                 [Link(1, 0, 2, 8), Link(0, 1, 2, 1), Link(2, 0, 1, 1)])
 
 
 def test_link_path_parent_child(single_edge):
@@ -62,7 +66,7 @@ def test_link_path_length_identity():
     for lk in inst.links:
         apx = wtap.apex(inst, lk)
         expect = int(idx.depth[lk.u]) + int(idx.depth[lk.v]) - 2 * int(idx.depth[apx])
-        assert len(edge_ids(wtap.link_path(inst, lk))) == expect
+        assert len(mask_bits(wtap.link_path(inst, lk))) == expect
 
 
 def test_apex_and_uplink(star_ab, single_edge):
@@ -215,4 +219,4 @@ def test_link_vertices_matches_path():
     for lk in inst.links:
         verts = link_vertices(inst, lk)
         assert verts[0] in (lk.u, lk.v) and verts[-1] in (lk.u, lk.v)
-        assert len(verts) == len(edge_ids(wtap.link_path(inst, lk))) + 1
+        assert len(verts) == len(mask_bits(wtap.link_path(inst, lk))) + 1
