@@ -105,6 +105,8 @@ def _cmd_solve(args) -> None:
             "trace": {
                 "initial_u_weight": trace.initial_u_weight,
                 "stopped_early": trace.stopped_early,
+                "probes": trace.probes,
+                "states": trace.states,
                 "iterations": [{
                     "component": [_searchlink_json(sl) for sl in it.component],
                     "component_weight": it.component_weight,
@@ -147,6 +149,7 @@ def _cmd_ratio(args) -> None:
         "certificate": {"component_weight": result.weight,
                         "drop_weight": result.drop_weight},
         "probes": result.probes,
+        "states": result.states,
     }, args.out)
 
 

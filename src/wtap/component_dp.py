@@ -8,8 +8,15 @@ alphabet of links, find a k-thin set C maximizing
 The table is indexed by triples (v, Y, x): a vertex, the set of chosen links
 with exactly one endpoint below v (at most k of them; they all pass through
 v), and a flag x telling whether the unique up-link entering the subtree of
-v, if any, must have its inside edges covered.  Entries are computed lazily
-top-down with memoization; only reachable Y sets are ever materialized.
+v, if any, must have its inside edges covered.
+
+Which triples the root reaches, each one's candidate link sets Z (links with
+apex v), the child entries each candidate combines and whether it is
+feasible do not depend on rho.  ``ComponentSearch`` therefore compiles them
+once into a flat plan, listed in post-order so that every entry follows the
+entries it reads; each probe is then one bottom-up integer sweep over it.
+Triples at one vertex whose Y links end at the same vertices below it
+always have the same slack and set, so they share one slot of the plan.
 
 All slack values are integers in units of 1/q: slack * q = p*w(drop) - q*w(C).
 Link sets are bitmasks over the search alphabet.  Ties between equal-slack
@@ -19,11 +26,10 @@ id tuple, so tables are deterministic.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .baseline import UpPath
 from .model import Instance, link_vertices, mask_bits
@@ -31,8 +37,7 @@ from .model import Instance, link_vertices, mask_bits
 MINUS = 0
 PLUS = 1
 
-_INFEASIBLE = None
-_MISSING = object()
+_EMPTY_KEY = 0  # state key 2*Y + x of (v, {}, -)
 
 
 @dataclass(frozen=True)
@@ -82,6 +87,13 @@ def lex_less(m1: int, m2: int) -> bool:
     return (m1 & hi) == 0
 
 
+def _preferred(m1: int, m2: int) -> bool:
+    """Tie-break between equal slacks: nonempty first, then ``lex_less``."""
+    if (m1 != 0) != (m2 != 0):
+        return m1 != 0
+    return lex_less(m1, m2)
+
+
 @dataclass(frozen=True)
 class SlackResult:
     slack: Fraction
@@ -90,6 +102,148 @@ class SlackResult:
     drop_indices: tuple[int, ...]
     drop_weight: int
     weight: int
+
+
+class _Plan:
+    """The compiled table: flat per-state, per-candidate and per-term lists.
+
+    State ``s`` sits at vertex ``vert[s]`` with key ``ykey[s] = 2*Y + x``;
+    its candidates are ``cand_lo[s]:cand_lo[s+1]``.  Candidate ``c`` has
+    weight ``cand_w[c]``, apex-link mask ``cand_z[c]`` and terms
+    ``term_lo[c]:term_lo[c+1]``.  Term ``t`` replaces, for one child, the
+    child's empty-boundary entry ``term_ze[t]`` by entry ``term_ch[t]``, or
+    by entry ``term_pl[t]`` plus rho * ``term_uw[t]`` when that is at least
+    as large (``term_pl[t]`` is -1 when there is no such choice).
+    ``ze[v]`` is the empty-boundary entry (v, {}, -) and ``zero[v]`` lists
+    those of v's children.  States come in post-order of their vertices, so
+    each follows the entries it reads, and those of one vertex are
+    contiguous.  ``root`` is the state the plan was compiled for.
+    """
+
+    def __init__(self, n: int):
+        self.vert: list[int] = []
+        self.ykey: list[int] = []
+        self.cand_lo = [0]
+        self.cand_w: list[int] = []
+        self.cand_z: list[int] = []
+        self.term_lo = [0]
+        self.term_ze: list[int] = []
+        self.term_ch: list[int] = []
+        self.term_pl: list[int] = []
+        self.term_uw: list[int] = []
+        self.zero: list[list[int] | None] = [None] * n
+        self.ze = [-1] * n
+        self.root = -1
+
+
+class _Sweep:
+    """One probe: every state's value at rho = p/q, link sets on demand.
+
+    ``val[s]`` is state s's slack * q and ``pick[s]`` its best candidate,
+    found in one pass in plan order.  Link sets are needed only to break
+    ties and to answer, so ``mask`` composes them from the picks when asked.
+    """
+
+    def __init__(self, plan: _Plan, p: int, q: int):
+        self.plan = plan
+        self.p = p
+        nst = len(plan.vert)
+        self.val = val = [0] * nst
+        self.pick = pick = [0] * nst
+        self.msk: list[int | None] = [None] * nst
+        cand_lo, cand_w = plan.cand_lo, plan.cand_w
+        term_lo, term_ze, term_ch = plan.term_lo, plan.term_ze, plan.term_ch
+        term_pl, term_uw, zero = plan.term_pl, plan.term_uw, plan.zero
+        at = -1
+        zs = 0
+        for s, v in enumerate(plan.vert):
+            if v != at:  # a vertex's states are contiguous
+                at = v
+                zs = 0
+                for e in zero[v]:
+                    zs += val[e]
+            best = 0
+            best_c = -1
+            best_m = None
+            for c in range(cand_lo[s], cand_lo[s + 1]):
+                sl = zs - q * cand_w[c]
+                for t in range(term_lo[c], term_lo[c + 1]):
+                    a = val[term_ch[t]]
+                    pl = term_pl[t]
+                    if pl >= 0:
+                        b = val[pl] + p * term_uw[t]
+                        if b >= a:
+                            a = b
+                    sl += a - val[term_ze[t]]
+                if best_c < 0 or sl > best:
+                    best, best_c, best_m = sl, c, None
+                elif sl == best:
+                    if best_m is None:
+                        best_m = self._cand_mask(s, best_c)
+                    m = self._cand_mask(s, c)
+                    if _preferred(m, best_m):
+                        best_c, best_m = c, m
+            val[s] = best
+            pick[s] = best_c
+            self.msk[s] = best_m
+
+    def mask(self, s: int) -> int:
+        """The link set of state s, as a mask over the search alphabet."""
+        self._fill([s])
+        return self.msk[s]
+
+    def root(self) -> tuple[int, int]:
+        """The plan root's slack * q and link-set mask."""
+        s = self.plan.root
+        return self.val[s], self.mask(s)
+
+    def _parts(self, s: int, c: int) -> list[int]:
+        """The states whose sets candidate c of state s combines."""
+        plan, val, p = self.plan, self.val, self.p
+        out = list(plan.zero[plan.vert[s]])
+        for t in range(plan.term_lo[c], plan.term_lo[c + 1]):
+            pick = plan.term_ch[t]
+            pl = plan.term_pl[t]
+            if pl >= 0 and val[pl] + p * plan.term_uw[t] >= val[pick]:
+                pick = pl
+            out.append(pick)
+        return out
+
+    def _cand_mask(self, s: int, c: int) -> int:
+        """The link set of candidate c of state s."""
+        parts = self._parts(s, c)
+        self._fill(parts)
+        return self._combine(s, c, parts)
+
+    def _combine(self, s: int, c: int, parts: list[int]) -> int:
+        """Candidate c's apex links, each child's empty-boundary set, and the
+        chosen entry's set in place of that for every child a term names;
+        the sets of ``parts`` must be known."""
+        plan, msk = self.plan, self.msk
+        nzero = len(plan.zero[plan.vert[s]])
+        m = plan.cand_z[c]
+        for e in parts[:nzero]:
+            m |= msk[e]
+        for t, e in zip(range(plan.term_lo[c], plan.term_lo[c + 1]), parts[nzero:]):
+            m = (m & ~msk[plan.term_ze[t]]) | msk[e]
+        return m
+
+    def _fill(self, states: list[int]) -> None:
+        """Compose the sets of ``states`` and of everything they rest on."""
+        msk, pick = self.msk, self.pick
+        stack = list(states)
+        while stack:
+            s = stack[-1]
+            if msk[s] is not None:
+                stack.pop()
+                continue
+            parts = self._parts(s, pick[s])
+            todo = [e for e in parts if msk[e] is None]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            msk[s] = self._combine(s, pick[s], parts)
 
 
 class ComponentSearch:
@@ -106,13 +260,12 @@ class ComponentSearch:
         idx = instance.index
         self.idx = idx
         n = instance.n
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 10000 + 20 * n))
 
         # Per-link structure: apex, per-vertex child targets, path mask.
         self.apex_ids: list[list[int]] = [[] for _ in range(n)]
-        self.touch: dict[tuple[int, int], tuple[int, ...]] = {}
+        # touch[v][i]: the children of v that link i's path goes down into
+        self.touch: list[dict[int, list[int]]] = [{} for _ in range(n)]
         self.link_masks: list[int] = []
-        touch_acc: dict[tuple[int, int], list[int]] = {}
         for i, sl in enumerate(self.links):
             apx = idx.lca(sl.a, sl.b)
             self.apex_ids[apx].append(i)
@@ -121,18 +274,19 @@ class ComponentSearch:
                 v = e
                 while True:
                     if prev >= 0:
-                        touch_acc.setdefault((i, v), []).append(prev)
+                        self.touch[v].setdefault(i, []).append(prev)
                     if v == apx:
                         break
                     prev = v
                     v = int(idx.parent[v])
             self.link_masks.append(idx.path_edge_mask(sl.a, sl.b))
-        self.touch = {key: tuple(val) for key, val in touch_acc.items()}
 
-        # Up-link structure: unique crossing path per vertex, step-down map.
+        # Up-link structure: unique crossing path per vertex, step-down map,
+        # and the weight of the up-link hanging from each vertex's parent.
         self.crossing = [-1] * n
         self.u_step: dict[tuple[int, int], int] = {}
         self.u_masks: list[int] = []
+        self.hang_weight = [-1] * n
         for ui, up in enumerate(self.uplinks):
             prev = -1
             v = up.bottom
@@ -141,6 +295,7 @@ class ComponentSearch:
                 if prev >= 0:
                     self.u_step[(ui, v)] = prev
                 if v == up.top:
+                    self.hang_weight[prev] = up.weight
                     break
                 if self.crossing[v] != -1:
                     raise ValueError("up-link paths are not pairwise disjoint")
@@ -150,10 +305,12 @@ class ComponentSearch:
                 v = int(idx.parent[v])
             self.u_masks.append(mask)
 
-        self._memo: dict[tuple[int, int, int], tuple[int, int] | None] = {}
-        self._zero: dict[int, tuple[int, int]] = {}
+        self._plan = self._compile(instance.root, 0, MINUS)
+        assert self._plan is not None  # (root, {}, -) is always feasible
+        self.states = len(self._plan.vert)
         self._p = 0
         self._q = 1
+        self._last: _Sweep | None = None
 
     # ------------------------------------------------------------------
     def max_slack(self, p: int, q: int) -> SlackResult:
@@ -161,12 +318,9 @@ class ComponentSearch:
         if q <= 0 or p < 0:
             raise ValueError("rho must be a nonnegative rational")
         self._p, self._q = p, q
-        self._memo = {}
-        self._zero = {}
-        entry = self._entry(self.instance.root, 0, MINUS)
-        assert entry is not _INFEASIBLE
-        slack_num, cmask = entry
-        return self.result_for(cmask, expect_slack=(slack_num, q))
+        self._last = _Sweep(self._plan, p, q)
+        num, cmask = self._last.root()
+        return self.result_for(cmask, expect_slack=(num, q))
 
     def result_for(self, cmask: int,
                    expect_slack: tuple[int, int] | None = None) -> SlackResult:
@@ -195,125 +349,184 @@ class ComponentSearch:
 
         Requires a prior ``max_slack`` call, whose rho it reuses.
         """
-        entry = self._entry(self.instance.root, 0, MINUS)
-        num, cmask = entry
+        num, cmask = self._last.root()
         return self.result_for(cmask, expect_slack=(num, self._q))
 
     def entry(self, v: int, y_ids: Sequence[int], x: int):
-        """Public accessor for a table entry; None when infeasible."""
+        """Public accessor for a table entry at the last rho; None when infeasible.
+
+        The entry is compiled on its own, so states the root never reaches
+        can be asked for too.
+        """
         ymask = 0
         for i in y_ids:
             ymask |= 1 << i
-        got = self._entry(v, ymask, x)
-        if got is _INFEASIBLE:
+        plan = self._compile(v, ymask, x)
+        if plan is None:
             return None
-        num, cmask = got
+        num, cmask = _Sweep(plan, self._p, self._q).root()
         return Fraction(num, self._q), tuple(self.links[i] for i in mask_bits(cmask))
 
-    def _zero_sum(self, v: int) -> tuple[int, int]:
-        """Sum of children's (v_i, {}, -) slacks and the union of their sets."""
-        got = self._zero.get(v)
-        if got is not None:
-            return got
-        total = 0
-        cmask = 0
-        for c in self.idx.children[v]:
-            num, cm = self._entry(c, 0, MINUS)
-            total += num
-            cmask |= cm
-        got = (total, cmask)
-        self._zero[v] = got
-        return got
+    def entries(self) -> Iterator[tuple[int, int, int, int, int]]:
+        """Every compiled state as (v, Y mask, x, slack * q, C mask) at the last rho."""
+        plan, sw = self._plan, self._last
+        for s, (v, yk) in enumerate(zip(plan.vert, plan.ykey)):
+            yield v, yk >> 1, yk & 1, sw.val[s], sw.mask(s)
 
-    def _entry(self, v: int, ymask: int, x: int):
-        key = (v, ymask, x)
-        got = self._memo.get(key, _MISSING)
-        if got is not _MISSING:
-            return got
-        result = self._compute(v, ymask, x)
-        self._memo[key] = result
-        return result
+    # ------------------------------------------------------------------
+    def _zsets(self, v: int) -> Iterator[tuple[int, int, int, tuple]]:
+        """Yield every candidate Z of vertex v as ``(|Z|, w(Z), Z mask, down)``.
 
-    def _compute(self, v: int, ymask: int, x: int):
-        k = self.k
+        Z is a set of at most k links with apex v, by size, then in
+        ``combinations`` order; ``down`` pairs each child the links of Z go
+        down into with the mask of those links.  They are made afresh for
+        each state, as at k = 4 a vertex can have over 10^5 of them.
+        """
+        touch_v = self.touch[v]
+        apex_list = self.apex_ids[v]
+        for zsize in range(0, min(self.k, len(apex_list)) + 1):
+            for zcombo in combinations(apex_list, zsize):
+                zmask = 0
+                zweight = 0
+                down: dict[int, int] = {}
+                for lid in zcombo:
+                    zmask |= 1 << lid
+                    zweight += self.links[lid].weight
+                    for child in touch_v[lid]:
+                        down[child] = down.get(child, 0) | (1 << lid)
+                yield zsize, zweight, zmask, tuple(down.items())
+
+    def _candidates(self, v: int, ymask: int, x: int):
+        """Yield the candidate specs ``(w(Z), Z mask, terms)`` of state (v, Y, x).
+
+        When x is PLUS an up-link must enter v.  A term ``(child, key,
+        plus_key, up_weight)`` reads the child's entry with key ``key``
+        (``2*Y + x``, as in ``_Plan.ykey``); when an up-link hangs from v into
+        that child, its PLUS entry ``plus_key`` may be taken instead with the
+        up-link's weight as bonus (otherwise ``plus_key`` is -1).
+        """
         cstar = -1
         if x == PLUS:
             u = self.crossing[v]
-            if u < 0:
-                return _INFEASIBLE
             if self.uplinks[u].bottom != v:
                 cstar = self.u_step[(u, v)]
-        zero_total, zero_cmask = self._zero_sum(v)
+        touch_v = self.touch[v]
+        hang_weight = self.hang_weight
         ybits = mask_bits(ymask)
-        avail = k - len(ybits)
-        apex_list = self.apex_ids[v]
-        best: tuple[int, int] | None = None
-
-        for zsize in range(0, min(avail, len(apex_list)) + 1):
-            for zcombo in combinations(apex_list, zsize):
-                cand = self._evaluate(v, ybits, zcombo, x, cstar,
-                                      zero_total, zero_cmask)
-                if cand is None:
-                    continue
-                if best is None or self._better(cand, best):
-                    best = cand
-        if best is None:
-            return _INFEASIBLE
-        return best
-
-    def _evaluate(self, v, ybits, zcombo, x, cstar, zero_total, zero_cmask):
-        p, q = self._p, self._q
-        touch = self.touch
-        ydict: dict[int, int] = {}
+        ybase: dict[int, int] = {}
         for lid in ybits:
-            for child in touch.get((lid, v), ()):
-                ydict[child] = ydict.get(child, 0) | (1 << lid)
-        zlink_mask = 0
-        zweight = 0
-        for lid in zcombo:
-            zlink_mask |= 1 << lid
-            zweight += self.links[lid].weight
-            for child in touch.get((lid, v), ()):
-                ydict[child] = ydict.get(child, 0) | (1 << lid)
-        if cstar >= 0 and cstar not in ydict:
-            return None  # the entering up-link's inside edges would stay uncovered
+            for child in touch_v.get(lid, ()):
+                ybase[child] = ybase.get(child, 0) | (1 << lid)
+        avail = self.k - len(ybits)
+        for zsize, zweight, zmask, down in self._zsets(v):
+            if zsize > avail:
+                break
+            ydict = dict(ybase)
+            for child, m in down:
+                ydict[child] = ydict.get(child, 0) | m
+            if cstar >= 0 and cstar not in ydict:
+                continue  # the entering up-link's inside edges would stay uncovered
+            terms = []
+            for child, ym in ydict.items():
+                uw = hang_weight[child]
+                if uw >= 0:
+                    terms.append((child, 2 * ym + MINUS, 2 * ym + PLUS, uw))
+                else:
+                    want = PLUS if child == cstar else MINUS
+                    terms.append((child, 2 * ym + want, -1, 0))
+            yield zweight, zmask, terms
 
-        slack = zero_total - q * zweight
-        cmask = zero_cmask | zlink_mask
-        for child, ym in ydict.items():
-            ze = self._entry(child, 0, MINUS)
-            uc = self.crossing[child]
-            if uc >= 0 and self.uplinks[uc].top == v:
-                # up-link hanging from v into this child's subtree
-                em = self._entry(child, ym, MINUS)
-                val, cm = em
-                ep = self._entry(child, ym, PLUS)
-                if ep is not _INFEASIBLE:
-                    bonus = p * self.uplinks[uc].weight
-                    if ep[0] + bonus >= val:
-                        val, cm = ep[0] + bonus, ep[1]
-            elif uc >= 0:
-                # up-link entering from strictly above v
-                want = PLUS if (x == PLUS and child == cstar) else MINUS
-                e = self._entry(child, ym, want)
-                if e is _INFEASIBLE:
-                    return None
-                val, cm = e
+    def _compile(self, v: int, ymask: int, x: int) -> _Plan | None:
+        """Plan for the states reachable from (v, Y, x); None when infeasible.
+
+        A depth-first walk over v's subtree with an explicit stack.  On the
+        way down, the candidates of each state requested at a vertex request
+        entries of the children.  On the way up (post-order), each state is
+        added with the candidates whose entries are all feasible, and gets
+        its id; a state left with no candidate gets -1 and is left out.
+        """
+        children = self.idx.children
+        links = self.links
+        tin, tout = self.idx.tin.tolist(), self.idx.tout.tolist()
+        plan = _Plan(self.instance.n)
+        # per vertex: requested state key 2*Y + x -> the key of the state
+        # whose candidates it shares, then -> its id once added
+        states: list[dict] = [{} for _ in range(self.instance.n)]
+        states[v][2 * ymask + x] = 2 * ymask + x
+        stack = [(v, False)]
+        while stack:
+            u, expanded = stack.pop()
+            got = states[u]
+            if expanded:
+                self._add_vertex(plan, u, got, states)
+                for c in children[u]:
+                    states[c] = {}  # read only by u's states
+                continue
+            # Below u, a link of Y is just the path from u down to its endpoint
+            # in u's subtree, so states whose Y have the same endpoints there
+            # have the same slack and set, and share the first one's candidates.
+            shared: dict[tuple, int] = {}
+            for key in got:
+                ym = key >> 1
+                ends = [sl.a if tin[u] <= tin[sl.a] <= tout[u] else sl.b
+                        for sl in map(links.__getitem__, mask_bits(ym))]
+                got[key] = first = shared.setdefault(
+                    (tuple(sorted(ends)), key & 1), key)
+                if first != key or not self._enters(u, key):
+                    continue
+                for c in children[u]:
+                    states[c].setdefault(_EMPTY_KEY, None)
+                for _, _, terms in self._candidates(u, ym, key & 1):
+                    for child, ck, pk, _ in terms:
+                        states[child].setdefault(ck, None)
+                        if pk >= 0:
+                            states[child].setdefault(pk, None)
+            stack.append((u, True))
+            stack.extend((c, False) for c in children[u])
+        plan.root = states[v][2 * ymask + x]
+        return plan if plan.root >= 0 else None
+
+    def _enters(self, v: int, key: int) -> bool:
+        """False for a PLUS state at a vertex no up-link enters: infeasible."""
+        return (key & 1) == MINUS or self.crossing[v] >= 0
+
+    def _add_vertex(self, plan: _Plan, v: int, got: dict, states) -> None:
+        """Replace the entry of every state requested at v by its id."""
+        plan.zero[v] = [plan.ze[c] for c in self.idx.children[v]]
+        for key, first in got.items():
+            if first != key:
+                sid = got[first]  # already replaced: dicts keep their order
+            elif not self._enters(v, key):
+                sid = -1
             else:
-                e = self._entry(child, ym, MINUS)
-                val, cm = e
-            slack += val - ze[0]
-            cmask = (cmask & ~ze[1]) | cm
-        return slack, cmask
+                sid = self._append_state(plan, v, key, self._candidates(
+                    v, key >> 1, key & 1), states)
+            got[key] = sid
+            if key == _EMPTY_KEY:
+                plan.ze[v] = sid
 
     @staticmethod
-    def _better(cand: tuple[int, int], best: tuple[int, int]) -> bool:
-        if cand[0] != best[0]:
-            return cand[0] > best[0]
-        cne, bne = cand[1] != 0, best[1] != 0
-        if cne != bne:
-            return cne
-        return lex_less(cand[1], best[1])
+    def _append_state(plan: _Plan, v: int, key: int, cands, states) -> int:
+        """Append a state with its feasible candidates; its id, or -1 if none."""
+        c0 = len(plan.cand_w)
+        for zweight, zmask, terms in cands:
+            if (key & 1) == PLUS and any(states[child][ck] < 0
+                                         for child, ck, _, _ in terms):
+                continue  # only a PLUS state must read PLUS entries
+            plan.cand_w.append(zweight)
+            plan.cand_z.append(zmask)
+            for child, ck, pk, uw in terms:
+                plan.term_ze.append(plan.ze[child])
+                plan.term_ch.append(states[child][ck])
+                plan.term_pl.append(-1 if pk < 0 else states[child][pk])
+                plan.term_uw.append(uw)
+            plan.term_lo.append(len(plan.term_ze))
+        if len(plan.cand_w) == c0:
+            return -1
+        plan.vert.append(v)
+        plan.ykey.append(key)
+        plan.cand_lo.append(len(plan.cand_w))
+        return len(plan.vert) - 1
 
 
 def slack_max(instance: Instance, uplinks: Sequence[UpPath], k: int,

@@ -63,6 +63,8 @@ class GreedyTrace:
     iterations: list[IterationRecord] = field(default_factory=list)
     stopped_early: bool = False
     final_weight: int = 0
+    probes: int = 0   # max_slack calls, summed over every ratio search
+    states: int = 0   # compiled DP states, summed over every ratio search
 
 
 def epsilon_to_k(eps: Fraction) -> int:
@@ -119,6 +121,8 @@ def solve(instance: Instance, eps: Fraction | int | str,
     while uplinks:
         search = originals + uplink_search_links(uplinks)
         result = best_ratio_component(instance, uplinks, k, search)
+        trace.probes += result.probes
+        trace.states += result.states
         w_before = sum(p.weight for p in uplinks)
         if result.rho >= 1:
             trace.stopped_early = True

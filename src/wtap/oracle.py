@@ -231,7 +231,7 @@ def brute_best_kthin(instance: Instance, uplinks: Sequence[UpPath], k: int,
     assert Fraction(weight, drop_weight) == ratio
     return RatioResult(rho=ratio, links=links, drop_indices=drops,
                        weight=weight, drop_weight=drop_weight,
-                       probes=0, halvings=0)
+                       probes=0, states=0)
 
 
 def brute_uplink_cover(instance: Instance,

@@ -32,7 +32,7 @@ class RatioResult:
     weight: int
     drop_weight: int
     probes: int
-    halvings: int
+    states: int
 
     @property
     def certificate(self) -> tuple[int, int]:
@@ -68,12 +68,10 @@ def best_ratio_component(instance: Instance, uplinks: Sequence[UpPath], k: int,
         raise ValueError("search alphabet must contain every up-link of U")
     lo = Fraction(0)
     hi = _witness_ratio(witness)
-    halvings = 0
     while hi - lo >= width_limit:
         mid = (lo + hi) / 2
         ok, res = decide(instance, uplinks, k, mid, search_links, cs)
         probes += 1
-        halvings += 1
         if ok:
             witness = res
             hi = _witness_ratio(res)
@@ -82,7 +80,7 @@ def best_ratio_component(instance: Instance, uplinks: Sequence[UpPath], k: int,
     return RatioResult(rho=_witness_ratio(witness), links=witness.links,
                        drop_indices=witness.drop_indices,
                        weight=witness.weight, drop_weight=witness.drop_weight,
-                       probes=probes, halvings=halvings)
+                       probes=probes, states=cs.states)
 
 
 def _witness_ratio(res: SlackResult) -> Fraction:

@@ -28,6 +28,7 @@ def test_gen_and_solve_roundtrip(tmp_path, capsys):
                             str(inst_path)], capsys)
     doc = json.loads(out)
     assert doc["weight"] == 44 and doc["k"] == 2
+    assert doc["trace"]["probes"] > 0 and doc["trace"]["states"] > 0
 
 
 def test_gen_random_seed_flag(tmp_path, capsys):
@@ -46,7 +47,8 @@ def test_exact_ratio_component(tmp_path, capsys):
     assert code == 0 and json.loads(out)["weight"] == 18
     code, out, _ = run_cli(["ratio", "--k", "2", str(inst_path)], capsys)
     assert code == 0
-    assert "rho" in json.loads(out)
+    doc = json.loads(out)
+    assert "rho" in doc and doc["probes"] > 0 and doc["states"] > 0
     code, out, _ = run_cli(["component", "--rho", "1/2", "--k", "2",
                             str(inst_path)], capsys)
     assert code == 0

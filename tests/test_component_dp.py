@@ -1,5 +1,7 @@
 """Slack-maximization DP: table-entry examples, oracle equivalence, timing."""
 
+import random
+import sys
 import time
 from fractions import Fraction
 
@@ -132,10 +134,7 @@ def test_extract_root_matches_max_slack():
 def _entry_invariants(inst, uplinks, cs, k, p, q):
     idx = inst.index
     u_masks = [idx.vertical_edge_mask(u.top, u.bottom) for u in uplinks]
-    for (v, ymask, x), entry in cs._memo.items():
-        if entry is None:
-            continue
-        num, cmask = entry
+    for v, ymask, x, num, cmask in cs.entries():
         c_ids = [i for i in range(len(cs.links)) if (cmask >> i) & 1]
         y_ids = [i for i in range(len(cs.links)) if (ymask >> i) & 1]
         for i in c_ids:
@@ -164,7 +163,7 @@ def _entry_invariants(inst, uplinks, cs, k, p, q):
 
 
 def test_table_entry_invariants_hold():
-    # every feasible memoized entry: C inside the subtree, C+Y k-thin,
+    # every compiled (hence feasible) entry: C inside the subtree, C+Y k-thin,
     # inside-coverage when required, stored slack exactly recomputable
     for seed in range(25):
         inst = wtap.gen_random(n=3 + seed % 8, link_count=(seed * 5) % 8,
@@ -282,10 +281,31 @@ def test_runtime_envelope_n30_k2():
     inst = wtap.gen_random(n=30, link_count=45, weight_max=9, seed=77)
     uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
     search = _search_for(inst, uplinks)
-    cs = ComponentSearch(inst, uplinks, 2, search)
-    t0 = time.perf_counter()
-    cs.max_slack(1, 2)
+    t0 = time.perf_counter()  # the plan is compiled in the constructor
+    ComponentSearch(inst, uplinks, 2, search).max_slack(1, 2)
     assert time.perf_counter() - t0 < 10.0
+
+
+def test_long_path_leaves_recursion_limit_alone():
+    # 3000-vertex path: the plan is compiled and swept without recursion,
+    # and the library must not raise the interpreter's recursion limit
+    n = 3000
+    rng = random.Random(3)
+    links = [Link(i - 1, i - 1, i, 20) for i in range(1, n)]
+    for v in range(2, n, 2):
+        links.append(Link(len(links), max(0, v - rng.randint(1, 6)), v,
+                          rng.randint(1, 20)))
+    inst = Instance(n, 0, [(i - 1, i) for i in range(1, n)], links)
+    uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
+    search = _search_for(inst, uplinks)
+    old = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(1000)
+        res = ComponentSearch(inst, uplinks, 2, search).max_slack(1, 2)
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(old)
+    assert res.slack >= 0
 
 
 def test_lex_less_rules():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import wtap
+from wtap.component_dp import ComponentSearch
 from wtap.greedy import InvalidEpsilonError, epsilon_to_k
 
 
@@ -100,3 +101,26 @@ def test_trace_drop_totals_add_up():
     dropped = sum(it.drop_weight for it in trace.iterations)
     final_u = trace.iterations[-1].u_weight_after if trace.iterations else trace.initial_u_weight
     assert dropped == trace.initial_u_weight - final_u
+
+
+def test_trace_counts_probes_and_states(monkeypatch):
+    # every max_slack call is counted, the ratio search that stops the loop too
+    calls = 0
+    real = ComponentSearch.max_slack
+
+    def counting(self, p, q):
+        nonlocal calls
+        calls += 1
+        return real(self, p, q)
+
+    monkeypatch.setattr(ComponentSearch, "max_slack", counting)
+    inst = wtap.gen_random(n=12, link_count=12, weight_max=9, seed=7500)
+    runs = []
+    for _ in range(2):
+        calls = 0
+        _, trace = wtap.solve(inst, 1)
+        assert trace.iterations and trace.stopped_early
+        assert trace.probes == calls
+        assert trace.states > 0
+        runs.append((calls, trace.probes, trace.states))
+    assert runs[0] == runs[1]

@@ -105,7 +105,7 @@ def test_iteration_bound():
         res = wtap.best_ratio_component(inst, uplinks, 2,
                                         _search_for(inst, uplinks))
         bound = (math.ceil(math.log2(w_u * w_u)) + 1) if w_u > 1 else 1
-        assert res.halvings <= bound
+        assert res.probes <= bound + 1  # the probe at rho = 1, then halvings
 
 
 def test_result_invariants():
