@@ -396,6 +396,27 @@ class ComponentSearch:
                         down[child] = down.get(child, 0) | (1 << lid)
                 yield zsize, zweight, zmask, tuple(down.items())
 
+    def _frame(self, v: int, ymask: int, x: int) -> tuple[int, dict[int, int], int]:
+        """What state (v, Y, x) fixes for its candidates: ``(cstar, ybase, avail)``.
+
+        ``cstar`` is the child the up-link entering v continues into when x
+        is PLUS (every candidate must send a link down into it), else -1;
+        ``ybase`` maps each child the links of Y go down into to their mask;
+        ``avail`` is how many apex links of v a candidate may still add.
+        """
+        cstar = -1
+        if x == PLUS:
+            u = self.crossing[v]
+            if self.uplinks[u].bottom != v:
+                cstar = self.u_step[(u, v)]
+        touch_v = self.touch[v]
+        ybits = mask_bits(ymask)
+        ybase: dict[int, int] = {}
+        for lid in ybits:
+            for child in touch_v.get(lid, ()):
+                ybase[child] = ybase.get(child, 0) | (1 << lid)
+        return cstar, ybase, self.k - len(ybits)
+
     def _candidates(self, v: int, ymask: int, x: int):
         """Yield the candidate specs ``(w(Z), Z mask, terms)`` of state (v, Y, x).
 
@@ -405,19 +426,8 @@ class ComponentSearch:
         that child, its PLUS entry ``plus_key`` may be taken instead with the
         up-link's weight as bonus (otherwise ``plus_key`` is -1).
         """
-        cstar = -1
-        if x == PLUS:
-            u = self.crossing[v]
-            if self.uplinks[u].bottom != v:
-                cstar = self.u_step[(u, v)]
-        touch_v = self.touch[v]
+        cstar, ybase, avail = self._frame(v, ymask, x)
         hang_weight = self.hang_weight
-        ybits = mask_bits(ymask)
-        ybase: dict[int, int] = {}
-        for lid in ybits:
-            for child in touch_v.get(lid, ()):
-                ybase[child] = ybase.get(child, 0) | (1 << lid)
-        avail = self.k - len(ybits)
         for zsize, zweight, zmask, down in self._zsets(v):
             if zsize > avail:
                 break
@@ -436,14 +446,65 @@ class ComponentSearch:
                     terms.append((child, 2 * ym + want, -1, 0))
             yield zweight, zmask, terms
 
+    def _child_keys(self, v: int, ymask: int, x: int,
+                    into: dict[int, int], subsets: dict[int, list]):
+        """Yield ``(child, key)`` for every entry the candidates of (v, Y, x) read.
+
+        They are the keys of ``_candidates``' terms, found per child without
+        enumerating the candidates: for child c and each set S of apex links
+        of v going down into c with |S| <= avail, the mask ``ybase[c] | S``
+        (0 is left out: c's empty entry is read through ``_Plan.zero``).
+        ``into`` and ``subsets`` are ``_apex_down(v)``.  When x is
+        PLUS, S must leave room for a candidate that sends a link into cstar:
+        Y does already, or S does, or a further apex link can within avail
+        (one that goes into cstar and not into c, as it must not join S).
+        """
+        cstar, ybase, avail = self._frame(v, ymask, x)
+        free = cstar < 0 or cstar in ybase
+        need = 0 if free else into.get(cstar, 0)
+        for c in dict.fromkeys([*ybase, *subsets]):
+            base = ybase.get(c, 0)
+            spare = not free and need & ~into.get(c, 0) != 0
+            uw = self.hang_weight[c]
+            x_c = PLUS if c == cstar else MINUS
+            for size, s in subsets.get(c, ((0, 0),)):
+                if size > avail:
+                    break
+                if not (free or s & need or (spare and size < avail)):
+                    continue
+                ym = base | s
+                if ym == 0:
+                    continue
+                if uw >= 0:
+                    yield c, 2 * ym + MINUS
+                    yield c, 2 * ym + PLUS
+                else:
+                    yield c, 2 * ym + x_c
+
+    def _apex_down(self, v: int) -> tuple[dict[int, int], dict[int, list]]:
+        """Per child c of v: the mask of v's apex links that go down into c,
+        and the sets of at most k of them as ``(size, mask)``, by size."""
+        into: dict[int, int] = {}
+        lids_of: dict[int, list[int]] = {}
+        for lid in self.apex_ids[v]:
+            for child in self.touch[v][lid]:
+                into[child] = into.get(child, 0) | (1 << lid)
+                lids_of.setdefault(child, []).append(lid)
+        subsets = {child: [(size, sum(1 << i for i in combo))
+                           for size in range(min(self.k, len(lids)) + 1)
+                           for combo in combinations(lids, size)]
+                   for child, lids in lids_of.items()}
+        return into, subsets
+
     def _compile(self, v: int, ymask: int, x: int) -> _Plan | None:
         """Plan for the states reachable from (v, Y, x); None when infeasible.
 
         A depth-first walk over v's subtree with an explicit stack.  On the
-        way down, the candidates of each state requested at a vertex request
-        entries of the children.  On the way up (post-order), each state is
-        added with the candidates whose entries are all feasible, and gets
-        its id; a state left with no candidate gets -1 and is left out.
+        way down, each state requested at a vertex requests, child by child,
+        the entries its candidates read (``_child_keys``), without
+        enumerating the candidates.  On the way up (post-order), each state
+        is added with the candidates whose entries are all feasible, and
+        gets its id; a state left with no candidate gets -1 and is left out.
         """
         children = self.idx.children
         links = self.links
@@ -466,6 +527,7 @@ class ComponentSearch:
             # in u's subtree, so states whose Y have the same endpoints there
             # have the same slack and set, and share the first one's candidates.
             shared: dict[tuple, int] = {}
+            down = None
             for key in got:
                 ym = key >> 1
                 ends = [sl.a if tin[u] <= tin[sl.a] <= tout[u] else sl.b
@@ -474,13 +536,12 @@ class ComponentSearch:
                     (tuple(sorted(ends)), key & 1), key)
                 if first != key or not self._enters(u, key):
                     continue
-                for c in children[u]:
-                    states[c].setdefault(_EMPTY_KEY, None)
-                for _, _, terms in self._candidates(u, ym, key & 1):
-                    for child, ck, pk, _ in terms:
-                        states[child].setdefault(ck, None)
-                        if pk >= 0:
-                            states[child].setdefault(pk, None)
+                if down is None:
+                    down = self._apex_down(u)
+                    for c in children[u]:
+                        states[c].setdefault(_EMPTY_KEY, None)
+                for c, ck in self._child_keys(u, ym, key & 1, *down):
+                    states[c].setdefault(ck, None)
             stack.append((u, True))
             stack.extend((c, False) for c in children[u])
         plan.root = states[v][2 * ymask + x]

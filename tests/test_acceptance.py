@@ -112,15 +112,32 @@ def test_criterion_3_component_dp_reproduction():
                 table = KThinTable(inst, uplinks, k, search, oracle_budget)
                 oracle = wtap.brute_best_kthin(inst, uplinks, k, search,
                                                oracle_budget)
-                # replicate the production probe sequence, checking each probe
-                lo, hi = Fraction(0), Fraction(1)
-                res = cs.max_slack(1, 1)
+                # every probe the production search makes, against the table
+                probes = []
+                max_slack = cs.max_slack
+
+                def recorded(p, q):
+                    res = max_slack(p, q)
+                    probes.append((p, q, res))
+                    return res
+
+                cs.max_slack = recorded
+                got = wtap.best_ratio_component(inst, uplinks, k, search,
+                                                search=cs)
+                cs.max_slack = max_slack
+                assert len(probes) == got.probes
+                for p, q, res in probes:
+                    want, want_mask = table.max_slack(p, q)
+                    assert res.slack == want, f"probe {p}/{q} disagrees"
+                    assert (res.cmask != 0) == (want_mask != 0)
+                probe_checks += len(probes)
+                # the reference: full bisection, checking each probe too
+                lo = Fraction(0)
+                witness = cs.max_slack(1, 1)
                 want, _ = table.max_slack(1, 1)
-                assert res.slack == want
+                assert witness.slack == want and witness.cmask != 0
                 probe_checks += 1
-                assert res.cmask != 0
-                hi = Fraction(res.weight, res.drop_weight)
-                witness = res
+                hi = Fraction(witness.weight, witness.drop_weight)
                 limit = Fraction(1, w_u * w_u)
                 while hi - lo >= limit:
                     mid = (lo + hi) / 2
@@ -135,16 +152,19 @@ def test_criterion_3_component_dp_reproduction():
                         hi = Fraction(res.weight, res.drop_weight)
                     else:
                         lo = mid
-                rho_star = Fraction(witness.weight, witness.drop_weight)
-                assert rho_star == oracle.rho, \
-                    f"seed {seed} k={k}: {rho_star} != {oracle.rho}"
+                assert (got.rho, got.links, got.drop_indices) == (
+                    hi, witness.links, witness.drop_indices), \
+                    f"seed {seed} k={k}: certified stop left full bisection"
+                assert got.rho == oracle.rho, \
+                    f"seed {seed} k={k}: {got.rho} != {oracle.rho}"
         elapsed = time.perf_counter() - t0
         assert elapsed < budget_s
     except Exception as exc:
         _report(3, False, str(exc))
         raise
     _report(3, True, f"{accepted} instances x k in {{1,2,3}}, "
-                     f"{probe_checks} probes matched exhaustive slack, "
+                     f"{probe_checks} search and reference probes matched "
+                     f"exhaustive slack, "
                      f"{time.perf_counter() - t0:.1f}s < {budget_s:.0f}s")
 
 

@@ -178,6 +178,36 @@ def test_table_entry_invariants_hold():
                 _entry_invariants(inst, uplinks, cs, k, p, q)
 
 
+def test_plan_reads_every_state():
+    # the walk down requests, child by child, exactly the entries the
+    # candidates read (requesting too few fails the build with a KeyError),
+    # and every compiled state but the root is read
+    for seed in range(40):
+        n = 3 + seed % 12
+        inst = wtap.gen_random(n=n, link_count=n + seed % 5, weight_max=6,
+                               seed=5950 + seed)
+        uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
+        if not uplinks:
+            continue
+        for k in (1, 2, 3):
+            cs = ComponentSearch(inst, uplinks, k, _search_for(inst, uplinks))
+            plan = cs._plan
+            read = set(plan.term_ch) | set(plan.term_pl) | set(plan.term_ze)
+            for zs in plan.zero:
+                read.update(zs or ())
+            unread = set(range(len(plan.vert))) - read - {plan.root}
+            assert not unread, f"seed {seed} k={k}: {len(unread)} unread"
+            for v, yk in zip(plan.vert, plan.ykey):
+                want = set()
+                for _, _, terms in cs._candidates(v, yk >> 1, yk & 1):
+                    for child, ck, pk, _ in terms:
+                        want.add((child, ck))
+                        if pk >= 0:
+                            want.add((child, pk))
+                got = cs._child_keys(v, yk >> 1, yk & 1, *cs._apex_down(v))
+                assert set(got) == want, f"seed {seed} k={k} at {v}"
+
+
 def test_deterministic_tables():
     inst = wtap.gen_random(n=9, link_count=7, weight_max=6, seed=42)
     uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 import wtap
-from wtap.component_dp import original_search_links, uplink_search_links
+from wtap.component_dp import (ComponentSearch, original_search_links,
+                               uplink_search_links)
 from wtap.generators import fig2_link_groups, fig2_reference_cover
 from wtap.oracle import OracleBudget
 from wtap.ratio import EmptyUError
@@ -106,6 +107,63 @@ def test_iteration_bound():
                                         _search_for(inst, uplinks))
         bound = (math.ceil(math.log2(w_u * w_u)) + 1) if w_u > 1 else 1
         assert res.probes <= bound + 1  # the probe at rho = 1, then halvings
+
+
+def _full_bisection(cs, uplinks):
+    """The search without its certified stop: halve down to 1/w(U)^2.
+
+    Returns rho, the witness and the number of probes."""
+    w_u = sum(p.weight for p in uplinks)
+    limit = Fraction(1, w_u * w_u)
+    witness = cs.max_slack(1, 1)
+    probes = 1
+    lo, hi = Fraction(0), Fraction(witness.weight, witness.drop_weight)
+    while hi - lo >= limit:
+        mid = (lo + hi) / 2
+        res = cs.max_slack(mid.numerator, mid.denominator)
+        probes += 1
+        if res.cmask != 0 and res.slack >= 0:
+            witness, hi = res, Fraction(res.weight, res.drop_weight)
+        else:
+            lo = mid
+    return hi, witness, probes
+
+
+def test_certified_stop_matches_full_bisection():
+    searches = probes = full_probes = 0
+    for seed in range(160):
+        n = 3 + seed % 14
+        inst = wtap.gen_random(n=n, link_count=(seed * 5) % (n + 4),
+                               weight_max=12, seed=6600 + seed)
+        uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
+        if not uplinks:
+            continue
+        search = _search_for(inst, uplinks)
+        w_u = sum(p.weight for p in uplinks)
+        bound = (math.ceil(math.log2(w_u * w_u)) + 1) if w_u > 1 else 1
+        for k in (1, 2, 3):
+            cs = ComponentSearch(inst, uplinks, k, search)
+            got = wtap.best_ratio_component(inst, uplinks, k, search, cs)
+            rho, want, full = _full_bisection(cs, uplinks)
+            assert got.rho == rho, f"seed {seed} k={k}"
+            assert got.links == want.links
+            assert got.drop_indices == want.drop_indices
+            assert (got.weight, got.drop_weight) == (want.weight, want.drop_weight)
+            assert got.probes <= bound + 1
+            searches += 1
+            probes += got.probes
+            full_probes += full
+    assert searches >= 3 * 150
+    assert probes < full_probes / 2  # the stop is taken, not just allowed
+
+
+def test_nonpositive_weight_rejected_by_solve():
+    # a path 0-1-2 whose link 1 has weight 0 or -1
+    for w in (0, -1):
+        inst = wtap.Instance(3, 0, [(0, 1), (1, 2)],
+                             [wtap.Link(0, 0, 2, 4), wtap.Link(1, 1, 2, w)])
+        with pytest.raises(ValueError, match=r"\('orig', 1\) has weight"):
+            wtap.solve(inst, 1)
 
 
 def test_result_invariants():
