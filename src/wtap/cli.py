@@ -63,6 +63,30 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
 
 
+def _positive_fraction(text: str) -> Fraction:
+    value = _fraction(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _nonnegative_fraction(text: str) -> Fraction:
+    value = _fraction(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 def _searchlink_json(sl) -> dict:
     return {"u": sl.a, "v": sl.b, "w": sl.weight, "label": list(sl.label)}
 
@@ -236,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run a solver")
     p_solve.add_argument("--algorithm", choices=["uplink2", "relgreedy"],
                          required=True)
-    p_solve.add_argument("--eps", type=_fraction, default=Fraction(1))
-    p_solve.add_argument("--k-override", dest="k_override", type=int)
+    p_solve.add_argument("--eps", type=_positive_fraction, default=Fraction(1))
+    p_solve.add_argument("--k-override", dest="k_override", type=_positive_int)
     p_solve.add_argument("--full-shadows", dest="full_shadows",
                          action="store_true")
     p_solve.add_argument("--out")
@@ -249,18 +273,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("instance")
 
     p_ratio = sub.add_parser("ratio", help="best-ratio component vs baseline")
-    p_ratio.add_argument("--k", type=int, required=True)
+    p_ratio.add_argument("--k", type=_positive_int, required=True)
     p_ratio.add_argument("--out")
     p_ratio.add_argument("instance")
 
     p_comp = sub.add_parser("component", help="max-slack component at a rho")
-    p_comp.add_argument("--rho", type=_fraction, required=True)
-    p_comp.add_argument("--k", type=int, required=True)
+    p_comp.add_argument("--rho", type=_nonnegative_fraction, required=True)
+    p_comp.add_argument("--k", type=_positive_int, required=True)
     p_comp.add_argument("--out")
     p_comp.add_argument("instance")
 
     p_dec = sub.add_parser("decompose", help="thin decomposition of a solution")
-    p_dec.add_argument("--eps", type=_fraction, required=True)
+    p_dec.add_argument("--eps", type=_positive_fraction, required=True)
     p_dec.add_argument("--solution", required=True)
     p_dec.add_argument("--out")
     p_dec.add_argument("instance")

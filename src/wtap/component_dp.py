@@ -18,6 +18,14 @@ entries it reads; each probe is then one bottom-up integer sweep over it.
 Triples at one vertex whose Y links end at the same vertices below it
 always have the same slack and set, so they share one slot of the plan.
 
+Removing up-links from U, together with their search links, only takes
+candidates, states and PLUS alternatives away.  ``drop_uplinks`` therefore
+cuts the plan down in place with three linear passes instead of compiling
+it again, and the relative greedy compiles one plan per solve.  A slot stands
+for every Y with the same endpoints below its vertex, so it is never dropped
+because the Y of its own key holds a removed link: a live request may share
+it.
+
 All slack values are integers in units of 1/q: slack * q = p*w(drop) - q*w(C).
 Link sets are bitmasks over the search alphabet.  Ties between equal-slack
 candidates prefer a nonempty set, then the lexicographically smallest sorted
@@ -28,8 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterator, Sequence
+from itertools import combinations, compress
+from typing import Iterable, Iterator, Sequence
 
 from .baseline import UpPath
 from .model import Instance, link_vertices, mask_bits
@@ -113,7 +121,8 @@ class _Plan:
     ``term_lo[c]:term_lo[c+1]``.  Term ``t`` replaces, for one child, the
     child's empty-boundary entry ``term_ze[t]`` by entry ``term_ch[t]``, or
     by entry ``term_pl[t]`` plus rho * ``term_uw[t]`` when that is at least
-    as large (``term_pl[t]`` is -1 when there is no such choice).
+    as large (``term_pl[t]`` is -1 when there is no such choice, and
+    ``term_uw[t]`` then means nothing).
     ``ze[v]`` is the empty-boundary entry (v, {}, -) and ``zero[v]`` lists
     those of v's children.  States come in post-order of their vertices, so
     each follows the entries it reads, and those of one vertex are
@@ -247,7 +256,8 @@ class _Sweep:
 
 
 class ComponentSearch:
-    """Reusable DP context for one (instance, U, k, search alphabet)."""
+    """Reusable DP context for one (instance, U, k, search alphabet);
+    ``drop_uplinks`` narrows it to fewer up-links."""
 
     def __init__(self, instance: Instance, uplinks: Sequence[UpPath],
                  k: int, search_links: Sequence[SearchLink]):
@@ -255,11 +265,19 @@ class ComponentSearch:
             raise ValueError("k must be at least 1")
         self.instance = instance
         self.k = k
+        self.idx = instance.index
+        self._index(uplinks, search_links)
+        self._plan = self._compile(instance.root, 0, MINUS)
+        assert self._plan is not None  # (root, {}, -) is always feasible
+        self._fresh()
+
+    def _index(self, uplinks: Sequence[UpPath],
+               search_links: Sequence[SearchLink]) -> None:
+        """Build the per-link and up-link structures for (U, search alphabet)."""
         self.links = list(search_links)
         self.uplinks = list(uplinks)
-        idx = instance.index
-        self.idx = idx
-        n = instance.n
+        idx = self.idx
+        n = self.instance.n
 
         # Per-link structure: apex, per-vertex child targets, path mask.
         self.apex_ids: list[list[int]] = [[] for _ in range(n)]
@@ -305,8 +323,8 @@ class ComponentSearch:
                 v = int(idx.parent[v])
             self.u_masks.append(mask)
 
-        self._plan = self._compile(instance.root, 0, MINUS)
-        assert self._plan is not None  # (root, {}, -) is always feasible
+    def _fresh(self) -> None:
+        """Count the plan's states and forget the last probe."""
         self.states = len(self._plan.vert)
         self._p = 0
         self._q = 1
@@ -344,13 +362,55 @@ class ComponentSearch:
                            weight=weight)
 
     # ------------------------------------------------------------------
+    def drop_uplinks(self, indices: Iterable[int]) -> None:
+        """Remove the up-links at ``indices`` from U, and their search links.
+
+        The search links removed are the alphabet entries equal to
+        ``uplink_search_links`` of those up-links; the other links keep their
+        order, so originals keep their ids, later ids shift down and
+        ``lex_less`` tie-breaks are unchanged.  Afterwards the object
+        answers every query as ``ComponentSearch(instance, U', k,
+        alphabet')`` would, with the same states and candidates; the states
+        of one vertex may come in another order, and ``entries`` may show
+        another Y of the same slot.  The plan is cut down in place:
+
+        1. A candidate goes when its Z holds a removed link, and a PLUS
+           state when the up-link crossing its vertex was removed.  As
+           up-links are disjoint, every other state keeps a candidate, and
+           the entry each term of a kept candidate must read is kept.
+        2. Top-down from the root: keep what the kept candidates read.  A
+           term's PLUS alternative goes when its entry went, as it does when
+           the up-link hanging into that child was removed.
+        3. Renumber states, candidates and terms in order, in place.
+
+        A state is never dropped because the Y of its key holds a removed
+        link: the slot stands for every Y with the same endpoints below its
+        vertex, and a live request may share it.  Such a slot takes the Y of
+        the first live candidate found reading it as its key.
+        """
+        gone = set(indices)
+        if not gone <= set(range(len(self.uplinks))):
+            raise IndexError(f"no up-links {sorted(gone)} among {len(self.uplinks)}")
+        cut_links = set(uplink_search_links([self.uplinks[i] for i in gone]))
+        cut = [i for i, sl in enumerate(self.links) if sl in cut_links]
+        self._last = None  # free the last sweep before the passes
+        self._index([p for i, p in enumerate(self.uplinks) if i not in gone],
+                    [sl for sl in self.links if sl not in cut_links])
+        self._restrict(cut)
+        self._fresh()
+
     def extract_root(self) -> SlackResult:
         """The table's answer: the entry for (root, empty boundary, -).
 
         Requires a prior ``max_slack`` call, whose rho it reuses.
         """
-        num, cmask = self._last.root()
+        num, cmask = self._probed().root()
         return self.result_for(cmask, expect_slack=(num, self._q))
+
+    def _probed(self) -> _Sweep:
+        if self._last is None:
+            raise RuntimeError("no probe yet: call max_slack first")
+        return self._last
 
     def entry(self, v: int, y_ids: Sequence[int], x: int):
         """Public accessor for a table entry at the last rho; None when infeasible.
@@ -369,9 +429,9 @@ class ComponentSearch:
 
     def entries(self) -> Iterator[tuple[int, int, int, int, int]]:
         """Every compiled state as (v, Y mask, x, slack * q, C mask) at the last rho."""
-        plan, sw = self._plan, self._last
-        for s, (v, yk) in enumerate(zip(plan.vert, plan.ykey)):
-            yield v, yk >> 1, yk & 1, sw.val[s], sw.mask(s)
+        plan, sw = self._plan, self._probed()
+        return ((v, yk >> 1, yk & 1, sw.val[s], sw.mask(s))
+                for s, (v, yk) in enumerate(zip(plan.vert, plan.ykey)))
 
     # ------------------------------------------------------------------
     def _zsets(self, v: int) -> Iterator[tuple[int, int, int, tuple]]:
@@ -588,6 +648,129 @@ class ComponentSearch:
         plan.ykey.append(key)
         plan.cand_lo.append(len(plan.cand_w))
         return len(plan.vert) - 1
+
+    def _restrict(self, cut: list[int]) -> None:
+        """Cut the plan down to the current structures, in place; ``cut``
+        lists the old ids of the removed search links (see ``drop_uplinks``)."""
+        plan = self._plan
+        vert, ykey = plan.vert, plan.ykey
+        cand_lo, cand_w, cand_z = plan.cand_lo, plan.cand_w, plan.cand_z
+        term_lo, term_ze, term_ch = plan.term_lo, plan.term_ze, plan.term_ch
+        term_pl, term_uw = plan.term_pl, plan.term_uw
+        crossing = self.crossing
+        gone = sum(1 << i for i in cut)
+        # a mask below the lowest removed id keeps its bits
+        low = 1 << min(cut, default=len(self.links) + len(cut))
+        top_down = sorted(cut, reverse=True)
+
+        def squeeze(m: int) -> int:
+            """Mask m over the old ids, renumbered to the new ones."""
+            if m < low:
+                return m
+            for i in top_down:
+                m = (m & ((1 << i) - 1)) | ((m >> (i + 1)) << i)
+            return m
+
+        # 1. What survives: a PLUS state goes when the up-link crossing its
+        # vertex is gone, and a candidate when its Z holds a removed link.
+        # Nothing else goes.  A MINUS state keeps the empty Z.  A PLUS state
+        # on a surviving up-link keeps, for each candidate Z, the candidate
+        # Z minus the removed links: up-links are disjoint, so no removed
+        # link goes down that up-link, and both read the same PLUS entry.
+        nst = len(vert)
+        live = bytearray(nst)
+        keep = bytearray(len(cand_w))
+        for s in range(nst):
+            if ykey[s] & 1 and crossing[vert[s]] < 0:
+                continue
+            live[s] = 1
+            for c in range(cand_lo[s], cand_lo[s + 1]):
+                if not cand_z[c] & gone:
+                    keep[c] = 1
+
+        # 2. Top-down: what the root reaches.  A PLUS alternative counts
+        # only if its entry is live.  A slot whose key holds a removed link
+        # takes the key its first reader asks for.
+        stale = {s for s in range(nst) if ykey[s] >> 1 & gone and live[s]}
+        reach = bytearray(nst)
+        reach[plan.root] = 1
+        key: dict[int, int] = {}
+        for s in range(nst - 1, -1, -1):
+            if not reach[s]:
+                continue
+            v = vert[s]
+            for e in plan.zero[v]:
+                reach[e] = 1
+            lo, hi = cand_lo[s], cand_lo[s + 1]
+            if keep.find(0, lo, hi) < 0:  # all kept: one span of terms
+                spans = [(term_lo[lo], term_lo[hi])]
+            else:
+                spans = [(term_lo[c], term_lo[c + 1])
+                         for c in compress(range(lo, hi), keep[lo:hi])]
+            read = []
+            for a, b in spans:
+                read += term_ch[a:b]
+                read += [e for e in term_pl[a:b] if e >= 0 and live[e]]
+            for e in read:
+                reach[e] = 1
+            if stale.isdisjoint(read):
+                continue
+            ys = key[s] >> 1 if s in key else squeeze(ykey[s] >> 1)
+            for c in compress(range(lo, hi), keep[lo:hi]):
+                a, b = term_lo[c], term_lo[c + 1]
+                for e in stale.intersection(term_ch[a:b] + term_pl[a:b]):
+                    stale.discard(e)
+                    # the links of Y and Z that go down into e's vertex
+                    ybase = self._frame(v, ys | squeeze(cand_z[c]), MINUS)[1]
+                    key[e] = 2 * ybase.get(vert[e], 0) + (ykey[e] & 1)
+
+        # 3. Renumber in order, in place: every write index trails its read
+        # index, and a bound is read before the slot that holds it is
+        # written.  new[-1] stays -1, so a PLUS alternative that went maps
+        # to -1.
+        new = [-1] * (nst + 1)
+        ns = nc = 0
+        hi = cand_lo[0]
+        for s in range(nst):
+            lo, hi = hi, cand_lo[s + 1]
+            if not reach[s]:
+                keep[lo:hi] = bytes(hi - lo)
+                continue
+            new[s] = ns
+            vert[ns] = vert[s]
+            if s in key:
+                ykey[ns] = key[s]
+            else:
+                ykey[ns] = squeeze(ykey[s] >> 1) << 1 | ykey[s] & 1
+            nc += keep.count(1, lo, hi)
+            ns += 1
+            cand_lo[ns] = nc
+        tkeep = bytearray(b"\x01") * len(term_ch)
+        c = keep.find(0)
+        while c >= 0:
+            tkeep[term_lo[c]:term_lo[c + 1]] = bytes(term_lo[c + 1] - term_lo[c])
+            c = keep.find(0, c + 1)
+        nt = 0
+        for i, c in enumerate(compress(range(len(cand_w)), keep)):
+            cand_w[i] = cand_w[c]
+            cand_z[i] = squeeze(cand_z[c])
+            nt += term_lo[c + 1] - term_lo[c]
+            term_lo[i + 1] = nt
+        for col in (term_ze, term_ch, term_pl):
+            for i, e in enumerate(compress(col, tkeep)):
+                col[i] = new[e]
+        for i, w in enumerate(compress(term_uw, tkeep)):
+            term_uw[i] = w
+        for col, size in ((vert, ns), (ykey, ns), (cand_lo, ns + 1),
+                          (cand_w, nc), (cand_z, nc), (term_lo, nc + 1),
+                          (term_ze, nt), (term_ch, nt), (term_pl, nt),
+                          (term_uw, nt)):
+            del col[size:]
+        if -1 in term_ch:
+            raise AssertionError("a kept candidate reads an entry that went")
+        plan.zero = [zs if zs is None else [new[e] for e in zs] for zs in plan.zero]
+        plan.ze = [new[e] for e in plan.ze]
+        plan.root = new[plan.root]
 
 
 def slack_max(instance: Instance, uplinks: Sequence[UpPath], k: int,

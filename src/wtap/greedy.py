@@ -9,6 +9,11 @@ paths (each viewed as a link of its recorded cost).  A full shadow closure
 can be requested instead for differential experiments; the guarantee needs
 only the original links and the up-link singletons, which both alphabets
 contain.
+
+Each iteration only removes up-links, so the alphabet only shrinks.  One
+``ComponentSearch`` is compiled per solve; after each iteration
+``drop_uplinks`` cuts the dropped up-links and their search links out of it
+in place, and every later ratio search reuses it.
 """
 
 from __future__ import annotations
@@ -118,9 +123,11 @@ def solve(instance: Instance, eps: Fraction | int | str,
     chosen: dict[tuple, SearchLink] = {}
     up_by_pair = {(p.top, p.bottom): p for p in uplinks}
 
+    alphabet = originals + uplink_search_links(uplinks)
+    search = ComponentSearch(instance, uplinks, k, alphabet)
     while uplinks:
-        search = originals + uplink_search_links(uplinks)
-        result = best_ratio_component(instance, uplinks, k, search)
+        result = best_ratio_component(instance, uplinks, k, alphabet,
+                                      search=search)
         trace.probes += result.probes
         trace.states += result.states
         w_before = sum(p.weight for p in uplinks)
@@ -135,6 +142,8 @@ def solve(instance: Instance, eps: Fraction | int | str,
                 sl = SearchLink(sl.a, sl.b, sl.weight, ("orig", path.link_id))
             chosen[sl.label] = sl
         uplinks = [p for i, p in enumerate(uplinks) if i not in dropped]
+        alphabet = originals + uplink_search_links(uplinks)
+        search.drop_uplinks(dropped)
         trace.iterations.append(IterationRecord(
             component=result.links, component_weight=result.weight,
             drop_weight=result.drop_weight, ratio=result.rho,

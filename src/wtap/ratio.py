@@ -57,8 +57,7 @@ def decide(instance: Instance, uplinks: Sequence[UpPath], k: int,
            search: ComponentSearch | None = None) -> tuple[bool, SlackResult | None]:
     """(True, witness) when rho >= rho*; (False, None) when rho < rho*."""
     rho = Fraction(rho)
-    cs = search if search is not None else ComponentSearch(
-        instance, uplinks, k, search_links)
+    cs = _search_for(instance, uplinks, k, search_links, search)
     res = cs.max_slack(rho.numerator, rho.denominator)
     if res.cmask != 0 and res.slack >= 0:
         return True, res
@@ -79,8 +78,7 @@ def best_ratio_component(instance: Instance, uplinks: Sequence[UpPath], k: int,
             raise ValueError(f"up-link {up.top}-{up.bottom} of link {up.link_id} "
                              f"has weight {up.weight}; the ratio search needs "
                              "positive weights")
-    cs = search if search is not None else ComponentSearch(
-        instance, uplinks, k, search_links)
+    cs = _search_for(instance, uplinks, k, search_links, search)
     w_u2 = sum(p.weight for p in uplinks) ** 2
     width_limit = Fraction(1, w_u2)
     cap = (w_u2 - 1).bit_length() + 2  # ceil(log2 w(U)^2) + 2 probes
@@ -89,7 +87,7 @@ def best_ratio_component(instance: Instance, uplinks: Sequence[UpPath], k: int,
     witness = None
     probes = 0
     while True:
-        ok, res = decide(instance, uplinks, k, rho, search_links, cs)
+        ok, res = decide(instance, cs.uplinks, k, rho, cs.links, cs)
         probes += 1
         if not ok:
             if witness is None:
@@ -104,7 +102,7 @@ def best_ratio_component(instance: Instance, uplinks: Sequence[UpPath], k: int,
             left = int((hi - lo) * w_u2).bit_length()
             if probes + 1 + left <= cap:
                 probes += 1
-                if decide(instance, uplinks, k, hi, search_links, cs)[1].slack == 0:
+                if decide(instance, cs.uplinks, k, hi, cs.links, cs)[1].slack == 0:
                     break
         if hi - lo < width_limit:
             break
@@ -113,6 +111,21 @@ def best_ratio_component(instance: Instance, uplinks: Sequence[UpPath], k: int,
                        drop_indices=witness.drop_indices,
                        weight=witness.weight, drop_weight=witness.drop_weight,
                        probes=probes, states=cs.states)
+
+
+def _search_for(instance: Instance, uplinks: Sequence[UpPath], k: int,
+                search_links: Sequence[SearchLink],
+                search: ComponentSearch | None) -> ComponentSearch:
+    """``search``, checked to be built for (U, k, alphabet), or a new one."""
+    if search is None:
+        return ComponentSearch(instance, uplinks, k, search_links)
+    for what, have, want in (("up-links", search.uplinks, uplinks),
+                             ("search links", search.links, search_links)):
+        if have is not want and have != list(want):
+            raise ValueError(f"search was built for other {what}")
+    if search.k != k:
+        raise ValueError(f"search was built for k={search.k}, not k={k}")
+    return search
 
 
 def _witness_ratio(res: SlackResult) -> Fraction:

@@ -87,6 +87,26 @@ def test_malformed_text_exit_code(tmp_path, capsys):
         assert out == "" and err.startswith("error: cannot parse instance")
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["solve", "--algorithm", "relgreedy", "--eps", "0"], "--eps"),
+    (["solve", "--algorithm", "relgreedy", "--eps=-1/2"], "--eps"),
+    (["solve", "--algorithm", "relgreedy", "--k-override", "0"], "--k-override"),
+    (["ratio", "--k", "0"], "--k"),
+    (["component", "--rho", "1/2", "--k", "0"], "--k"),
+    (["component", "--rho", "-1", "--k", "2"], "--rho"),
+    (["decompose", "--eps", "0", "--solution", "sol.json"], "--eps"),
+])
+def test_bad_argument_exit_code(tmp_path, capsys, args, flag):
+    # out-of-range numbers are usage errors: exit 2 and an error line
+    inst_path = tmp_path / "inst.json"
+    run_cli(["gen", "fig2", "--d", "3", "--M", "5", "--out", str(inst_path)], capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(args + [str(inst_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}" in err and "Traceback" not in err
+
+
 def test_budget_exit_code(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     run_cli(["gen", "random", "--n", "8", "--links", "12", "--seed", "1",

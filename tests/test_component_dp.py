@@ -12,7 +12,8 @@ from wtap import Instance, Link
 from wtap.baseline import UpPath
 from wtap.component_dp import (MINUS, PLUS, ComponentSearch, SearchLink,
                                lex_less, original_search_links,
-                               uplink_search_links)
+                               shadow_closure_search_links, uplink_search_links)
+from wtap.model import mask_bits
 from wtap.generators import fig2_link_groups, fig2_reference_cover
 from wtap.oracle import KThinTable, OracleBudget
 
@@ -206,6 +207,90 @@ def test_plan_reads_every_state():
                             want.add((child, pk))
                 got = cs._child_keys(v, yk >> 1, yk & 1, *cs._apex_down(v))
                 assert set(got) == want, f"seed {seed} k={k} at {v}"
+
+
+def _slots(inst, cs):
+    # each plan state as (v, x, the endpoints below v of its Y links)
+    idx = inst.index
+    out = []
+    for v, yk in zip(cs._plan.vert, cs._plan.ykey):
+        ends = sorted(sl.a if idx.is_ancestor(v, sl.a) else sl.b
+                      for sl in map(cs.links.__getitem__, mask_bits(yk >> 1)))
+        out.append((v, yk & 1, ends))
+    return sorted(out)
+
+
+def test_drop_uplinks_matches_fresh_compile():
+    # chained random drops answer every probe, and hold as many states, as a
+    # plan compiled afresh for the smaller U and alphabet
+    rng = random.Random(11)
+    rhos = ((0, 1), (1, 4), (1, 3), (1, 2), (2, 3), (1, 1), (3, 2))
+    instances = drops = 0
+    seed = 0
+    while instances < 150:
+        seed += 1
+        n = 3 + seed % 14
+        inst = wtap.gen_random(n=n, link_count=n + seed % 5, weight_max=9,
+                               seed=6100 + seed)
+        uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
+        if len(uplinks) < 2:
+            continue
+        instances += 1
+        k = 1 + seed % 3
+        originals = (shadow_closure_search_links(inst) if instances % 5 == 0
+                     else original_search_links(inst))
+        cs = ComponentSearch(inst, uplinks, k,
+                             originals + uplink_search_links(uplinks))
+        while uplinks:
+            gone = set(rng.sample(range(len(uplinks)),
+                                  rng.randint(1, max(1, len(uplinks) // 2))))
+            cs.drop_uplinks(gone)
+            uplinks = [p for i, p in enumerate(uplinks) if i not in gone]
+            search = originals + uplink_search_links(uplinks)
+            fresh = ComponentSearch(inst, uplinks, k, search)
+            drops += 1
+            assert cs.uplinks == uplinks and cs.links == search
+            assert cs.states == fresh.states, (seed, k)
+            for p, q in rhos:
+                assert cs.max_slack(p, q) == fresh.max_slack(p, q), (seed, k, p, q)
+            plan = fresh._plan
+            for s in rng.sample(range(fresh.states), min(4, fresh.states)):
+                y_ids = mask_bits(plan.ykey[s] >> 1)
+                x = plan.ykey[s] & 1
+                assert cs.entry(plan.vert[s], y_ids, x) == \
+                    fresh.entry(plan.vert[s], y_ids, x), (seed, k, s)
+            # the cut plan's keys name the same slots, and live entries with
+            # its values at the last rho
+            assert _slots(inst, cs) == _slots(inst, fresh), (seed, k)
+            entries = list(cs.entries())
+            for v, ymask, x, num, cmask in rng.sample(entries, min(4, len(entries))):
+                assert cs.entry(v, mask_bits(ymask), x) == (
+                    Fraction(num, q), tuple(cs.links[i] for i in mask_bits(cmask)))
+    assert drops > 300
+
+
+def test_drop_uplinks_rejects_unknown_index():
+    inst = wtap.gen_fig2(3, 5)
+    uplinks = fig2_reference_cover(inst)
+    cs = ComponentSearch(inst, uplinks, 2, _search_for(inst, uplinks))
+    with pytest.raises(IndexError):
+        cs.drop_uplinks([len(uplinks)])
+    with pytest.raises(IndexError):
+        cs.drop_uplinks([-1])
+
+
+def test_answer_before_any_probe_raises():
+    inst = wtap.gen_fig2(3, 5)
+    uplinks = fig2_reference_cover(inst)
+    cs = ComponentSearch(inst, uplinks, 2, _search_for(inst, uplinks))
+    for ask in (cs.extract_root, cs.entries):
+        with pytest.raises(RuntimeError, match="max_slack"):
+            ask()
+    cs.max_slack(1, 2)
+    cs.extract_root()
+    cs.drop_uplinks([0])  # a cut plan has not been probed either
+    with pytest.raises(RuntimeError, match="max_slack"):
+        cs.extract_root()
 
 
 def test_deterministic_tables():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import wtap
-from wtap.component_dp import ComponentSearch
+from wtap.component_dp import ComponentSearch, uplink_search_links
 from wtap.greedy import InvalidEpsilonError, epsilon_to_k
 
 
@@ -124,3 +124,45 @@ def test_trace_counts_probes_and_states(monkeypatch):
         assert trace.states > 0
         runs.append((calls, trace.probes, trace.states))
     assert runs[0] == runs[1]
+
+
+def test_one_compile_per_solve(monkeypatch):
+    # one plan per solve, cut down after each iteration, gives what a search
+    # compiled afresh in every iteration gives
+    compiles = 0
+    real_compile = ComponentSearch._compile
+
+    def counting(self, v, ymask, x):
+        nonlocal compiles
+        compiles += 1
+        return real_compile(self, v, ymask, x)
+
+    def rebuild(self, indices):
+        gone = set(indices)
+        cut = set(uplink_search_links([self.uplinks[i] for i in gone]))
+        self.__init__(self.instance,
+                      [p for i, p in enumerate(self.uplinks) if i not in gone],
+                      self.k, [sl for sl in self.links if sl not in cut])
+
+    monkeypatch.setattr(ComponentSearch, "_compile", counting)
+    cases = [(wtap.gen_random(n=6 + seed % 14, link_count=8 + seed % 13,
+                              weight_max=9, seed=7600 + seed),
+              Fraction(2, 3) if seed % 3 == 0 else 1, seed % 4 == 0)
+             for seed in range(80)]
+    cases += [(wtap.gen_random(n=8, link_count=12, weight_max=9, seed=7700),
+               Fraction(1, 2), False),
+              (wtap.gen_fig2(4, 10), 1, False), (wtap.gen_fig3(3), 1, False)]
+    iterations = 0
+    for inst, eps, full in cases:
+        compiles = 0
+        sol, trace = wtap.solve(inst, eps, full_shadows=full)
+        assert compiles == 1
+        iterations += len(trace.iterations)
+        with monkeypatch.context() as m:
+            m.setattr(ComponentSearch, "drop_uplinks", rebuild)
+            compiles = 0
+            ref_sol, ref_trace = wtap.solve(inst, eps, full_shadows=full)
+        assert compiles == len(ref_trace.iterations) + 1
+        assert sol == ref_sol
+        assert trace == ref_trace
+    assert iterations > 100

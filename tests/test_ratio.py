@@ -44,6 +44,37 @@ def test_fig2_reference_ratios():
     assert res1.rho == 1
 
 
+def test_mismatched_search_rejected():
+    # a search built for another U, k or alphabet would answer for the
+    # wrong problem; the ratio search and decide refuse it
+    inst = wtap.gen_fig2(3, 5)
+    uplinks = fig2_reference_cover(inst)
+    search = _search_for(inst, uplinks)
+    fewer = uplinks[1:]
+    others = {
+        "up-links": ComponentSearch(inst, fewer, 2, search),
+        "k=3": ComponentSearch(inst, uplinks, 3, search),
+        "search links": ComponentSearch(inst, uplinks, 2, search[:-1]),
+    }
+    for what, cs in others.items():
+        with pytest.raises(ValueError, match=what):
+            wtap.best_ratio_component(inst, uplinks, 2, search, search=cs)
+        with pytest.raises(ValueError, match=what):
+            wtap.decide(inst, uplinks, 2, Fraction(1, 2), search, search=cs)
+    # the same problem passes, as a tuple too
+    cs = ComponentSearch(inst, uplinks, 2, search)
+    got = wtap.best_ratio_component(inst, tuple(uplinks), 2, tuple(search),
+                                    search=cs)
+    assert got.rho == Fraction(1, 2)
+    # a search cut down to fewer up-links answers for them only
+    cs.drop_uplinks([0])
+    with pytest.raises(ValueError, match="up-links"):
+        wtap.decide(inst, uplinks, 2, Fraction(1, 2), search, search=cs)
+    assert wtap.decide(inst, fewer, 2, Fraction(1, 2),
+                       _search_for(inst, fewer), search=cs)[0] == \
+        wtap.decide(inst, fewer, 2, Fraction(1, 2), _search_for(inst, fewer))[0]
+
+
 def test_decide_examples():
     inst = wtap.gen_fig2(3, 5)
     uplinks = fig2_reference_cover(inst)
