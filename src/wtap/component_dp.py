@@ -416,8 +416,9 @@ class ComponentSearch:
         """Public accessor for a table entry at the last rho; None when infeasible.
 
         The entry is compiled on its own, so states the root never reaches
-        can be asked for too.
+        can be asked for too.  Requires a prior ``max_slack`` call.
         """
+        self._probed()
         ymask = 0
         for i in y_ids:
             ymask |= 1 << i

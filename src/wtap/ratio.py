@@ -1,25 +1,22 @@
-"""Best-ratio component via binary search on the slack decision problem.
+"""Best-ratio component by Dinkelbach iteration on the max-slack DP.
 
-rho* = min over nonempty k-thin C of w(C) / w(dropped up-links).  A probe at
-rho answers "rho >= rho*" exactly when the maximum slack is attained by a
-nonempty set.  The interval [0,1] is halved until its width drops below
-1/w(U)^2; integrality of the weights then certifies that the last witness
-attains rho* exactly.  Whenever a probe succeeds, the upper endpoint snaps
-down to the witness's own ratio, which never loses feasibility of the upper
-endpoint and keeps the iteration count within the halving bound.
+rho* = min over nonempty k-thin C of w(C) / d(C), where d(C) is the weight of
+the up-links whose paths C covers.  The search probes rho = 1; while the max
+slack rho * d(W) - w(W) of the probe's witness W is positive, it probes next
+at W's own ratio.  A max slack of 0 there means no set has a ratio below it,
+so the last witness W attains rho*.
 
-The search stops early once rho* is certified.  With positive weights a
-nonempty set C has slack < 0 at every rho below w(C)/d(C), and at every rho
-when it drops nothing.  So a max slack of exactly 0 at hi = w(W)/d(W), for
-the witness W, means no set has a ratio below hi: hi = rho*, every later
-midpoint would fail, and full bisection would return the same witness W.
-A hit whose max slack is 0 certifies this at no cost.  After a hit with
-slack > 0 one probe at the new hi checks it, if the probes spent plus the
-halvings still possible stay within ceil(log2 w(U)^2) + 2, the bound of
-full bisection.  When that probe finds slack > 0 its witness is ignored and
-bisection goes on as before, so the answer is always that of full
-bisection.  Non-positive weights are rejected, as the certificate needs
-positive ones.
+The answer does not depend on the probe path.  It is the nonempty k-thin set
+of ratio rho* = p/q with the largest drop weight, ties broken by the DP's
+``lex_less`` order: what ``max_slack`` returns at rho* + 1/(q*(w(U)+1)),
+where no other ratio fits.  W maximized the slack at a rho above rho*, where
+a ratio-rho* set gains slack with its drop weight.  If the probe at rho = 1
+already has slack 0, rho* = 1 and that probe's set is returned.
+
+Termination: adding the optimality of W_i at rho_i to the positive slack of
+W_{i+1} at rho_{i+1} = w(W_i)/d(W_i) gives
+(rho_i - rho_{i+1}) * (d(W_i) - d(W_{i+1})) > 0, so the drop weight, a
+positive integer, strictly decreases.  Non-positive weights are rejected.
 """
 
 from __future__ import annotations
@@ -79,35 +76,17 @@ def best_ratio_component(instance: Instance, uplinks: Sequence[UpPath], k: int,
                              f"has weight {up.weight}; the ratio search needs "
                              "positive weights")
     cs = _search_for(instance, uplinks, k, search_links, search)
-    w_u2 = sum(p.weight for p in uplinks) ** 2
-    width_limit = Fraction(1, w_u2)
-    cap = (w_u2 - 1).bit_length() + 2  # ceil(log2 w(U)^2) + 2 probes
-
-    lo, rho = Fraction(0), Fraction(1)
-    witness = None
-    probes = 0
-    while True:
-        ok, res = decide(instance, cs.uplinks, k, rho, cs.links, cs)
+    ok, res = decide(instance, cs.uplinks, k, Fraction(1), cs.links, cs)
+    if not ok:
+        raise ValueError("search alphabet must contain every up-link of U")
+    witness, probes = res, 1
+    while res.slack > 0:
+        # W has slack 0 at its own ratio, so this probe is a hit
+        witness = res
+        _, res = decide(instance, cs.uplinks, k, _witness_ratio(witness),
+                        cs.links, cs)
         probes += 1
-        if not ok:
-            if witness is None:
-                raise ValueError("search alphabet must contain every up-link of U")
-            lo = rho
-        else:
-            witness, hi = res, _witness_ratio(res)
-            if res.slack == 0:
-                break  # no set has a ratio below hi: hi is rho*
-            # One probe at hi certifies it, if the halvings still possible
-            # leave room for it; the probe is a hit, as W has slack 0 there.
-            left = int((hi - lo) * w_u2).bit_length()
-            if probes + 1 + left <= cap:
-                probes += 1
-                if decide(instance, cs.uplinks, k, hi, cs.links, cs)[1].slack == 0:
-                    break
-        if hi - lo < width_limit:
-            break
-        rho = (lo + hi) / 2
-    return RatioResult(rho=hi, links=witness.links,
+    return RatioResult(rho=_witness_ratio(witness), links=witness.links,
                        drop_indices=witness.drop_indices,
                        weight=witness.weight, drop_weight=witness.drop_weight,
                        probes=probes, states=cs.states)

@@ -154,7 +154,7 @@ def test_criterion_3_component_dp_reproduction():
                         lo = mid
                 assert (got.rho, got.links, got.drop_indices) == (
                     hi, witness.links, witness.drop_indices), \
-                    f"seed {seed} k={k}: certified stop left full bisection"
+                    f"seed {seed} k={k}: search left full bisection"
                 assert got.rho == oracle.rho, \
                     f"seed {seed} k={k}: {got.rho} != {oracle.rho}"
         elapsed = time.perf_counter() - t0
@@ -341,8 +341,12 @@ def test_criterion_8_monotone_improvement(guarantee_runs):
         for i, eps, inst, opt, base, sol, trace in guarantee_runs:
             assert sol.weight <= base.weight
             prev = trace.initial_u_weight
+            prev_ratio = 0
             for it in trace.iterations:
                 assert it.ratio <= 1
+                # removing up-links only shrinks drops and the alphabet
+                assert it.ratio >= prev_ratio
+                prev_ratio = it.ratio
                 assert it.u_weight_before == prev
                 assert it.u_weight_after < it.u_weight_before
                 prev = it.u_weight_after

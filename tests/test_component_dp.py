@@ -283,14 +283,17 @@ def test_answer_before_any_probe_raises():
     inst = wtap.gen_fig2(3, 5)
     uplinks = fig2_reference_cover(inst)
     cs = ComponentSearch(inst, uplinks, 2, _search_for(inst, uplinks))
-    for ask in (cs.extract_root, cs.entries):
+    asks = (cs.extract_root, cs.entries, lambda: cs.entry(2, [], MINUS))
+    for ask in asks:
         with pytest.raises(RuntimeError, match="max_slack"):
             ask()
     cs.max_slack(1, 2)
-    cs.extract_root()
+    for ask in asks:
+        ask()
     cs.drop_uplinks([0])  # a cut plan has not been probed either
-    with pytest.raises(RuntimeError, match="max_slack"):
-        cs.extract_root()
+    for ask in asks:
+        with pytest.raises(RuntimeError, match="max_slack"):
+            ask()
 
 
 def test_deterministic_tables():

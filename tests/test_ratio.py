@@ -1,4 +1,4 @@
-"""Binary-search ratio minimization against the exhaustive oracle."""
+"""Ratio minimization by Dinkelbach iteration against the exhaustive oracle."""
 
 import math
 from fractions import Fraction
@@ -137,30 +137,36 @@ def test_iteration_bound():
         res = wtap.best_ratio_component(inst, uplinks, 2,
                                         _search_for(inst, uplinks))
         bound = (math.ceil(math.log2(w_u * w_u)) + 1) if w_u > 1 else 1
-        assert res.probes <= bound + 1  # the probe at rho = 1, then halvings
+        assert res.probes <= bound + 1  # within the bisection bound
 
 
 def _full_bisection(cs, uplinks):
-    """The search without its certified stop: halve down to 1/w(U)^2.
+    """Bisection halving [0, 1] down to 1/w(U)^2, for reference.
 
-    Returns rho, the witness and the number of probes."""
+    Returns rho, the witness, the number of probes and the rhos probed."""
     w_u = sum(p.weight for p in uplinks)
     limit = Fraction(1, w_u * w_u)
     witness = cs.max_slack(1, 1)
-    probes = 1
+    probed = [Fraction(1)]
     lo, hi = Fraction(0), Fraction(witness.weight, witness.drop_weight)
     while hi - lo >= limit:
         mid = (lo + hi) / 2
         res = cs.max_slack(mid.numerator, mid.denominator)
-        probes += 1
+        probed.append(mid)
         if res.cmask != 0 and res.slack >= 0:
             witness, hi = res, Fraction(res.weight, res.drop_weight)
         else:
             lo = mid
-    return hi, witness, probes
+    return hi, witness, len(probed), probed
 
 
-def test_certified_stop_matches_full_bisection():
+def test_dinkelbach_returns_canonical_answer():
+    """The search returns the max-drop set of ratio rho*, whatever the path.
+
+    That is ``max_slack`` just above rho* (at 1 when rho* = 1), and full
+    bisection's witness unless bisection probed rho* itself, where the DP
+    prefers the lex-first ratio-rho* set.  Along each search the drop
+    weights of the witnesses with positive slack strictly decrease."""
     searches = probes = full_probes = 0
     for seed in range(160):
         n = 3 + seed % 14
@@ -174,18 +180,39 @@ def test_certified_stop_matches_full_bisection():
         bound = (math.ceil(math.log2(w_u * w_u)) + 1) if w_u > 1 else 1
         for k in (1, 2, 3):
             cs = ComponentSearch(inst, uplinks, k, search)
+            seen = []
+            max_slack = cs.max_slack
+
+            def recorded(p, q):
+                res = max_slack(p, q)
+                seen.append(res)
+                return res
+
+            cs.max_slack = recorded
             got = wtap.best_ratio_component(inst, uplinks, k, search, cs)
-            rho, want, full = _full_bisection(cs, uplinks)
+            cs.max_slack = max_slack
+            assert len(seen) == got.probes
+            drops = [res.drop_weight for res in seen if res.slack > 0]
+            assert all(a > b for a, b in zip(drops, drops[1:])), (seed, k)
+            assert seen[-1].slack == 0 and seen[-1].cmask != 0
+            rho, want, full, probed = _full_bisection(cs, uplinks)
             assert got.rho == rho, f"seed {seed} k={k}"
-            assert got.links == want.links
-            assert got.drop_indices == want.drop_indices
-            assert (got.weight, got.drop_weight) == (want.weight, want.drop_weight)
+            at = (Fraction(1) if rho == 1 else
+                  rho + Fraction(1, rho.denominator * (w_u + 1)))
+            canon = cs.max_slack(at.numerator, at.denominator)
+            assert (got.links, got.drop_indices) == (
+                canon.links, canon.drop_indices), (seed, k)
+            assert (got.weight, got.drop_weight) == (
+                canon.weight, canon.drop_weight)
+            if rho not in probed:
+                assert (got.links, got.drop_indices) == (
+                    want.links, want.drop_indices), (seed, k)
             assert got.probes <= bound + 1
             searches += 1
             probes += got.probes
             full_probes += full
     assert searches >= 3 * 150
-    assert probes < full_probes / 2  # the stop is taken, not just allowed
+    assert probes < full_probes / 2
 
 
 def test_nonpositive_weight_rejected_by_solve():
