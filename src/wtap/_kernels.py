@@ -1,47 +1,71 @@
 """Hot integer kernels.
 
-Three plain-Python loops over numpy int64 arrays: the vertical cost table
-fill, the baseline DP sweep and the Gray-code minimum cover.  Callers reach
-them as ``_kernels.<name>(...)`` so that a tracer can patch them in place.
+Three plain-Python kernels: the vertical cost table fill, the baseline DP
+sweep and the exact minimum cover.  The two tree tables hold Theta(sum of
+depths) slots, so they live in ``array('q')`` (8 B per slot) and the kernels
+write them a row slice at a time; everything else is lists and Python ints.
+Callers reach the kernels as ``_kernels.<name>(...)`` so that a tracer can
+patch them in place; the benchmark's tracer does so by these names, which
+is why the minimum cover is still called ``min_cover_gray`` although it no
+longer walks a Gray code.
 
-All arithmetic is exact int64; ``INF = 2**62`` is the "no entry" sentinel.
+Table entries are int64; ``INF = 2**62`` is the "no entry" sentinel.
 Callers bound their weights so that finite sums stay below ``INF``
-(see ``model.guard_weight_range``).
+(see ``model.guard_weight_range``).  The minimum cover works on Python
+ints and has no such bound.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from array import array
 
 INF = 1 << 62
 
+# Links in the low table of ``min_cover_gray``: 2**LOW_LINKS partial covers.
+LOW_LINKS = 10
+
+
+def lex_less(m1: int, m2: int) -> bool:
+    """Compare bitmasks as sorted id tuples, lexicographically."""
+    if m1 == m2:
+        return False
+    d = m1 ^ m2
+    low = d & (-d)
+    hi = ~((low << 1) - 1)
+    if m1 & low:
+        return (m2 & hi) != 0
+    return (m1 & hi) == 0
+
 
 def fill_vertical_table(la, lb, lapex, lw, lid, parent, depth, anc_off, cost, best):
-    """Relax vertical-path costs for every link.
+    """Cheapest link for every vertical pair (t, b).
 
-    For link j and every vertical pair (t, b) contained in one of its two
-    legs, ``cost[anc_off[b] + depth[t]]`` is lowered to w(j); ties prefer the
-    smaller original link id.
+    ``cost[anc_off[b] + depth[t]]`` becomes the least w(j) over links j whose
+    path contains t..b, and ``best`` that link's id; ties prefer the smaller
+    id.  ``cost`` and ``best`` come in filled with ``INF`` and -1.
+
+    Links are taken in (weight, id) order, so the first one to reach a slot
+    owns it.  The slots written in row b are always a suffix, from
+    ``front[b]`` up to depth[b] - 1, and a link with apex depth a writes
+    ``[a, front[b])`` of each row on its two legs in one slice.  Its walk up
+    a leg stops at the first row already written down to a: the link that
+    wrote that row also wrote every row above it, up to depth a or higher.
     """
-    m = la.shape[0]
-    for j in range(m):
+    front = list(depth)
+    for j in sorted(range(len(lw)), key=lambda j: (lw[j], lid[j])):
         apx = lapex[j]
-        wj = lw[j]
-        idj = lid[j]
-        for side in range(2):
-            e = la[j] if side == 0 else lb[j]
-            y = e
+        a = depth[apx]
+        wj = array('q', [lw[j]])
+        idj = array('q', [lid[j]])
+        for y in (la[j], lb[j]):
             while y != apx:
-                t = parent[y]
-                while True:
-                    slot = anc_off[y] + depth[t]
-                    cy = cost[slot]
-                    if wj < cy or (wj == cy and idj < best[slot]):
-                        cost[slot] = wj
-                        best[slot] = idj
-                    if t == apx:
-                        break
-                    t = parent[t]
+                f = front[y]
+                if f <= a:
+                    break
+                off = anc_off[y]
+                cost[off + a:off + f] = wj * (f - a)
+                best[off + a:off + f] = idj * (f - a)
+                front[y] = a
                 y = parent[y]
 
 
@@ -51,119 +75,105 @@ def fill_baseline_dp(order, kids_off, kids, depth, anc_off, cost, h, bp):
     ``h[anc_off[c] + depth[t]]`` is the cheapest cover of the subtree below c
     plus the edge above c, given the path through that edge starts at t.
     ``bp`` stores -1 when that path ends at c, else the child position it
-    continues into; -2 marks infeasible states.
+    continues into; -2 marks infeasible states.  Candidates are the path
+    ending at c, then each child in order; the first strictly cheapest
+    wins.
+
+    ``h`` and ``bp`` come in filled with ``INF`` and -2, and only feasible
+    entries are written.  The feasible entries of every row of ``cost`` and
+    ``h`` are a suffix: a link or cover that works from t also works from
+    any t' between t and c.  So a row of c is feasible exactly where its
+    ``cost`` row is, and only when every child edge can be covered from c;
+    a child edge that cannot be covered from c cannot be from higher up
+    either.  That suffix is computed as a list and written in one slice.
     """
-    for idx in range(order.shape[0]):
-        c = order[idx]
-        k0 = kids_off[c]
-        k1 = kids_off[c + 1]
+    for c in order:
         dc = depth[c]
-        n_inf = 0
-        inf_pos = -1
-        sfin = 0
-        for pos in range(k0, k1):
-            d = kids[pos]
-            v = h[anc_off[d] + dc]
-            if v >= INF:
-                n_inf += 1
-                inf_pos = pos
-            else:
-                sfin += v
-        for tdep in range(dc):
-            slot = anc_off[c] + tdep
-            bestv = INF
-            sel = -2
-            if n_inf == 0:
-                cst = cost[slot]
-                if cst < INF:
-                    bestv = cst + sfin
-                    sel = -1
-            if n_inf <= 1:
-                for pos in range(k0, k1):
-                    if n_inf == 1 and pos != inf_pos:
-                        continue
-                    d = kids[pos]
-                    hdt = h[anc_off[d] + tdep]
-                    if hdt >= INF:
-                        continue
-                    if n_inf == 0:
-                        others = sfin - h[anc_off[d] + dc]
-                    else:
-                        others = sfin
-                    cand = hdt + others
-                    if cand < bestv:
-                        bestv = cand
-                        sel = pos - k0
-            h[slot] = bestv
-            bp[slot] = sel
+        off = anc_off[c]
+        kid_offs = [anc_off[d] for d in kids[kids_off[c]:kids_off[c + 1]]]
+        at_c = [h[od + dc] for od in kid_offs]
+        if max(at_c, default=0) >= INF:
+            continue
+        f = off + dc
+        while f > off and cost[f - 1] < INF:
+            f -= 1
+        if f == off + dc:
+            continue
+        sfin = sum(at_c)
+        vals = [v + sfin for v in cost[f:off + dc]]
+        sel = [-1] * len(vals)
+        lo = f - off
+        for p, od in enumerate(kid_offs):
+            others = sfin - at_c[p]
+            for t, v in enumerate(h[od + lo:od + dc]):
+                v += others
+                if v < vals[t]:
+                    vals[t] = v
+                    sel[t] = p
+        h[f:off + dc] = array('q', vals)
+        bp[f:off + dc] = array('q', sel)
 
 
 def min_cover_gray(pmask, w, n_edges):
-    """Minimum-weight covering subset by Gray-code enumeration.
+    """Minimum-weight covering subset, by blocked enumeration.
 
-    ``pmask[j]`` is the edge bitmask covered by link j (edge bits < 63).
-    Returns ``(best_weight, best_subset_mask)``; weight -1 when no subset
-    covers.  Ties pick the lexicographically smallest sorted id tuple.
+    ``pmask[j]`` is the edge bitmask covered by link j, ``w[j]`` its weight,
+    both Python ints of any size.  Returns ``(best_weight, best_subset_mask)``;
+    weight -1 when no subset covers all ``n_edges`` edges.  Ties pick the
+    ``lex_less``-smallest subset, that is the smallest sorted id tuple.
+
+    The first ``LOW_LINKS`` links form a table of every partial cover with
+    its weight, sorted by weight and then by the tie order.  Each subset of
+    the remaining high links scans that table for the first entry covering
+    what it leaves missing; the scan stops once the weight cannot match the
+    best found so far.  The result equals that of a Gray-code sweep over
+    all 2**m subsets, the method the name comes from.
     """
-    m = pmask.shape[0]
-    cnt = np.zeros(64, np.int64)
-    covered = 0
-    cur = 0
-    curw = 0
+    m = len(pmask)
+    full = 0
+    for pm in pmask:
+        full |= pm
+    if bin(full).count("1") != n_edges:
+        return -1, 0
+    lo = min(m, LOW_LINKS)
+    cov = [0] * (1 << lo)
+    wt = [0] * (1 << lo)
+    ids = [()] * (1 << lo)
+    for s in range(1, 1 << lo):
+        low = s & -s
+        b = low.bit_length() - 1
+        cov[s] = cov[s ^ low] | pmask[b]
+        wt[s] = wt[s ^ low] + w[b]
+        ids[s] = (b,) + ids[s ^ low]
+    # Alone, a low subset ties by its sorted ids; beside a nonempty high
+    # subset, whose ids are all >= lo, a proper prefix no longer wins (which
+    # matters only when zero weights let a set tie a prefix of itself).
+    tables = [[(wt[s], cov[s], s)
+               for s in sorted(range(1 << lo), key=lambda s: (wt[s], ids[s] + tail))]
+              for tail in ((), (lo,))]
+    reach = cov[-1]
     bestw = -1
     bestmask = 0
-    total = 1 << m
-    for s in range(1, total):
-        t = s
-        b = 0
-        while t & 1 == 0:
-            t >>= 1
-            b += 1
-        bit = 1 << b
-        pm = pmask[b]
-        if cur & bit:
-            cur &= ~bit
-            curw -= w[b]
-            mm = pm
-            while mm != 0:
-                low = mm & (-mm)
-                tt = low
-                e = 0
-                while tt & 1 == 0:
-                    tt >>= 1
-                    e += 1
-                cnt[e] -= 1
-                if cnt[e] == 0:
-                    covered -= 1
-                mm ^= low
-        else:
-            cur |= bit
-            curw += w[b]
-            mm = pm
-            while mm != 0:
-                low = mm & (-mm)
-                tt = low
-                e = 0
-                while tt & 1 == 0:
-                    tt >>= 1
-                    e += 1
-                cnt[e] += 1
-                if cnt[e] == 1:
-                    covered += 1
-                mm ^= low
-        if covered == n_edges:
-            if bestw < 0 or curw < bestw:
-                bestw = curw
-                bestmask = cur
-            elif curw == bestw and bestmask != cur:
-                d = bestmask ^ cur
-                low = d & (-d)
-                hi = ~((low << 1) - 1)
-                if cur & low:
-                    cur_less = (bestmask & hi) != 0
-                else:
-                    cur_less = (cur & hi) == 0
-                if cur_less:
-                    bestmask = cur
+    hcov = [0]
+    hw = [0]
+    for hs in range(1 << (m - lo)):
+        if hs:
+            low = hs & -hs
+            b = low.bit_length() - 1
+            hcov.append(hcov[hs ^ low] | pmask[lo + b])
+            hw.append(hw[hs ^ low] + w[lo + b])
+        wh = hw[hs]
+        missing = full & ~hcov[hs]
+        if missing & ~reach:
+            continue
+        for ws, cs, s in tables[hs != 0]:
+            total = wh + ws
+            if bestw >= 0 and total > bestw:
+                break
+            if cs & missing == missing:
+                mask = (hs << lo) | s
+                if bestw < 0 or total < bestw or lex_less(mask, bestmask):
+                    bestw = total
+                    bestmask = mask
+                break
     return bestw, bestmask
-

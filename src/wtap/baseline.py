@@ -8,9 +8,8 @@ weight is at most twice the optimum.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import _kernels
 from ._kernels import INF
@@ -69,43 +68,41 @@ def cheapest_disjoint_uplink_cover(instance: Instance,
         table = vertical_cost_table(instance)
     idx = instance.index
     anc_off = table.anc_off
-    order = np.array([v for v in idx.bfs_order[::-1] if v != instance.root], np.int64)
-    kids_off = np.zeros(n + 1, np.int64)
+    order = [v for v in reversed(idx.bfs_order) if v != instance.root]
+    kids_off = [0] * (n + 1)
+    kids: list[int] = []
     for v in range(n):
-        kids_off[v + 1] = kids_off[v] + len(idx.children[v])
-    kids = np.zeros(max(1, int(kids_off[n])), np.int64)
-    for v in range(n):
-        for j, c in enumerate(idx.children[v]):
-            kids[kids_off[v] + j] = c
-    total = int(anc_off[n])
-    h = np.full(total, INF, np.int64)
-    bp = np.full(total, -2, np.int64)
+        kids.extend(idx.children[v])
+        kids_off[v + 1] = len(kids)
+    total = anc_off[n]
+    h = array('q', [INF]) * total
+    bp = array('q', [-2]) * total
     _kernels.fill_baseline_dp(order, kids_off, kids, idx.depth, anc_off, table.cost, h, bp)
 
     paths: list[UpPath] = []
     weight = 0
     # Walk the back-pointers: a state (c, tdep) covers edge (parent(c), c)
     # with a path whose top is the ancestor of c at depth tdep.
-    stack = [(int(c), 0) for c in sorted(idx.children[instance.root], reverse=True)]
+    stack = [(c, 0) for c in sorted(idx.children[instance.root], reverse=True)]
     while stack:
         c, tdep = stack.pop()
-        slot = int(anc_off[c]) + tdep
+        slot = anc_off[c] + tdep
         if h[slot] >= INF:
             raise InfeasibleError(f"no vertical cover for edge above vertex {c}")
-        sel = int(bp[slot])
+        sel = bp[slot]
         if sel == -1:
             t = idx.ancestor_at_depth(c, tdep)
             cost, link_id = table.cost_of(t, c)
             paths.append(UpPath(top=t, bottom=c, weight=cost, link_id=link_id))
             weight += cost
             for d in sorted(idx.children[c], reverse=True):
-                stack.append((int(d), int(idx.depth[c])))
+                stack.append((d, idx.depth[c]))
         else:
             cont = idx.children[c][sel]
             for d in sorted(idx.children[c], reverse=True):
                 if d != cont:
-                    stack.append((int(d), int(idx.depth[c])))
-            stack.append((int(cont), tdep))
+                    stack.append((d, idx.depth[c]))
+            stack.append((cont, tdep))
 
     solution = UpLinkSolution(paths=tuple(paths), weight=weight)
     _assert_partition(instance, solution)

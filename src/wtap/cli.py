@@ -21,7 +21,7 @@ from .decomposition import decompose, verify_cover_structure
 from .generators import gen_fig2, gen_fig3, gen_random
 from .greedy import solve as greedy_solve
 from .greedy import two_approx_only
-from .model import Instance, validate
+from .model import Instance, WeightOverflowError, validate
 from .oracle import BudgetExceededError, OracleBudget, exact_opt
 from .ratio import best_ratio_component
 
@@ -319,6 +319,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except WeightOverflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     return EXIT_OK
 
 

@@ -39,6 +39,7 @@ from fractions import Fraction
 from itertools import combinations, compress
 from typing import Iterable, Iterator, Sequence
 
+from ._kernels import lex_less
 from .baseline import UpPath
 from .model import Instance, link_vertices, mask_bits
 
@@ -81,18 +82,6 @@ def shadow_closure_search_links(instance: Instance) -> list[SearchLink]:
                     best[key] = cand
     return [SearchLink(a, b, w, ("shadow", lid))
             for (a, b), (w, lid) in sorted(best.items())]
-
-
-def lex_less(m1: int, m2: int) -> bool:
-    """Compare bitmasks as sorted id tuples, lexicographically."""
-    if m1 == m2:
-        return False
-    d = m1 ^ m2
-    low = d & (-d)
-    hi = ~((low << 1) - 1)
-    if m1 & low:
-        return (m2 & hi) != 0
-    return (m1 & hi) == 0
 
 
 def _preferred(m1: int, m2: int) -> bool:
@@ -296,7 +285,7 @@ class ComponentSearch:
                     if v == apx:
                         break
                     prev = v
-                    v = int(idx.parent[v])
+                    v = idx.parent[v]
             self.link_masks.append(idx.path_edge_mask(sl.a, sl.b))
 
         # Up-link structure: unique crossing path per vertex, step-down map,
@@ -320,7 +309,7 @@ class ComponentSearch:
                 self.crossing[v] = ui
                 mask |= 1 << v
                 prev = v
-                v = int(idx.parent[v])
+                v = idx.parent[v]
             self.u_masks.append(mask)
 
     def _fresh(self) -> None:
@@ -569,7 +558,7 @@ class ComponentSearch:
         """
         children = self.idx.children
         links = self.links
-        tin, tout = self.idx.tin.tolist(), self.idx.tout.tolist()
+        tin, tout = self.idx.tin, self.idx.tout
         plan = _Plan(self.instance.n)
         # per vertex: requested state key 2*Y + x -> the key of the state
         # whose candidates it shares, then -> its id once added

@@ -77,7 +77,7 @@ def compute_cover_witness(instance: Instance, f_ids: Sequence[int],
     chain = [up.top]
     v = up.top
     while v != instance.root:
-        v = int(idx.parent[v])
+        v = idx.parent[v]
         chain.append(v)
     v_u = None
     candidates: list[int] = []
@@ -110,7 +110,7 @@ def compute_cover_witness(instance: Instance, f_ids: Sequence[int],
     # Order by where each link's own edges sit on the top-to-bottom walk.
     def pos(lid: int) -> int:
         mask = own[lid]
-        return min(int(idx.depth[e]) for e in mask_bits(mask))
+        return min(idx.depth[e] for e in mask_bits(mask))
 
     ordered = tuple(sorted(current, key=pos))
     return CoverWitness(uplink=up, v_u=v_u, links=ordered, own_edges=own)
@@ -295,7 +295,7 @@ def verify_cover_structure(instance: Instance, f_ids: Sequence[int],
                 continue
             # Edges of a vertical path are contiguous iff their child depths
             # form a consecutive run.
-            depths = sorted(int(idx.depth[c]) for c in mask_bits(own))
+            depths = sorted(idx.depth[c] for c in mask_bits(own))
             if depths[-1] - depths[0] + 1 != len(depths):
                 checks["own_edges_nonempty_contiguous"].append((ui, lid, "not a path"))
         pu = idx.vertical_edge_mask(wit.uplink.top, wit.uplink.bottom)

@@ -2,7 +2,9 @@
 
 Random generation uses numpy's PCG64 with fixed per-purpose child streams
 (tree=0, links=1, weights=2), so reruns with the same seed are byte-identical
-and adding a later stage never perturbs earlier draws.
+and adding a later stage never perturbs earlier draws.  numpy is imported
+on the first draw, not with the package: generating instances is the only
+part of ``wtap`` that needs it.
 
 ``gen_fig2`` and ``gen_fig3`` build the two structured families used by the
 test harness: a pendant-path family on which no small component improves the
@@ -12,13 +14,17 @@ a single dependency path.
 
 from __future__ import annotations
 
-from numpy.random import PCG64, Generator, SeedSequence
-
 from .baseline import UpPath, uplink_from_link
 from .model import Instance, Link, cover_mask, mask_bits
 
 
-def _stream(seed: int, purpose: int) -> Generator:
+def _stream(seed: int, purpose: int):
+    """numpy's PCG64 child stream ``purpose`` of ``seed``.
+
+    numpy is imported here, on first use, so that solving never loads it.
+    """
+    from numpy.random import PCG64, Generator, SeedSequence
+
     return Generator(PCG64(SeedSequence(seed, spawn_key=(purpose,))))
 
 
@@ -59,7 +65,7 @@ def gen_random(n: int, link_count: int, weight_max: int, seed: int) -> Instance:
     inst = Instance(n=n, root=0, edges=edges, links=links)
     missing = inst.full_edge_mask & ~cover_mask(inst, range(len(links)))
     for child in mask_bits(missing):
-        parent = int(inst.index.parent[child])
+        parent = inst.index.parent[child]
         links.append(Link(id=len(links), u=parent, v=child, weight=weight_max))
     if len(links) != len(inst.links):
         inst = Instance(n=n, root=0, edges=edges, links=links)

@@ -11,11 +11,10 @@ Weights are positive integers; rational inputs are scaled at parse time
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from . import _kernels
 from ._kernels import INF
@@ -107,37 +106,31 @@ class RootedTreeIndex:
             adj[v].append(u)
         for nbrs in adj:
             nbrs.sort()
-        parent = np.full(n, -1, np.int64)
-        depth = np.zeros(n, np.int64)
-        order = np.zeros(n, np.int64)
-        seen = np.zeros(n, bool)
+        parent = [-1] * n
+        depth = [0] * n
+        order = [root]
+        seen = [False] * n
         seen[root] = True
-        count = 1
-        order[0] = root
-        head = 0
-        while head < count:
-            v = order[head]
-            head += 1
+        for v in order:
             for w in adj[v]:
                 if not seen[w]:
                     seen[w] = True
                     parent[w] = v
                     depth[w] = depth[v] + 1
-                    order[count] = w
-                    count += 1
-        if count != n:
+                    order.append(w)
+        if len(order) != n:
             raise ValueError("edges do not connect all vertices from the root")
         self.parent = parent
         self.depth = depth
         self.bfs_order = order
         children: list[list[int]] = [[] for _ in range(n)]
         for v in range(n):
-            if v != root and parent[v] >= 0:
+            if v != root:
                 children[parent[v]].append(v)
         self.children = [tuple(cs) for cs in children]
         # Euler in/out times via iterative DFS, children in id order.
-        tin = np.zeros(n, np.int64)
-        tout = np.zeros(n, np.int64)
+        tin = [0] * n
+        tout = [0] * n
         clock = 0
         stack: list[tuple[int, int]] = [(root, 0)]
         while stack:
@@ -152,15 +145,15 @@ class RootedTreeIndex:
                 tout[v] = clock - 1
         self.tin = tin
         self.tout = tout
-        # Binary lifting table.
+        # Binary lifting table: up[j][v] is the 2**j-th ancestor (root caps).
         log = 1
-        maxd = int(depth.max()) if n > 1 else 0
+        maxd = max(depth)
         while (1 << log) <= max(1, maxd):
             log += 1
-        up = np.full((log, n), root, np.int64)
-        up[0] = np.where(parent >= 0, parent, root)
-        for j in range(1, log):
-            up[j] = up[j - 1][up[j - 1]]
+        up = [[root if p < 0 else p for p in parent]]
+        for _ in range(1, log):
+            prev = up[-1]
+            up.append([prev[p] for p in prev])
         self.up = up
 
     def is_ancestor(self, a: int, b: int) -> bool:
@@ -171,7 +164,7 @@ class RootedTreeIndex:
         j = 0
         while k:
             if k & 1:
-                v = int(self.up[j][v])
+                v = self.up[j][v]
             k >>= 1
             j += 1
         return v
@@ -179,7 +172,7 @@ class RootedTreeIndex:
     def ancestor_at_depth(self, v: int, d: int) -> int:
         if d > self.depth[v]:
             raise ValueError("requested depth below vertex")
-        return self.kth_ancestor(v, int(self.depth[v]) - d)
+        return self.kth_ancestor(v, self.depth[v] - d)
 
     def lca(self, a: int, b: int) -> int:
         if self.is_ancestor(a, b):
@@ -187,15 +180,15 @@ class RootedTreeIndex:
         if self.is_ancestor(b, a):
             return b
         v = a
-        for j in range(self.up.shape[0] - 1, -1, -1):
-            w = int(self.up[j][v])
+        for j in range(len(self.up) - 1, -1, -1):
+            w = self.up[j][v]
             if not self.is_ancestor(w, b):
                 v = w
-        return int(self.up[0][v])
+        return self.up[0][v]
 
     def child_toward(self, v: int, d: int) -> int:
         """The child of v on the path from v to its strict descendant d."""
-        return self.ancestor_at_depth(d, int(self.depth[v]) + 1)
+        return self.ancestor_at_depth(d, self.depth[v] + 1)
 
     def path_vertices(self, a: int, b: int) -> list[int]:
         """Vertices on the tree path a..b, in walk order."""
@@ -204,12 +197,12 @@ class RootedTreeIndex:
         v = a
         while v != top:
             left.append(v)
-            v = int(self.parent[v])
+            v = self.parent[v]
         right = []
         v = b
         while v != top:
             right.append(v)
-            v = int(self.parent[v])
+            v = self.parent[v]
         return left + [top] + right[::-1]
 
     def path_edge_mask(self, a: int, b: int) -> int:
@@ -219,7 +212,7 @@ class RootedTreeIndex:
             v = e
             while v != top:
                 mask |= 1 << v
-                v = int(self.parent[v])
+                v = self.parent[v]
         return mask
 
     def vertical_edge_mask(self, t: int, b: int) -> int:
@@ -228,7 +221,7 @@ class RootedTreeIndex:
         v = b
         while v != t:
             mask |= 1 << v
-            v = int(self.parent[v])
+            v = self.parent[v]
         return mask
 
 
@@ -274,7 +267,7 @@ def validate(instance: Instance) -> list[ValidationIssue]:
     for child in mask_bits(instance.full_edge_mask & ~covered):
         issues.append(ValidationIssue(
             "UncoverableEdge", child,
-            f"edge ({int(instance.index.parent[child])},{child}) not on any link path"))
+            f"edge ({instance.index.parent[child]},{child}) not on any link path"))
     return issues
 
 
@@ -349,20 +342,17 @@ class VerticalCostTable:
         idx = instance.index
         n = instance.n
         guard_weight_range(instance)
-        anc_off = np.zeros(n + 1, np.int64)
-        np.cumsum(idx.depth, out=anc_off[1:])
-        total = int(anc_off[n])
-        cost = np.full(total, INF, np.int64)
-        best = np.full(total, -1, np.int64)
-        m = len(instance.links)
-        la = np.fromiter((lk.u for lk in instance.links), np.int64, m)
-        lb = np.fromiter((lk.v for lk in instance.links), np.int64, m)
-        lapex = np.fromiter((apex(instance, lk) for lk in instance.links), np.int64, m)
-        lw = np.fromiter((lk.weight for lk in instance.links), np.int64, m)
-        lid = np.fromiter((lk.id for lk in instance.links), np.int64, m)
-        if m:
-            _kernels.fill_vertical_table(la, lb, lapex, lw, lid,
-                                         idx.parent, idx.depth, anc_off, cost, best)
+        anc_off = [0] * (n + 1)
+        for v, d in enumerate(idx.depth):
+            anc_off[v + 1] = anc_off[v] + d
+        total = anc_off[n]
+        cost = array('q', [INF]) * total
+        best = array('q', [-1]) * total
+        links = instance.links
+        _kernels.fill_vertical_table(
+            [lk.u for lk in links], [lk.v for lk in links],
+            [apex(instance, lk) for lk in links], [lk.weight for lk in links],
+            [lk.id for lk in links], idx.parent, idx.depth, anc_off, cost, best)
         self.instance = instance
         self.anc_off = anc_off
         self.cost = cost
@@ -372,24 +362,24 @@ class VerticalCostTable:
         idx = self.instance.index
         if t == b or not idx.is_ancestor(t, b):
             raise ValueError(f"{t} is not a strict ancestor of {b}")
-        return int(self.anc_off[b]) + int(idx.depth[t])
+        return self.anc_off[b] + idx.depth[t]
 
     def cost_of(self, t: int, b: int) -> tuple[int, int] | None:
         """(weight, achieving link id) for vertical path t..b, or None."""
         slot = self._slot(t, b)
         if self.cost[slot] >= INF:
             return None
-        return int(self.cost[slot]), int(self.best[slot])
+        return self.cost[slot], self.best[slot]
 
     def iter_entries(self):
         """Yield (t, b, weight, link id) for every present entry."""
         idx = self.instance.index
         for b in range(self.instance.n):
-            off = int(self.anc_off[b])
-            for d in range(int(idx.depth[b])):
+            off = self.anc_off[b]
+            for d in range(idx.depth[b]):
                 if self.cost[off + d] < INF:
                     t = idx.ancestor_at_depth(b, d)
-                    yield t, b, int(self.cost[off + d]), int(self.best[off + d])
+                    yield t, b, self.cost[off + d], self.best[off + d]
 
 
 def guard_weight_range(instance: Instance) -> None:

@@ -1,7 +1,9 @@
 """Desk-scale ground truth by exhaustive enumeration.
 
-Everything here recomputes from first principles: subset enumeration with
-incremental coverage counts for the exact optimum, Gray-code sweeps over the
+Everything here recomputes from first principles: blocked subset
+enumeration over Python ints for the exact optimum (``_kernels.min_cover_gray``:
+a table of the partial covers of the low links, scanned once per subset of
+the high links, with no bound on weights or on n), Gray-code sweeps over the
 search alphabet for best-ratio k-thin components, and memoized recursion
 over vertical-path partitions for the cheapest disjoint up-link cover.
 The solvers are validated against these oracles exactly.
@@ -12,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from . import _kernels
 from .baseline import UpPath
@@ -46,54 +46,13 @@ def exact_opt(instance: Instance, budget: OracleBudget | None = None) -> Solutio
     budget.check_links(m, "exact_opt")
     if instance.n == 1:
         return Solution(link_ids=(), weight=0, deduped_weight=0)
-    masks = list(instance.link_paths)
     weights = [lk.weight for lk in instance.links]
-    full = instance.full_edge_mask
-    n_edges = instance.n - 1
-
-    if instance.n <= 62 and m <= 62:
-        pm = np.array(masks, np.int64) if m else np.zeros(0, np.int64)
-        wa = np.array(weights, np.int64) if m else np.zeros(0, np.int64)
-        bestw, bestmask = _kernels.min_cover_gray(pm, wa, n_edges)
-        bestw, bestmask = int(bestw), int(bestmask)
-    else:
-        bestw, bestmask = _min_cover_python(masks, weights, full)
+    bestw, bestmask = _kernels.min_cover_gray(list(instance.link_paths), weights,
+                                              instance.n - 1)
     if bestw < 0:
         raise ValueError("instance is infeasible")
     ids = tuple(mask_bits(bestmask))
     return Solution(link_ids=ids, weight=bestw, deduped_weight=bestw)
-
-
-def _min_cover_python(masks: list[int], weights: list[int], full: int) -> tuple[int, int]:
-    m = len(masks)
-    counts: dict[int, int] = {}
-    covered = 0
-    n_edges = bin(full).count("1")
-    cur = 0
-    curw = 0
-    bestw = -1
-    bestmask = 0
-    for s in range(1, 1 << m):
-        b = (s & -s).bit_length() - 1
-        bit = 1 << b
-        delta = -1 if cur & bit else 1
-        cur ^= bit
-        curw += delta * weights[b]
-        pm = masks[b]
-        while pm:
-            low = pm & (-pm)
-            e = low.bit_length() - 1
-            c = counts.get(e, 0) + delta
-            counts[e] = c
-            if delta > 0 and c == 1:
-                covered += 1
-            elif delta < 0 and c == 0:
-                covered -= 1
-            pm ^= low
-        if covered == n_edges:
-            if bestw < 0 or curw < bestw or (curw == bestw and lex_less(cur, bestmask)):
-                bestw, bestmask = curw, cur
-    return bestw, bestmask
 
 
 class KThinTable:
@@ -167,22 +126,15 @@ class KThinTable:
                 rows_w.append(curw)
                 rows_drop.append(dropw)
         self.masks = rows_mask
-        self.weights = np.array(rows_w, np.int64)
-        self.drops = np.array(rows_drop, np.int64)
+        self.weights = rows_w
+        self.drops = rows_drop
         self.search_links = list(search_links)
 
     def max_slack(self, p: int, q: int) -> tuple[Fraction, int]:
         """Exhaustive max of p*w(drop) - q*w(C); returns (slack, best mask)."""
-        bound = max(p, q) * max(int(self.drops.max()), int(self.weights.max()), 1)
-        if bound < (1 << 62):
-            vals = p * self.drops - q * self.weights
-            best = int(vals.max())
-            hits = (int(i) for i in np.flatnonzero(vals == best))
-        else:
-            slacks = [p * int(d) - q * int(w)
-                      for d, w in zip(self.drops, self.weights)]
-            best = max(slacks)
-            hits = (i for i, s in enumerate(slacks) if s == best)
+        slacks = [p * d - q * w for d, w in zip(self.drops, self.weights)]
+        best = max(slacks)
+        hits = (i for i, s in enumerate(slacks) if s == best)
         best_nonempty = None
         for i in hits:
             mask = self.masks[i]
@@ -200,7 +152,7 @@ class KThinTable:
         for mask, w, dw in zip(self.masks, self.weights, self.drops):
             if mask == 0 or dw == 0:
                 continue
-            ratio = Fraction(int(w), int(dw))
+            ratio = Fraction(w, dw)
             if best is None or ratio < best or (ratio == best and lex_less(mask, best_mask)):
                 best = ratio
                 best_mask = mask
@@ -259,7 +211,7 @@ def brute_uplink_cover(instance: Instance,
             got = []
             w = v
             while w != instance.root:
-                w = int(idx.parent[w])
+                w = idx.parent[w]
                 got.append(w)
             anc_cache[v] = got
         return got

@@ -1,11 +1,14 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import wtap
 from wtap.cli import main
 
 
@@ -113,6 +116,30 @@ def test_budget_exit_code(tmp_path, capsys):
              "--out", str(inst_path)], capsys)
     code, _, err = run_cli(["exact", "--max-links", "3", str(inst_path)], capsys)
     assert code == 3
+
+
+def test_weight_overflow_exit_code(tmp_path, capsys):
+    # weights near 2**62 overflow the int64 tables of uplink2: exit 2, an
+    # error line and no traceback; the exact oracle still answers exactly
+    inst_path = tmp_path / "big.txt"
+    inst_path.write_text(f"3 0\n0 1\n1 2\n3\n0 2 {1 << 62}\n"
+                         f"0 1 {(1 << 62) - 1}\n1 2 2\n")
+    code, out, err = run_cli(["solve", "--algorithm", "uplink2", str(inst_path)], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+    code, out, _ = run_cli(["exact", str(inst_path)], capsys)
+    assert code == 0
+    assert json.loads(out) == {"weight": 1 << 62, "links": [0]}
+
+
+def test_solving_does_not_import_numpy():
+    # only the random generators need numpy, and they import it on first use
+    code = ("import sys, wtap, wtap.bench, wtap.cli; "
+            "sys.exit('numpy' in sys.modules)")
+    src = str(Path(wtap.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_bench_json_csv_and_determinism(tmp_path, capsys):

@@ -191,6 +191,41 @@ def test_vertical_cost_table_matches_explicit_shadows():
                     assert closure[key][0] == entry[0]
 
 
+def _vertical_table_reference(inst):
+    """Per-slot relaxation: every link, every vertical pair on its legs."""
+    idx = inst.index
+    best = {}
+    for lk in inst.links:
+        top = idx.lca(lk.u, lk.v)
+        for y in (lk.u, lk.v):
+            while y != top:
+                t = y
+                while t != top:
+                    t = idx.parent[t]
+                    key = (t, y)
+                    best[key] = min(best.get(key, (lk.weight, lk.id)), (lk.weight, lk.id))
+                y = idx.parent[y]
+    return best
+
+
+def test_vertical_cost_table_matches_per_slot_reference():
+    # weights and the smaller-id tie-break, on random trees and deep paths
+    for seed in range(60):
+        if seed % 2:
+            inst = wtap.gen_random(n=2 + seed % 23, link_count=seed % 31,
+                                   weight_max=1 + seed % 3, seed=2300 + seed)
+        else:
+            n = 5 + seed
+            pairs = [(i % n, (7 * i + 3) % n) for i in range(2 * n)]
+            links = [Link(j, u, v, 1 + j % 3)
+                     for j, (u, v) in enumerate((u, v) for u, v in pairs if u != v)]
+            inst = Instance(n, seed % n, [(v - 1, v) for v in range(1, n)], links)
+        want = _vertical_table_reference(inst)
+        got = {(t, b): (w, lid) for t, b, w, lid in
+               wtap.vertical_cost_table(inst).iter_entries()}
+        assert got == want
+
+
 def test_table_cost_monotone_under_path_extension():
     # covering a longer vertical path can never be cheaper, and once a
     # length is unrealizable every extension is too
