@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import _kernels
 from ._kernels import INF
-from .model import Instance, VerticalCostTable, apex, guard_weight_range, vertical_cost_table
+from .model import Instance, VerticalCostTable, apex, vertical_cost_table
 
 
 class InfeasibleError(ValueError):
@@ -63,7 +63,6 @@ def cheapest_disjoint_uplink_cover(instance: Instance,
     n = instance.n
     if n == 1:
         return UpLinkSolution(paths=(), weight=0)
-    guard_weight_range(instance)
     if table is None:
         table = vertical_cost_table(instance)
     idx = instance.index

@@ -77,14 +77,21 @@ def _nonnegative_fraction(text: str) -> Fraction:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _searchlink_json(sl) -> dict:
@@ -244,17 +251,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate an instance")
     gen_sub = p_gen.add_subparsers(dest="family", required=True)
     g_rand = gen_sub.add_parser("random")
-    g_rand.add_argument("--n", type=int, required=True)
-    g_rand.add_argument("--links", type=int, required=True)
-    g_rand.add_argument("--weight-max", dest="weight_max", type=int, default=10)
-    g_rand.add_argument("--seed", type=int, default=0)
+    g_rand.add_argument("--n", type=_positive_int, required=True)
+    g_rand.add_argument("--links", type=_nonnegative_int, required=True)
+    g_rand.add_argument("--weight-max", dest="weight_max", type=_positive_int,
+                        default=10)
+    g_rand.add_argument("--seed", type=_nonnegative_int, default=0)
     g_rand.add_argument("--out")
     g_fig2 = gen_sub.add_parser("fig2")
-    g_fig2.add_argument("--d", type=int, required=True)
-    g_fig2.add_argument("--M", type=int, required=True)
+    g_fig2.add_argument("--d", type=_int_at_least(2), required=True)
+    g_fig2.add_argument("--M", type=_positive_int, required=True)
     g_fig2.add_argument("--out")
     g_fig3 = gen_sub.add_parser("fig3")
-    g_fig3.add_argument("--m", type=int, required=True)
+    g_fig3.add_argument("--m", type=_positive_int, required=True)
     g_fig3.add_argument("--out")
 
     p_solve = sub.add_parser("solve", help="run a solver")
@@ -268,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("instance")
 
     p_exact = sub.add_parser("exact", help="brute-force optimum")
-    p_exact.add_argument("--max-links", dest="max_links", type=int, default=20)
+    p_exact.add_argument("--max-links", dest="max_links", type=_nonnegative_int,
+                         default=20)
     p_exact.add_argument("--out")
     p_exact.add_argument("instance")
 

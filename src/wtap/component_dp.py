@@ -8,28 +8,30 @@ alphabet of links, find a k-thin set C maximizing
 The table is indexed by triples (v, Y, x): a vertex, the set of chosen links
 with exactly one endpoint below v (at most k of them; they all pass through
 v), and a flag x telling whether the unique up-link entering the subtree of
-v, if any, must have its inside edges covered.
+v, if any, must have its inside edges covered.  Below v a link of Y is just
+the vertical path from v down to its endpoint there, so triples whose Y
+links end at the same vertices have the same slack and set.  A state is
+therefore keyed by v, the sorted endpoints below v of its Y links, and x.
 
-Which triples the root reaches, each one's candidate link sets Z (links with
-apex v), the child entries each candidate combines and whether it is
+Which states the root reaches, each one's candidate link sets Z (links with
+apex v), the child states each candidate combines and whether it is
 feasible do not depend on rho.  ``ComponentSearch`` therefore compiles them
-once into a flat plan, listed in post-order so that every entry follows the
-entries it reads; each probe is then one bottom-up integer sweep over it.
-Triples at one vertex whose Y links end at the same vertices below it
-always have the same slack and set, so they share one slot of the plan.
+once into a flat plan, listed in post-order so that every state follows the
+states it reads; each probe is then one bottom-up integer sweep over it.
 
 Removing up-links from U, together with their search links, only takes
-candidates, states and PLUS alternatives away.  ``drop_uplinks`` therefore
-cuts the plan down in place with three linear passes instead of compiling
-it again, and the relative greedy compiles one plan per solve.  A slot stands
-for every Y with the same endpoints below its vertex, so it is never dropped
-because the Y of its own key holds a removed link: a live request may share
-it.
+candidates, states and PLUS alternatives away, and no key names a link.
+``drop_uplinks`` therefore prunes the plan in place with three linear passes
+instead of compiling it again, and the relative greedy compiles one plan per
+solve.
 
 All slack values are integers in units of 1/q: slack * q = p*w(drop) - q*w(C).
-Link sets are bitmasks over the search alphabet.  Ties between equal-slack
-candidates prefer a nonempty set, then the lexicographically smallest sorted
-id tuple, so tables are deterministic.
+Inside the plan, link sets are bitmasks over the alphabet the search was
+built with (the built alphabet); answers map them to the current alphabet.
+Ties between equal-slack candidates prefer a nonempty set, then the
+lexicographically smallest sorted id tuple, so tables are deterministic;
+removing links keeps the order of the others, so that order does not
+change.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .model import Instance, link_vertices, mask_bits
 MINUS = 0
 PLUS = 1
 
-_EMPTY_KEY = 0  # state key 2*Y + x of (v, {}, -)
+_EMPTY_KEY = ((), MINUS)  # state key of (v, {}, -)
 
 
 @dataclass(frozen=True)
@@ -104,23 +106,24 @@ class SlackResult:
 class _Plan:
     """The compiled table: flat per-state, per-candidate and per-term lists.
 
-    State ``s`` sits at vertex ``vert[s]`` with key ``ykey[s] = 2*Y + x``;
-    its candidates are ``cand_lo[s]:cand_lo[s+1]``.  Candidate ``c`` has
-    weight ``cand_w[c]``, apex-link mask ``cand_z[c]`` and terms
-    ``term_lo[c]:term_lo[c+1]``.  Term ``t`` replaces, for one child, the
-    child's empty-boundary entry ``term_ze[t]`` by entry ``term_ch[t]``, or
-    by entry ``term_pl[t]`` plus rho * ``term_uw[t]`` when that is at least
-    as large (``term_pl[t]`` is -1 when there is no such choice, and
-    ``term_uw[t]`` then means nothing).
+    State ``s`` sits at vertex ``vert[s]`` with key ``key[s] = (ends, x)``:
+    the sorted endpoints below that vertex of its boundary links, and its
+    flag.  Its candidates are ``cand_lo[s]:cand_lo[s+1]``.  Candidate ``c``
+    has weight ``cand_w[c]``, apex-link mask ``cand_z[c]`` (over the
+    alphabet the search was built with) and terms ``term_lo[c]:term_lo[c+1]``.
+    Term ``t`` replaces, for one child, the child's empty-boundary entry
+    ``term_ze[t]`` by entry ``term_ch[t]``, or by entry ``term_pl[t]`` plus
+    rho * ``term_uw[t]`` when that is at least as large (``term_pl[t]`` is
+    -1 when there is no such choice, and ``term_uw[t]`` then means nothing).
     ``ze[v]`` is the empty-boundary entry (v, {}, -) and ``zero[v]`` lists
     those of v's children.  States come in post-order of their vertices, so
     each follows the entries it reads, and those of one vertex are
-    contiguous.  ``root`` is the state the plan was compiled for.
+    contiguous.  ``root`` is the entry (root, {}, -).
     """
 
     def __init__(self, n: int):
         self.vert: list[int] = []
-        self.ykey: list[int] = []
+        self.key: list[tuple[tuple[int, ...], int]] = []
         self.cand_lo = [0]
         self.cand_w: list[int] = []
         self.cand_z: list[int] = []
@@ -186,7 +189,7 @@ class _Sweep:
             self.msk[s] = best_m
 
     def mask(self, s: int) -> int:
-        """The link set of state s, as a mask over the search alphabet."""
+        """The link set of state s, as a mask over the built alphabet."""
         self._fill([s])
         return self.msk[s]
 
@@ -246,7 +249,12 @@ class _Sweep:
 
 class ComponentSearch:
     """Reusable DP context for one (instance, U, k, search alphabet);
-    ``drop_uplinks`` narrows it to fewer up-links."""
+    ``drop_uplinks`` narrows it to fewer up-links.
+
+    The per-link structures (``apex_ids``, ``legs``, ``link_masks``) and the
+    plan's masks keep the ids of the alphabet the search was built with;
+    ``links`` is the current alphabet.
+    """
 
     def __init__(self, instance: Instance, uplinks: Sequence[UpPath],
                  k: int, search_links: Sequence[SearchLink]):
@@ -254,42 +262,35 @@ class ComponentSearch:
             raise ValueError("k must be at least 1")
         self.instance = instance
         self.k = k
-        self.idx = instance.index
-        self._index(uplinks, search_links)
-        self._plan = self._compile(instance.root, 0, MINUS)
-        assert self._plan is not None  # (root, {}, -) is always feasible
-        self._fresh()
-
-    def _index(self, uplinks: Sequence[UpPath],
-               search_links: Sequence[SearchLink]) -> None:
-        """Build the per-link and up-link structures for (U, search alphabet)."""
+        self.idx = idx = instance.index
         self.links = list(search_links)
-        self.uplinks = list(uplinks)
-        idx = self.idx
-        n = self.instance.n
+        self._alphabet = tuple(search_links)
+        self._ids = list(range(len(self.links)))  # current id -> built id
 
-        # Per-link structure: apex, per-vertex child targets, path mask.
-        self.apex_ids: list[list[int]] = [[] for _ in range(n)]
-        # touch[v][i]: the children of v that link i's path goes down into
-        self.touch: list[dict[int, list[int]]] = [{} for _ in range(n)]
+        # Per-link structure, by built id: apex, legs (for each endpoint
+        # below the apex, the child of the apex it lies under and the
+        # endpoint), path mask.
+        self.apex_ids: list[list[int]] = [[] for _ in range(instance.n)]
+        self.legs: list[tuple[tuple[int, int], ...]] = []
         self.link_masks: list[int] = []
-        for i, sl in enumerate(self.links):
+        for i, sl in enumerate(self._alphabet):
             apx = idx.lca(sl.a, sl.b)
             self.apex_ids[apx].append(i)
-            for e in (sl.a, sl.b):
-                prev = -1
-                v = e
-                while True:
-                    if prev >= 0:
-                        self.touch[v].setdefault(i, []).append(prev)
-                    if v == apx:
-                        break
-                    prev = v
-                    v = idx.parent[v]
+            self.legs.append(tuple((idx.child_toward(apx, e), e)
+                                   for e in (sl.a, sl.b) if e != apx))
             self.link_masks.append(idx.path_edge_mask(sl.a, sl.b))
 
-        # Up-link structure: unique crossing path per vertex, step-down map,
-        # and the weight of the up-link hanging from each vertex's parent.
+        self._index_uplinks(uplinks)
+        self._plan = self._compile()
+        self._fresh()
+
+    def _index_uplinks(self, uplinks: Sequence[UpPath]) -> None:
+        """Build the up-link structures for U: the unique crossing path per
+        vertex, the step-down map, and the weight of the up-link hanging
+        from each vertex's parent."""
+        self.uplinks = list(uplinks)
+        n = self.instance.n
+        parent = self.idx.parent
         self.crossing = [-1] * n
         self.u_step: dict[tuple[int, int], int] = {}
         self.u_masks: list[int] = []
@@ -309,7 +310,7 @@ class ComponentSearch:
                 self.crossing[v] = ui
                 mask |= 1 << v
                 prev = v
-                v = idx.parent[v]
+                v = parent[v]
             self.u_masks.append(mask)
 
     def _fresh(self) -> None:
@@ -326,29 +327,29 @@ class ComponentSearch:
             raise ValueError("rho must be a nonnegative rational")
         self._p, self._q = p, q
         self._last = _Sweep(self._plan, p, q)
-        num, cmask = self._last.root()
-        return self.result_for(cmask, expect_slack=(num, q))
+        return self.result_for(*self._last.root())
 
-    def result_for(self, cmask: int,
-                   expect_slack: tuple[int, int] | None = None) -> SlackResult:
+    def result_for(self, num: int, cmask: int) -> SlackResult:
+        """The answer for table slack ``num`` (slack * q at the last probe)
+        and link set ``cmask``, a mask over the alphabet the search was built
+        with; drop and weight are recomputed from the set and checked."""
         bits = mask_bits(cmask)
-        links = tuple(self.links[i] for i in bits)
+        links = tuple(self._alphabet[i] for i in bits)
         weight = sum(sl.weight for sl in links)
         cover = 0
         for i in bits:
             cover |= self.link_masks[i]
         drops = tuple(i for i, um in enumerate(self.u_masks) if um & ~cover == 0)
         drop_weight = sum(self.uplinks[i].weight for i in drops)
-        if expect_slack is not None:
-            num, q = expect_slack
-            if self._p * drop_weight - q * weight != num:
-                raise AssertionError("table slack disagrees with recomputation")
-            slack = Fraction(num, q)
-        else:
-            slack = Fraction(self._p * drop_weight - self._q * weight, self._q)
-        return SlackResult(slack=slack, cmask=cmask, links=links,
-                           drop_indices=drops, drop_weight=drop_weight,
-                           weight=weight)
+        if self._p * drop_weight - self._q * weight != num:
+            raise AssertionError("table slack disagrees with recomputation")
+        return SlackResult(slack=Fraction(num, self._q), cmask=self._current(cmask),
+                           links=links, drop_indices=drops,
+                           drop_weight=drop_weight, weight=weight)
+
+    def _current(self, mask: int) -> int:
+        """``mask`` over the built alphabet, renumbered to the current one."""
+        return sum(1 << j for j, i in enumerate(self._ids) if mask >> i & 1)
 
     # ------------------------------------------------------------------
     def drop_uplinks(self, indices: Iterable[int]) -> None:
@@ -356,35 +357,28 @@ class ComponentSearch:
 
         The search links removed are the alphabet entries equal to
         ``uplink_search_links`` of those up-links; the other links keep their
-        order, so originals keep their ids, later ids shift down and
-        ``lex_less`` tie-breaks are unchanged.  Afterwards the object
-        answers every query as ``ComponentSearch(instance, U', k,
-        alphabet')`` would, with the same states and candidates; the states
-        of one vertex may come in another order, and ``entries`` may show
-        another Y of the same slot.  The plan is cut down in place:
-
-        1. A candidate goes when its Z holds a removed link, and a PLUS
-           state when the up-link crossing its vertex was removed.  As
-           up-links are disjoint, every other state keeps a candidate, and
-           the entry each term of a kept candidate must read is kept.
-        2. Top-down from the root: keep what the kept candidates read.  A
-           term's PLUS alternative goes when its entry went, as it does when
-           the up-link hanging into that child was removed.
-        3. Renumber states, candidates and terms in order, in place.
-
-        A state is never dropped because the Y of its key holds a removed
-        link: the slot stands for every Y with the same endpoints below its
-        vertex, and a live request may share it.  Such a slot takes the Y of
-        the first live candidate found reading it as its key.
+        order, so originals keep their ids and later ids shift down.
+        Afterwards the object answers every query, ``entries`` included, as
+        ``ComponentSearch(instance, U', k, alphabet')`` would, with the same
+        states and candidates; the states of one vertex may come in another
+        order.  Only the up-link structures are rebuilt; the plan is pruned
+        in place (see ``_restrict``).
         """
         gone = set(indices)
         if not gone <= set(range(len(self.uplinks))):
             raise IndexError(f"no up-links {sorted(gone)} among {len(self.uplinks)}")
         cut_links = set(uplink_search_links([self.uplinks[i] for i in gone]))
-        cut = [i for i, sl in enumerate(self.links) if sl in cut_links]
+        cut = 0
+        ids = []
+        for i in self._ids:
+            if self._alphabet[i] in cut_links:
+                cut |= 1 << i
+            else:
+                ids.append(i)
+        self._ids = ids
+        self.links = [self._alphabet[i] for i in ids]
         self._last = None  # free the last sweep before the passes
-        self._index([p for i, p in enumerate(self.uplinks) if i not in gone],
-                    [sl for sl in self.links if sl not in cut_links])
+        self._index_uplinks([p for i, p in enumerate(self.uplinks) if i not in gone])
         self._restrict(cut)
         self._fresh()
 
@@ -393,35 +387,19 @@ class ComponentSearch:
 
         Requires a prior ``max_slack`` call, whose rho it reuses.
         """
-        num, cmask = self._probed().root()
-        return self.result_for(cmask, expect_slack=(num, self._q))
+        return self.result_for(*self._probed().root())
 
     def _probed(self) -> _Sweep:
         if self._last is None:
             raise RuntimeError("no probe yet: call max_slack first")
         return self._last
 
-    def entry(self, v: int, y_ids: Sequence[int], x: int):
-        """Public accessor for a table entry at the last rho; None when infeasible.
-
-        The entry is compiled on its own, so states the root never reaches
-        can be asked for too.  Requires a prior ``max_slack`` call.
-        """
-        self._probed()
-        ymask = 0
-        for i in y_ids:
-            ymask |= 1 << i
-        plan = self._compile(v, ymask, x)
-        if plan is None:
-            return None
-        num, cmask = _Sweep(plan, self._p, self._q).root()
-        return Fraction(num, self._q), tuple(self.links[i] for i in mask_bits(cmask))
-
-    def entries(self) -> Iterator[tuple[int, int, int, int, int]]:
-        """Every compiled state as (v, Y mask, x, slack * q, C mask) at the last rho."""
+    def entries(self) -> Iterator[tuple[int, tuple[int, ...], int, int, int]]:
+        """Every compiled state as (v, endpoints below v of its boundary
+        links, x, slack * q, C mask over the current alphabet) at the last rho."""
         plan, sw = self._plan, self._probed()
-        return ((v, yk >> 1, yk & 1, sw.val[s], sw.mask(s))
-                for s, (v, yk) in enumerate(zip(plan.vert, plan.ykey)))
+        return ((v, ends, x, sw.val[s], self._current(sw.mask(s)))
+                for s, (v, (ends, x)) in enumerate(zip(plan.vert, plan.key)))
 
     # ------------------------------------------------------------------
     def _zsets(self, v: int) -> Iterator[tuple[int, int, int, tuple]]:
@@ -429,127 +407,132 @@ class ComponentSearch:
 
         Z is a set of at most k links with apex v, by size, then in
         ``combinations`` order; ``down`` pairs each child the links of Z go
-        down into with the mask of those links.  They are made afresh for
-        each state, as at k = 4 a vertex can have over 10^5 of them.
+        down into with the endpoints of those links below it.  They are made
+        afresh for each state, as at k = 4 a vertex can have over 10^5 of them.
         """
-        touch_v = self.touch[v]
+        alphabet, legs = self._alphabet, self.legs
         apex_list = self.apex_ids[v]
         for zsize in range(0, min(self.k, len(apex_list)) + 1):
             for zcombo in combinations(apex_list, zsize):
                 zmask = 0
                 zweight = 0
-                down: dict[int, int] = {}
+                down: dict[int, tuple[int, ...]] = {}
                 for lid in zcombo:
                     zmask |= 1 << lid
-                    zweight += self.links[lid].weight
-                    for child in touch_v[lid]:
-                        down[child] = down.get(child, 0) | (1 << lid)
+                    zweight += alphabet[lid].weight
+                    for child, e in legs[lid]:
+                        down[child] = down.get(child, ()) + (e,)
                 yield zsize, zweight, zmask, tuple(down.items())
 
-    def _frame(self, v: int, ymask: int, x: int) -> tuple[int, dict[int, int], int]:
-        """What state (v, Y, x) fixes for its candidates: ``(cstar, ybase, avail)``.
+    def _frame(self, v: int, ends: tuple[int, ...], x: int
+               ) -> tuple[int, dict[int, tuple[int, ...]], int]:
+        """What state (v, ends, x) fixes for its candidates: ``(cstar, ybase, avail)``.
 
         ``cstar`` is the child the up-link entering v continues into when x
         is PLUS (every candidate must send a link down into it), else -1;
-        ``ybase`` maps each child the links of Y go down into to their mask;
-        ``avail`` is how many apex links of v a candidate may still add.
+        ``ybase`` maps each child the boundary links go down into to their
+        endpoints below it, sorted; ``avail`` is how many apex links of v a
+        candidate may still add.
         """
         cstar = -1
         if x == PLUS:
             u = self.crossing[v]
             if self.uplinks[u].bottom != v:
                 cstar = self.u_step[(u, v)]
-        touch_v = self.touch[v]
-        ybits = mask_bits(ymask)
-        ybase: dict[int, int] = {}
-        for lid in ybits:
-            for child in touch_v.get(lid, ()):
-                ybase[child] = ybase.get(child, 0) | (1 << lid)
-        return cstar, ybase, self.k - len(ybits)
+        toward = self.idx.child_toward
+        ybase: dict[int, tuple[int, ...]] = {}
+        for e in ends:
+            if e != v:
+                c = toward(v, e)
+                ybase[c] = ybase.get(c, ()) + (e,)
+        return cstar, ybase, self.k - len(ends)
 
-    def _candidates(self, v: int, ymask: int, x: int):
-        """Yield the candidate specs ``(w(Z), Z mask, terms)`` of state (v, Y, x).
+    def _candidates(self, v: int, ends: tuple[int, ...], x: int):
+        """Yield the candidate specs ``(w(Z), Z mask, terms)`` of state (v, ends, x).
 
         When x is PLUS an up-link must enter v.  A term ``(child, key,
-        plus_key, up_weight)`` reads the child's entry with key ``key``
-        (``2*Y + x``, as in ``_Plan.ykey``); when an up-link hangs from v into
-        that child, its PLUS entry ``plus_key`` may be taken instead with the
-        up-link's weight as bonus (otherwise ``plus_key`` is -1).
+        plus_key, up_weight)`` reads the child's entry with key ``key`` (as in
+        ``_Plan.key``); when an up-link hangs from v into that child, its
+        PLUS entry ``plus_key`` may be taken instead with the up-link's
+        weight as bonus (otherwise ``plus_key`` is None).
         """
-        cstar, ybase, avail = self._frame(v, ymask, x)
+        cstar, ybase, avail = self._frame(v, ends, x)
         hang_weight = self.hang_weight
         for zsize, zweight, zmask, down in self._zsets(v):
             if zsize > avail:
                 break
             ydict = dict(ybase)
-            for child, m in down:
-                ydict[child] = ydict.get(child, 0) | m
+            for child, ze in down:
+                ydict[child] = tuple(sorted(ydict.get(child, ()) + ze))
             if cstar >= 0 and cstar not in ydict:
                 continue  # the entering up-link's inside edges would stay uncovered
             terms = []
-            for child, ym in ydict.items():
+            for child, ce in ydict.items():
                 uw = hang_weight[child]
                 if uw >= 0:
-                    terms.append((child, 2 * ym + MINUS, 2 * ym + PLUS, uw))
+                    terms.append((child, (ce, MINUS), (ce, PLUS), uw))
                 else:
                     want = PLUS if child == cstar else MINUS
-                    terms.append((child, 2 * ym + want, -1, 0))
+                    terms.append((child, (ce, want), None, 0))
             yield zweight, zmask, terms
 
-    def _child_keys(self, v: int, ymask: int, x: int,
+    def _child_keys(self, v: int, ends: tuple[int, ...], x: int,
                     into: dict[int, int], subsets: dict[int, list]):
-        """Yield ``(child, key)`` for every entry the candidates of (v, Y, x) read.
+        """Yield ``(child, key)`` for every entry the candidates of (v, ends, x) read.
 
         They are the keys of ``_candidates``' terms, found per child without
         enumerating the candidates: for child c and each set S of apex links
-        of v going down into c with |S| <= avail, the mask ``ybase[c] | S``
-        (0 is left out: c's empty entry is read through ``_Plan.zero``).
-        ``into`` and ``subsets`` are ``_apex_down(v)``.  When x is
-        PLUS, S must leave room for a candidate that sends a link into cstar:
-        Y does already, or S does, or a further apex link can within avail
-        (one that goes into cstar and not into c, as it must not join S).
+        of v going down into c with |S| <= avail, the endpoints below c of
+        the boundary links and of S (none at all is left out: c's empty
+        entry is read through ``_Plan.zero``).  ``into`` and ``subsets`` are
+        ``_apex_down(v)``.  When x is PLUS, S must leave room for a
+        candidate that sends a link into cstar: the boundary does already,
+        or S does, or a further apex link can within avail (one that goes
+        into cstar and not into c, as it must not join S).
         """
-        cstar, ybase, avail = self._frame(v, ymask, x)
+        cstar, ybase, avail = self._frame(v, ends, x)
         free = cstar < 0 or cstar in ybase
         need = 0 if free else into.get(cstar, 0)
         for c in dict.fromkeys([*ybase, *subsets]):
-            base = ybase.get(c, 0)
+            base = ybase.get(c, ())
             spare = not free and need & ~into.get(c, 0) != 0
             uw = self.hang_weight[c]
             x_c = PLUS if c == cstar else MINUS
-            for size, s in subsets.get(c, ((0, 0),)):
+            for size, s, s_ends in subsets.get(c, ((0, 0, ()),)):
                 if size > avail:
                     break
                 if not (free or s & need or (spare and size < avail)):
                     continue
-                ym = base | s
-                if ym == 0:
+                ce = tuple(sorted(base + s_ends))
+                if not ce:
                     continue
                 if uw >= 0:
-                    yield c, 2 * ym + MINUS
-                    yield c, 2 * ym + PLUS
+                    yield c, (ce, MINUS)
+                    yield c, (ce, PLUS)
                 else:
-                    yield c, 2 * ym + x_c
+                    yield c, (ce, x_c)
 
     def _apex_down(self, v: int) -> tuple[dict[int, int], dict[int, list]]:
         """Per child c of v: the mask of v's apex links that go down into c,
-        and the sets of at most k of them as ``(size, mask)``, by size."""
+        and the sets of at most k of them as ``(size, mask, endpoints below
+        c)``, by size."""
         into: dict[int, int] = {}
-        lids_of: dict[int, list[int]] = {}
+        legs_of: dict[int, list[tuple[int, int]]] = {}
         for lid in self.apex_ids[v]:
-            for child in self.touch[v][lid]:
+            for child, e in self.legs[lid]:
                 into[child] = into.get(child, 0) | (1 << lid)
-                lids_of.setdefault(child, []).append(lid)
-        subsets = {child: [(size, sum(1 << i for i in combo))
-                           for size in range(min(self.k, len(lids)) + 1)
-                           for combo in combinations(lids, size)]
-                   for child, lids in lids_of.items()}
+                legs_of.setdefault(child, []).append((lid, e))
+        subsets = {child: [(size, sum(1 << i for i, _ in combo),
+                            tuple(sorted(e for _, e in combo)))
+                           for size in range(min(self.k, len(legs)) + 1)
+                           for combo in combinations(legs, size)]
+                   for child, legs in legs_of.items()}
         return into, subsets
 
-    def _compile(self, v: int, ymask: int, x: int) -> _Plan | None:
-        """Plan for the states reachable from (v, Y, x); None when infeasible.
+    def _compile(self) -> _Plan:
+        """Plan for the states reachable from (root, {}, -).
 
-        A depth-first walk over v's subtree with an explicit stack.  On the
+        A depth-first walk over the tree with an explicit stack.  On the
         way down, each state requested at a vertex requests, child by child,
         the entries its candidates read (``_child_keys``), without
         enumerating the candidates.  On the way up (post-order), each state
@@ -557,14 +540,12 @@ class ComponentSearch:
         gets its id; a state left with no candidate gets -1 and is left out.
         """
         children = self.idx.children
-        links = self.links
-        tin, tout = self.idx.tin, self.idx.tout
+        root = self.instance.root
         plan = _Plan(self.instance.n)
-        # per vertex: requested state key 2*Y + x -> the key of the state
-        # whose candidates it shares, then -> its id once added
+        # per vertex: requested state key -> None, then its id once added
         states: list[dict] = [{} for _ in range(self.instance.n)]
-        states[v][2 * ymask + x] = 2 * ymask + x
-        stack = [(v, False)]
+        states[root][_EMPTY_KEY] = None
+        stack = [(root, False)]
         while stack:
             u, expanded = stack.pop()
             got = states[u]
@@ -573,105 +554,87 @@ class ComponentSearch:
                 for c in children[u]:
                     states[c] = {}  # read only by u's states
                 continue
-            # Below u, a link of Y is just the path from u down to its endpoint
-            # in u's subtree, so states whose Y have the same endpoints there
-            # have the same slack and set, and share the first one's candidates.
-            shared: dict[tuple, int] = {}
             down = None
             for key in got:
-                ym = key >> 1
-                ends = [sl.a if tin[u] <= tin[sl.a] <= tout[u] else sl.b
-                        for sl in map(links.__getitem__, mask_bits(ym))]
-                got[key] = first = shared.setdefault(
-                    (tuple(sorted(ends)), key & 1), key)
-                if first != key or not self._enters(u, key):
+                if not self._enters(u, key):
                     continue
                 if down is None:
                     down = self._apex_down(u)
                     for c in children[u]:
                         states[c].setdefault(_EMPTY_KEY, None)
-                for c, ck in self._child_keys(u, ym, key & 1, *down):
+                for c, ck in self._child_keys(u, *key, *down):
                     states[c].setdefault(ck, None)
             stack.append((u, True))
             stack.extend((c, False) for c in children[u])
-        plan.root = states[v][2 * ymask + x]
-        return plan if plan.root >= 0 else None
+        plan.root = states[root][_EMPTY_KEY]
+        assert plan.root >= 0  # (root, {}, -) is always feasible
+        return plan
 
-    def _enters(self, v: int, key: int) -> bool:
+    def _enters(self, v: int, key: tuple) -> bool:
         """False for a PLUS state at a vertex no up-link enters: infeasible."""
-        return (key & 1) == MINUS or self.crossing[v] >= 0
+        return key[1] == MINUS or self.crossing[v] >= 0
 
     def _add_vertex(self, plan: _Plan, v: int, got: dict, states) -> None:
         """Replace the entry of every state requested at v by its id."""
         plan.zero[v] = [plan.ze[c] for c in self.idx.children[v]]
-        for key, first in got.items():
-            if first != key:
-                sid = got[first]  # already replaced: dicts keep their order
-            elif not self._enters(v, key):
-                sid = -1
-            else:
-                sid = self._append_state(plan, v, key, self._candidates(
-                    v, key >> 1, key & 1), states)
-            got[key] = sid
-            if key == _EMPTY_KEY:
-                plan.ze[v] = sid
+        for key in got:
+            got[key] = (self._append_state(plan, v, key, self._candidates(v, *key),
+                                           states)
+                        if self._enters(v, key) else -1)
+        plan.ze[v] = got.get(_EMPTY_KEY, -1)
 
     @staticmethod
-    def _append_state(plan: _Plan, v: int, key: int, cands, states) -> int:
+    def _append_state(plan: _Plan, v: int, key: tuple, cands, states) -> int:
         """Append a state with its feasible candidates; its id, or -1 if none."""
         c0 = len(plan.cand_w)
         for zweight, zmask, terms in cands:
-            if (key & 1) == PLUS and any(states[child][ck] < 0
-                                         for child, ck, _, _ in terms):
+            if key[1] == PLUS and any(states[child][ck] < 0
+                                      for child, ck, _, _ in terms):
                 continue  # only a PLUS state must read PLUS entries
             plan.cand_w.append(zweight)
             plan.cand_z.append(zmask)
             for child, ck, pk, uw in terms:
                 plan.term_ze.append(plan.ze[child])
                 plan.term_ch.append(states[child][ck])
-                plan.term_pl.append(-1 if pk < 0 else states[child][pk])
+                plan.term_pl.append(-1 if pk is None else states[child][pk])
                 plan.term_uw.append(uw)
             plan.term_lo.append(len(plan.term_ze))
         if len(plan.cand_w) == c0:
             return -1
         plan.vert.append(v)
-        plan.ykey.append(key)
+        plan.key.append(key)
         plan.cand_lo.append(len(plan.cand_w))
         return len(plan.vert) - 1
 
-    def _restrict(self, cut: list[int]) -> None:
-        """Cut the plan down to the current structures, in place; ``cut``
-        lists the old ids of the removed search links (see ``drop_uplinks``)."""
+    def _restrict(self, gone: int) -> None:
+        """Prune the plan to the current up-links, in place; ``gone`` masks
+        the removed search links.
+
+        1. A candidate goes when its Z holds a removed link, and a PLUS
+           state when the up-link crossing its vertex was removed.  As
+           up-links are disjoint, every other state keeps a candidate, and
+           the state each term of a kept candidate reads is kept: a MINUS
+           state keeps the empty Z, and a PLUS state on a surviving up-link
+           keeps, for each candidate Z, Z minus the removed links, which go
+           down no edge of that up-link.
+        2. Top-down from the root: keep what the kept candidates read.  A
+           term's PLUS alternative goes when its state went, as it does when
+           the up-link hanging into that child was removed.
+        3. Renumber states, candidates and terms in order, in place.
+        """
         plan = self._plan
-        vert, ykey = plan.vert, plan.ykey
+        vert, key = plan.vert, plan.key
         cand_lo, cand_w, cand_z = plan.cand_lo, plan.cand_w, plan.cand_z
         term_lo, term_ze, term_ch = plan.term_lo, plan.term_ze, plan.term_ch
         term_pl, term_uw = plan.term_pl, plan.term_uw
         crossing = self.crossing
-        gone = sum(1 << i for i in cut)
-        # a mask below the lowest removed id keeps its bits
-        low = 1 << min(cut, default=len(self.links) + len(cut))
-        top_down = sorted(cut, reverse=True)
 
-        def squeeze(m: int) -> int:
-            """Mask m over the old ids, renumbered to the new ones."""
-            if m < low:
-                return m
-            for i in top_down:
-                m = (m & ((1 << i) - 1)) | ((m >> (i + 1)) << i)
-            return m
-
-        # 1. What survives: a PLUS state goes when the up-link crossing its
-        # vertex is gone, and a candidate when its Z holds a removed link.
-        # Nothing else goes.  A MINUS state keeps the empty Z.  A PLUS state
-        # on a surviving up-link keeps, for each candidate Z, the candidate
-        # Z minus the removed links: up-links are disjoint, so no removed
-        # link goes down that up-link, and both read the same PLUS entry.
+        # 1. What survives.
         nst = len(vert)
         live = bytearray(nst)
         keep = bytearray(len(cand_w))
         for s in range(nst):
-            if ykey[s] & 1 and crossing[vert[s]] < 0:
+            if key[s][1] == PLUS and crossing[vert[s]] < 0:
                 continue
             live[s] = 1
             for c in range(cand_lo[s], cand_lo[s + 1]):
@@ -679,17 +642,13 @@ class ComponentSearch:
                     keep[c] = 1
 
         # 2. Top-down: what the root reaches.  A PLUS alternative counts
-        # only if its entry is live.  A slot whose key holds a removed link
-        # takes the key its first reader asks for.
-        stale = {s for s in range(nst) if ykey[s] >> 1 & gone and live[s]}
+        # only if its state is live.
         reach = bytearray(nst)
         reach[plan.root] = 1
-        key: dict[int, int] = {}
         for s in range(nst - 1, -1, -1):
             if not reach[s]:
                 continue
-            v = vert[s]
-            for e in plan.zero[v]:
+            for e in plan.zero[vert[s]]:
                 reach[e] = 1
             lo, hi = cand_lo[s], cand_lo[s + 1]
             if keep.find(0, lo, hi) < 0:  # all kept: one span of terms
@@ -697,22 +656,12 @@ class ComponentSearch:
             else:
                 spans = [(term_lo[c], term_lo[c + 1])
                          for c in compress(range(lo, hi), keep[lo:hi])]
-            read = []
             for a, b in spans:
-                read += term_ch[a:b]
-                read += [e for e in term_pl[a:b] if e >= 0 and live[e]]
-            for e in read:
-                reach[e] = 1
-            if stale.isdisjoint(read):
-                continue
-            ys = key[s] >> 1 if s in key else squeeze(ykey[s] >> 1)
-            for c in compress(range(lo, hi), keep[lo:hi]):
-                a, b = term_lo[c], term_lo[c + 1]
-                for e in stale.intersection(term_ch[a:b] + term_pl[a:b]):
-                    stale.discard(e)
-                    # the links of Y and Z that go down into e's vertex
-                    ybase = self._frame(v, ys | squeeze(cand_z[c]), MINUS)[1]
-                    key[e] = 2 * ybase.get(vert[e], 0) + (ykey[e] & 1)
+                for e in term_ch[a:b]:
+                    reach[e] = 1
+                for e in term_pl[a:b]:
+                    if e >= 0 and live[e]:
+                        reach[e] = 1
 
         # 3. Renumber in order, in place: every write index trails its read
         # index, and a bound is read before the slot that holds it is
@@ -728,10 +677,7 @@ class ComponentSearch:
                 continue
             new[s] = ns
             vert[ns] = vert[s]
-            if s in key:
-                ykey[ns] = key[s]
-            else:
-                ykey[ns] = squeeze(ykey[s] >> 1) << 1 | ykey[s] & 1
+            key[ns] = key[s]
             nc += keep.count(1, lo, hi)
             ns += 1
             cand_lo[ns] = nc
@@ -743,7 +689,7 @@ class ComponentSearch:
         nt = 0
         for i, c in enumerate(compress(range(len(cand_w)), keep)):
             cand_w[i] = cand_w[c]
-            cand_z[i] = squeeze(cand_z[c])
+            cand_z[i] = cand_z[c]
             nt += term_lo[c + 1] - term_lo[c]
             term_lo[i + 1] = nt
         for col in (term_ze, term_ch, term_pl):
@@ -751,7 +697,7 @@ class ComponentSearch:
                 col[i] = new[e]
         for i, w in enumerate(compress(term_uw, tkeep)):
             term_uw[i] = w
-        for col, size in ((vert, ns), (ykey, ns), (cand_lo, ns + 1),
+        for col, size in ((vert, ns), (key, ns), (cand_lo, ns + 1),
                           (cand_w, nc), (cand_z, nc), (term_lo, nc + 1),
                           (term_ze, nt), (term_ch, nt), (term_pl, nt),
                           (term_uw, nt)):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .baseline import UpPath
-from .model import Instance, cover_mask, link_vertices, mask_bits
+from .model import Instance, cover_mask, is_k_thin, link_vertices, mask_bits
 
 
 class NotABranchingError(AssertionError):
@@ -225,7 +225,7 @@ def check_decomposition(instance: Instance, f_ids: Sequence[int],
     if w_r * eps.denominator > eps.numerator * w_u:
         issues.append(f"removed weight {w_r} exceeds eps * {w_u}")
     for part in dec.parts:
-        if not _is_k_thin_links(instance, part, dec.k):
+        if not is_k_thin(instance, part, dec.k):
             issues.append(f"part {part} is not {dec.k}-thin")
     part_cover = [cover_mask(instance, part) for part in dec.parts]
     removed_set = set(dec.removed)
@@ -242,17 +242,6 @@ def check_decomposition(instance: Instance, f_ids: Sequence[int],
     if drop_total < w_u - w_r:
         issues.append(f"parts drop only {drop_total} < {w_u} - {w_r}")
     return issues
-
-
-def _is_k_thin_links(instance: Instance, ids: Sequence[int], k: int) -> bool:
-    counts: dict[int, int] = {}
-    for lid in ids:
-        for v in link_vertices(instance, lid):
-            c = counts.get(v, 0) + 1
-            if c > k:
-                return False
-            counts[v] = c
-    return True
 
 
 def verify_cover_structure(instance: Instance, f_ids: Sequence[int],
@@ -340,7 +329,7 @@ def verify_cover_structure(instance: Instance, f_ids: Sequence[int],
             path = root_path(lid)
             tags = {arc_tag[(path[i], path[i + 1])] for i in range(len(path) - 1)}
             kappa = max(kappa, len(tags))
-        if not _is_k_thin_links(instance, members, kappa + 1):
+        if not is_k_thin(instance, members, kappa + 1):
             checks["path_count_thinness"].append((croot, kappa))
         seen_apex: dict[int, int] = {}
         for lid in members:

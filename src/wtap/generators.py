@@ -37,6 +37,10 @@ def gen_random(n: int, link_count: int, weight_max: int, seed: int) -> Instance:
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if link_count < 0:
+        raise ValueError("link_count must be nonnegative")
+    if weight_max < 1:
+        raise ValueError("weight_max must be at least 1")
     rng_tree = _stream(seed, 0)
     edges = [(int(rng_tree.integers(0, i)), i) for i in range(1, n)]
 

@@ -87,9 +87,6 @@ class Instance:
     def link(self, link_id: int) -> Link:
         return self.links[link_id]
 
-    def total_link_weight(self) -> int:
-        return sum(lk.weight for lk in self.links)
-
     def __repr__(self) -> str:
         return f"Instance(n={self.n}, root={self.root}, links={len(self.links)})"
 

@@ -98,6 +98,7 @@ def test_malformed_text_exit_code(tmp_path, capsys):
     (["component", "--rho", "1/2", "--k", "0"], "--k"),
     (["component", "--rho", "-1", "--k", "2"], "--rho"),
     (["decompose", "--eps", "0", "--solution", "sol.json"], "--eps"),
+    (["exact", "--max-links", "-1"], "--max-links"),
 ])
 def test_bad_argument_exit_code(tmp_path, capsys, args, flag):
     # out-of-range numbers are usage errors: exit 2 and an error line
@@ -108,6 +109,27 @@ def test_bad_argument_exit_code(tmp_path, capsys, args, flag):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"error: argument {flag}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["random", "--n", "0", "--links", "3"], "--n"),
+    (["random", "--n", "5", "--links", "-1"], "--links"),
+    (["random", "--n", "5", "--links", "3", "--weight-max", "0"], "--weight-max"),
+    (["random", "--n", "5", "--links", "3", "--seed", "-1"], "--seed"),
+    (["fig2", "--d", "0", "--M", "5"], "--d"),
+    (["fig2", "--d", "1", "--M", "5"], "--d"),
+    (["fig2", "--d", "4", "--M", "0"], "--M"),
+    (["fig3", "--m", "0"], "--m"),
+])
+def test_bad_gen_argument_exit_code(capsys, args, flag):
+    # numbers no instance can be generated from are usage errors too
+    with pytest.raises(SystemExit) as exc:
+        main(["gen"] + args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_budget_exit_code(tmp_path, capsys):

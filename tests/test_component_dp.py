@@ -48,18 +48,24 @@ def test_fig2_reference_slack_at_half():
 
 
 def test_leaf_entries():
-    # chain 0-1-2; one up-link path (0..2); alphabet holds only that link
+    # chain 0-1-2; one up-link path (0..2); alphabet holds link 0 and that path
     inst = Instance(3, 0, [(0, 1), (1, 2)], [Link(0, 0, 2, 4)])
     up = [wtap.uplink_from_link(inst, 0)]
     search = _search_for(inst, up)
     cs = ComponentSearch(inst, up, 1, search)
     cs.max_slack(1, 2)
-    # leaf, empty boundary, no coverage duty: feasible with the empty set
-    assert cs.entry(2, [], MINUS) == (Fraction(0), ())
-    # leaf with the up-link entering and nothing below to cover
-    assert cs.entry(2, [], PLUS) == (Fraction(0), ())
+    # every state the root reaches, as (v, boundary endpoints, x, slack*q, C):
+    # at rho = 1/2 no set pays, and a leaf is feasible with the empty set,
+    # with or without the up-link entering it
+    assert sorted(cs.entries()) == [
+        (0, (), MINUS, 0, 0),
+        (1, (), MINUS, 0, 0), (1, (2,), MINUS, 0, 0), (1, (2,), PLUS, 0, 0),
+        (2, (), MINUS, 0, 0), (2, (2,), MINUS, 0, 0), (2, (2,), PLUS, 0, 0)]
+    # leaf with the up-link entering and no boundary link, which the root
+    # never requests: only the empty set, with nothing below to cover
+    assert list(cs._candidates(2, (), PLUS)) == [(0, 0, [])]
     # no up-link enters the root's "subtree"
-    assert cs.entry(0, [], PLUS) is None
+    assert not cs._enters(0, ((), PLUS))
 
 
 def test_inner_plus_infeasible_without_boundary_link():
@@ -68,9 +74,13 @@ def test_inner_plus_infeasible_without_boundary_link():
     up = [wtap.uplink_from_link(inst, 0)]
     cs = ComponentSearch(inst, up, 1, _search_for(inst, up))
     cs.max_slack(1, 1)
-    assert cs.entry(1, [], PLUS) is None
-    # the up-link itself on the boundary covers everything below vertex 1
-    assert cs.entry(1, [1], PLUS) is not None
+    assert list(cs._candidates(1, (), PLUS)) == []
+    entries = {(v, ends, x): (num, cmask) for v, ends, x, num, cmask in cs.entries()}
+    assert (1, (), PLUS) not in entries
+    # a boundary link ending at 2 covers everything below vertex 1
+    assert entries[(1, (2,), PLUS)] == (0, 0)
+    # at rho = 1 link 0 pays for the up-link exactly; a nonempty set wins the tie
+    assert entries[(0, (), MINUS)] == (0, 1)
 
 
 def test_oracle_equivalence_small():
@@ -133,34 +143,38 @@ def test_extract_root_matches_max_slack():
 
 
 def _entry_invariants(inst, uplinks, cs, k, p, q):
+    # Y is the vertical paths from v down to the boundary endpoints
     idx = inst.index
     u_masks = [idx.vertical_edge_mask(u.top, u.bottom) for u in uplinks]
-    for v, ymask, x, num, cmask in cs.entries():
-        c_ids = [i for i in range(len(cs.links)) if (cmask >> i) & 1]
-        y_ids = [i for i in range(len(cs.links)) if (ymask >> i) & 1]
-        for i in c_ids:
-            sl = cs.links[i]
+    for v, ends, x, num, cmask in cs.entries():
+        assert list(ends) == sorted(ends) and len(ends) <= k, (v, ends, x)
+        assert all(idx.is_ancestor(v, e) for e in ends), (v, ends, x)
+        c_links = [cs.links[i] for i in mask_bits(cmask)]
+        for sl in c_links:
             assert idx.is_ancestor(v, sl.a) and idx.is_ancestor(v, sl.b)
         counts: dict[int, int] = {}
-        for i in c_ids + y_ids:
-            sl = cs.links[i]
-            for w in idx.path_vertices(sl.a, sl.b):
+        paths = [idx.path_vertices(sl.a, sl.b) for sl in c_links]
+        paths += [idx.path_vertices(v, e) for e in ends]
+        for path in paths:
+            for w in path:
                 counts[w] = counts.get(w, 0) + 1
-        assert all(c <= k for c in counts.values()), (v, ymask, x)
+        assert all(c <= k for c in counts.values()), (v, ends, x)
         cover = 0
-        for i in c_ids + y_ids:
-            cover |= cs.link_masks[i]
+        for sl in c_links:
+            cover |= idx.path_edge_mask(sl.a, sl.b)
+        for e in ends:
+            cover |= idx.vertical_edge_mask(v, e)
         if x == PLUS:
             ui = cs.crossing[v]
             assert ui >= 0
             inside = idx.vertical_edge_mask(v, uplinks[ui].bottom)
-            assert inside & ~cover == 0, (v, ymask)
+            assert inside & ~cover == 0, (v, ends)
         drop_w = 0
         for ui, u in enumerate(uplinks):
             if idx.is_ancestor(v, u.top) and u_masks[ui] & ~cover == 0:
                 drop_w += u.weight
-        c_w = sum(cs.links[i].weight for i in c_ids)
-        assert p * drop_w - q * c_w == num, (v, ymask, x)
+        c_w = sum(sl.weight for sl in c_links)
+        assert p * drop_w - q * c_w == num, (v, ends, x)
 
 
 def test_table_entry_invariants_hold():
@@ -198,40 +212,28 @@ def test_plan_reads_every_state():
                 read.update(zs or ())
             unread = set(range(len(plan.vert))) - read - {plan.root}
             assert not unread, f"seed {seed} k={k}: {len(unread)} unread"
-            for v, yk in zip(plan.vert, plan.ykey):
+            for v, key in zip(plan.vert, plan.key):
                 want = set()
-                for _, _, terms in cs._candidates(v, yk >> 1, yk & 1):
+                for _, _, terms in cs._candidates(v, *key):
                     for child, ck, pk, _ in terms:
                         want.add((child, ck))
-                        if pk >= 0:
+                        if pk is not None:
                             want.add((child, pk))
-                got = cs._child_keys(v, yk >> 1, yk & 1, *cs._apex_down(v))
+                got = cs._child_keys(v, *key, *cs._apex_down(v))
                 assert set(got) == want, f"seed {seed} k={k} at {v}"
 
 
-def _slots(inst, cs):
-    # each plan state as (v, x, the endpoints below v of its Y links)
-    idx = inst.index
-    out = []
-    for v, yk in zip(cs._plan.vert, cs._plan.ykey):
-        ends = sorted(sl.a if idx.is_ancestor(v, sl.a) else sl.b
-                      for sl in map(cs.links.__getitem__, mask_bits(yk >> 1)))
-        out.append((v, yk & 1, ends))
-    return sorted(out)
-
-
-def test_drop_uplinks_matches_fresh_compile():
-    # chained random drops answer every probe, and hold as many states, as a
-    # plan compiled afresh for the smaller U and alphabet
+def _chained_drops(count, seed0):
+    # (instance, k, search, its up-links, original links, dropped yet) for
+    # random instances as built and after each of a chain of random drops
     rng = random.Random(11)
-    rhos = ((0, 1), (1, 4), (1, 3), (1, 2), (2, 3), (1, 1), (3, 2))
-    instances = drops = 0
+    instances = 0
     seed = 0
-    while instances < 150:
+    while instances < count:
         seed += 1
         n = 3 + seed % 14
         inst = wtap.gen_random(n=n, link_count=n + seed % 5, weight_max=9,
-                               seed=6100 + seed)
+                               seed=seed0 + seed)
         uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
         if len(uplinks) < 2:
             continue
@@ -241,32 +243,45 @@ def test_drop_uplinks_matches_fresh_compile():
                      else original_search_links(inst))
         cs = ComponentSearch(inst, uplinks, k,
                              originals + uplink_search_links(uplinks))
+        yield inst, k, cs, uplinks, originals, False
         while uplinks:
             gone = set(rng.sample(range(len(uplinks)),
                                   rng.randint(1, max(1, len(uplinks) // 2))))
             cs.drop_uplinks(gone)
             uplinks = [p for i, p in enumerate(uplinks) if i not in gone]
-            search = originals + uplink_search_links(uplinks)
-            fresh = ComponentSearch(inst, uplinks, k, search)
-            drops += 1
-            assert cs.uplinks == uplinks and cs.links == search
-            assert cs.states == fresh.states, (seed, k)
-            for p, q in rhos:
-                assert cs.max_slack(p, q) == fresh.max_slack(p, q), (seed, k, p, q)
-            plan = fresh._plan
-            for s in rng.sample(range(fresh.states), min(4, fresh.states)):
-                y_ids = mask_bits(plan.ykey[s] >> 1)
-                x = plan.ykey[s] & 1
-                assert cs.entry(plan.vert[s], y_ids, x) == \
-                    fresh.entry(plan.vert[s], y_ids, x), (seed, k, s)
-            # the cut plan's keys name the same slots, and live entries with
-            # its values at the last rho
-            assert _slots(inst, cs) == _slots(inst, fresh), (seed, k)
-            entries = list(cs.entries())
-            for v, ymask, x, num, cmask in rng.sample(entries, min(4, len(entries))):
-                assert cs.entry(v, mask_bits(ymask), x) == (
-                    Fraction(num, q), tuple(cs.links[i] for i in mask_bits(cmask)))
+            yield inst, k, cs, uplinks, originals, True
+
+
+def test_drop_uplinks_matches_fresh_compile():
+    # chained random drops answer every probe, and hold the same states with
+    # the same values and sets, as a plan compiled afresh for the smaller U
+    # and alphabet
+    rhos = ((0, 1), (1, 4), (1, 3), (1, 2), (2, 3), (1, 1), (3, 2))
+    drops = 0
+    for inst, k, cs, uplinks, originals, dropped in _chained_drops(150, 6100):
+        if not dropped:
+            continue
+        search = originals + uplink_search_links(uplinks)
+        fresh = ComponentSearch(inst, uplinks, k, search)
+        drops += 1
+        assert cs.uplinks == uplinks and cs.links == search
+        assert cs.states == fresh.states, k
+        for p, q in rhos:
+            assert cs.max_slack(p, q) == fresh.max_slack(p, q), (k, p, q)
+            assert sorted(cs.entries()) == sorted(fresh.entries()), (k, p, q)
     assert drops > 300
+
+
+def test_plan_keys_are_unique():
+    # a state is keyed by (vertex, boundary endpoints, x): no key twice in a
+    # plan, as built and after every drop
+    plans = 0
+    for _, _, cs, _, _, _ in _chained_drops(60, 6300):
+        plan = cs._plan
+        keys = list(zip(plan.vert, plan.key))
+        assert len(set(keys)) == len(keys) == cs.states
+        plans += 1
+    assert plans > 150
 
 
 def test_drop_uplinks_rejects_unknown_index():
@@ -283,7 +298,7 @@ def test_answer_before_any_probe_raises():
     inst = wtap.gen_fig2(3, 5)
     uplinks = fig2_reference_cover(inst)
     cs = ComponentSearch(inst, uplinks, 2, _search_for(inst, uplinks))
-    asks = (cs.extract_root, cs.entries, lambda: cs.entry(2, [], MINUS))
+    asks = (cs.extract_root, cs.entries)
     for ask in asks:
         with pytest.raises(RuntimeError, match="max_slack"):
             ask()

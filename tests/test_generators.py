@@ -47,6 +47,15 @@ def test_gen_random_two_vertices():
     assert wtap.validate(inst) == []
 
 
+def test_gen_random_rejects_bad_params():
+    for kwargs, what in ((dict(n=0, link_count=3, weight_max=5), "n must"),
+                         (dict(n=5, link_count=-1, weight_max=5), "link_count"),
+                         (dict(n=5, link_count=3, weight_max=0), "weight_max"),
+                         (dict(n=1, link_count=0, weight_max=0), "weight_max")):
+        with pytest.raises(ValueError, match=what):
+            wtap.gen_random(seed=0, **kwargs)
+
+
 def test_fig2_legend_weights():
     for d, m_val in ((2, 1), (3, 5), (6, 10)):
         inst = wtap.gen_fig2(d, m_val)
