@@ -38,10 +38,6 @@ class UpLinkSolution:
     paths: tuple[UpPath, ...]
     weight: int
 
-    def path_masks(self, instance: Instance) -> list[int]:
-        idx = instance.index
-        return [idx.vertical_edge_mask(p.top, p.bottom) for p in self.paths]
-
 
 def uplink_from_link(instance: Instance, link_id: int) -> UpPath:
     """View an up-link of the instance as a vertical path record."""
@@ -109,10 +105,19 @@ def cheapest_disjoint_uplink_cover(instance: Instance,
 
 
 def _assert_partition(instance: Instance, solution: UpLinkSolution) -> None:
-    seen = 0
-    for mask in solution.path_masks(instance):
-        if mask & seen:
-            raise AssertionError("vertical paths overlap")
-        seen |= mask
-    if seen != instance.full_edge_mask:
+    """Raise unless the paths' edges partition the tree edges."""
+    idx = instance.index
+    parent = idx.parent
+    seen = bytearray(instance.n)
+    for p in solution.paths:
+        if p.top == p.bottom or not idx.is_ancestor(p.top, p.bottom):
+            raise AssertionError(f"path {p.top}..{p.bottom} is not vertical")
+        v = p.bottom
+        while v != p.top:
+            if seen[v]:
+                raise AssertionError("vertical paths overlap")
+            seen[v] = 1
+            v = parent[v]
+    # Only the root, which no edge is named after, may stay unseen.
+    if seen.count(0) != 1:
         raise AssertionError("vertical paths do not cover all edges")

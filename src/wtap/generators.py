@@ -15,7 +15,7 @@ a single dependency path.
 from __future__ import annotations
 
 from .baseline import UpPath, uplink_from_link
-from .model import Instance, Link, cover_mask, mask_bits
+from .model import Instance, Link, uncovered_edges
 
 
 def _stream(seed: int, purpose: int):
@@ -67,8 +67,7 @@ def gen_random(n: int, link_count: int, weight_max: int, seed: int) -> Instance:
              for i, ((u, v), w) in enumerate(zip(pairs, weights))]
 
     inst = Instance(n=n, root=0, edges=edges, links=links)
-    missing = inst.full_edge_mask & ~cover_mask(inst, range(len(links)))
-    for child in mask_bits(missing):
+    for child in uncovered_edges(inst, pairs):
         parent = inst.index.parent[child]
         links.append(Link(id=len(links), u=parent, v=child, weight=weight_max))
     if len(links) != len(inst.links):

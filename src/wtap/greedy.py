@@ -25,7 +25,7 @@ from typing import Sequence
 from .baseline import UpLinkSolution, UpPath, cheapest_disjoint_uplink_cover
 from .component_dp import (ComponentSearch, SearchLink, original_search_links,
                            shadow_closure_search_links, uplink_search_links)
-from .model import Instance, cover_mask, vertical_cost_table
+from .model import Instance, uncovered_edges, vertical_cost_table
 from .ratio import best_ratio_component
 
 
@@ -48,7 +48,8 @@ class Solution:
     deduped_weight: int
 
     def covers(self, instance: Instance) -> bool:
-        return cover_mask(instance, self.link_ids) == instance.full_edge_mask
+        pairs = (instance.link(l).endpoints() for l in self.link_ids)
+        return not uncovered_edges(instance, pairs)
 
 
 @dataclass(frozen=True)
@@ -84,18 +85,18 @@ def _finish(instance: Instance, chosen: dict[tuple, SearchLink],
     weight = sum(sl.weight for sl in chosen.values())
     weight += sum(p.weight for p in remaining)
     ids = set()
-    cover = 0
+    pairs = []
     for sl in chosen.values():
         kind = sl.label[0]
         if kind in ("orig", "shadow"):
             ids.add(sl.label[1])
         else:
             raise AssertionError(f"unmapped label {sl.label}")
-        cover |= instance.index.path_edge_mask(sl.a, sl.b)
+        pairs.append((sl.a, sl.b))
     for p in remaining:
         ids.add(p.link_id)
-    cover |= cover_mask(instance, ids)
-    if cover != instance.full_edge_mask:
+    pairs.extend(instance.link(l).endpoints() for l in ids)
+    if uncovered_edges(instance, pairs):
         raise AssertionError("greedy output does not cover all tree edges")
     deduped = sum(instance.link(l).weight for l in ids)
     trace.final_weight = weight

@@ -17,6 +17,8 @@ Weights may be rational (decimals in JSON, ``p/q`` or decimals in text).
 They are scaled by the least common multiple of their denominators so the
 stored instance carries positive integer weights; the scale factor is
 recorded on the instance and in the ``meta`` block of serialized output.
+When every weight is an integer, the common case, the weights are kept as
+they are with scale 1, and no ``Fraction`` is built.
 Serialization round-trips byte-exactly after that scaling.
 """
 
@@ -30,15 +32,15 @@ from pathlib import Path
 from .model import Instance, Link
 
 
-def _scale_weights(raw: list[Fraction]) -> tuple[list[int], int]:
-    if not raw:
-        return [], 1
+def _scale_weights(raw: list[int | Fraction]) -> tuple[list[int], int]:
+    if all(type(w) is int for w in raw):
+        return raw, 1
     denom = lcm(*(w.denominator for w in raw))
     return [int(w * denom) for w in raw], denom
 
 
 def _build(n: int, root: int, edges: list[tuple[int, int]],
-           raw_links: list[tuple[int, int, Fraction]],
+           raw_links: list[tuple[int, int, int | Fraction]],
            prior_scale: int = 1) -> Instance:
     weights, scale = _scale_weights([w for _, _, w in raw_links])
     links = [Link(id=i, u=u, v=v, weight=weights[i])
@@ -66,7 +68,9 @@ def loads_json(text: str) -> Instance:
         w = item["w"]
         if isinstance(w, str):
             w = _parse_rational(w)
-        raw_links.append((int(item["u"]), int(item["v"]), Fraction(w)))
+        elif type(w) is not int:
+            w = Fraction(w)
+        raw_links.append((int(item["u"]), int(item["v"]), w))
     prior = int(data.get("meta", {}).get("scale", 1))
     return _build(int(data["n"]), int(data["root"]), edges, raw_links, prior)
 
@@ -92,10 +96,16 @@ def loads_text(text: str) -> Instance:
     m = int(_fields(lines, n, 1, "link count")[0])
     if len(lines) - n - 1 != m:
         raise ValueError(f"declared {m} links, found {len(lines) - n - 1} link lines")
-    raw_links = []
+    ends, texts = [], []
     for i in range(n + 1, n + 1 + m):
         u, v, w = _fields(lines, i, 3, "link")
-        raw_links.append((int(u), int(v), _parse_rational(w)))
+        ends.append((int(u), int(v)))
+        texts.append(w)
+    try:
+        weights = [int(w) for w in texts]
+    except ValueError:
+        weights = [_parse_rational(w) for w in texts]
+    raw_links = [(u, v, w) for (u, v), w in zip(ends, weights)]
     return _build(n, root, edges, raw_links)
 
 

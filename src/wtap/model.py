@@ -2,8 +2,14 @@
 
 An instance is a rooted spanning tree plus weighted links.  A link covers
 the tree edges on the path between its endpoints.  Tree edges are identified
-by their child vertex (the endpoint farther from the root), and edge sets
-are plain Python ints used as bitsets over those ids.
+by their child vertex (the endpoint farther from the root).
+
+Whether a set of links covers the tree is checked in O(n + m) by
+``uncovered_edges``, with no per-link edge sets.  Where set algebra over
+edges is the algorithm itself (the oracles, the decomposition checks, the
+component search), edge sets are plain Python ints used as bitsets over the
+child ids: ``link_path``, ``cover_mask`` and ``Instance.link_paths``.  Each
+such mask takes Θ(n) bits, so the solve path does not build them.
 
 Weights are positive integers; rational inputs are scaled at parse time
 (see ``wtap.io``), so all arithmetic here is exact.
@@ -260,19 +266,56 @@ def validate(instance: Instance) -> list[ValidationIssue]:
     issues.extend(_check_tree(instance))
     if any(i.code == "NotATree" for i in issues):
         return issues
-    covered = cover_mask(instance, range(len(instance.links)))
-    for child in mask_bits(instance.full_edge_mask & ~covered):
+    pairs = ((lk.u, lk.v) for lk in instance.links)
+    for child in uncovered_edges(instance, pairs):
         issues.append(ValidationIssue(
             "UncoverableEdge", child,
             f"edge ({instance.index.parent[child]},{child}) not on any link path"))
     return issues
 
 
+def uncovered_edges(instance: Instance, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Child ids of the tree edges on no pair's path, ascending.
+
+    Edge (parent(v), v) lies on the path a..b exactly when one of a, b is in
+    subtree(v) and the other is not.  So fold, bottom-up, the least and
+    greatest Euler time of the far ends of the pairs that end inside each
+    subtree, and compare with the subtree's own interval [tin[v], tout[v]].
+    O(n + m) time and memory; no LCA and no edge sets.
+    """
+    idx = instance.index
+    tin, tout, parent = idx.tin, idx.tout, idx.parent
+    # Seeded with the subtree's own interval, which folding cannot widen:
+    # lo[v] < tin[v] or hi[v] > tout[v] only through a far end outside.
+    lo = tin[:]
+    hi = tout[:]
+    for a, b in pairs:
+        ta, tb = tin[a], tin[b]
+        if tb < lo[a]:
+            lo[a] = tb
+        if tb > hi[a]:
+            hi[a] = tb
+        if ta < lo[b]:
+            lo[b] = ta
+        if ta > hi[b]:
+            hi[b] = ta
+    order = idx.bfs_order
+    for i in range(len(order) - 1, 0, -1):
+        v = order[i]
+        p = parent[v]
+        if lo[v] < lo[p]:
+            lo[p] = lo[v]
+        if hi[v] > hi[p]:
+            hi[p] = hi[v]
+    root = instance.root
+    return [v for v in range(instance.n)
+            if lo[v] == tin[v] and hi[v] == tout[v] and v != root]
+
+
 def link_path(instance: Instance, link: Link | int) -> int:
     """Edge bitmask of the path covered by the link."""
-    if isinstance(link, Link):
-        return instance.index.path_edge_mask(link.u, link.v)
-    return instance.link_paths[link]
+    lk = instance.link(link) if isinstance(link, int) else link
+    return instance.index.path_edge_mask(lk.u, lk.v)
 
 
 def apex(instance: Instance, link: Link | int) -> int:

@@ -88,7 +88,9 @@ def test_paths_partition_edges():
                                weight_max=8, seed=4000 + seed)
         sol = wtap.cheapest_disjoint_uplink_cover(inst)
         seen = 0
-        for mask in sol.path_masks(inst):
+        idx = inst.index
+        for p in sol.paths:
+            mask = idx.vertical_edge_mask(p.top, p.bottom)
             assert mask & seen == 0
             seen |= mask
         assert seen == inst.full_edge_mask

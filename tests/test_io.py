@@ -77,3 +77,37 @@ def test_decimal_float_parsed_exactly():
 def test_malformed_text_raises_value_error(doc, match):
     with pytest.raises(ValueError, match=match):
         wio.loads(doc)
+
+
+def _same(a, b):
+    assert (a.n, a.root, a.edges, a.scale) == (b.n, b.root, b.edges, b.scale)
+    assert a.links == b.links
+    assert all(type(lk.weight) is int for lk in a.links)
+
+
+def test_integer_weights_build_the_same_instance_as_rationals():
+    # All-integer input skips Fraction and scaling; "w/1" and "w" strings
+    # still take the rational path, and must land on the identical Instance.
+    inst = wtap.gen_random(n=40, link_count=60, weight_max=20, seed=3)
+    ends = [(lk.u, lk.v, lk.weight) for lk in inst.links]
+    head = f"{inst.n} {inst.root}\n" + "".join(f"{u} {v}\n" for u, v in inst.edges)
+    text_int = head + f"{len(ends)}\n" + "".join(f"{u} {v} {w}\n" for u, v, w in ends)
+    text_rat = head + f"{len(ends)}\n" + "".join(f"{u} {v} {w}/1\n" for u, v, w in ends)
+    _same(wio.loads_text(text_int), wio.loads_text(text_rat))
+    _same(wio.loads_text(text_int), inst)
+    doc = json.loads(wio.dumps(inst))
+    _same(wio.loads_json(json.dumps(doc)), inst)
+    for lk in doc["links"]:
+        lk["w"] = str(lk["w"])
+    _same(wio.loads_json(json.dumps(doc)), inst)
+
+
+def test_one_rational_weight_scales_every_weight():
+    text = "3 0\n0 1\n1 2\n2\n0 1 3\n1 2 0.5\n"
+    inst = wio.loads_text(text)
+    assert inst.scale == 2
+    assert [lk.weight for lk in inst.links] == [6, 1]
+    doc = '{"n":2,"root":0,"edges":[[0,1]],"links":[{"u":0,"v":1,"w":true}],"meta":{"scale":3}}'
+    inst = wio.loads_json(doc)
+    assert inst.scale == 3
+    assert inst.links[0].weight == 1 and type(inst.links[0].weight) is int
