@@ -10,8 +10,7 @@ brute-force oracles for desk-scale ground truth.
 from .baseline import (InfeasibleError, UpLinkSolution, UpPath,
                        cheapest_disjoint_uplink_cover, uplink_from_link)
 from .component_dp import (ComponentSearch, SearchLink, original_search_links,
-                           shadow_closure_search_links, slack_max,
-                           uplink_search_links)
+                           shadow_closure_search_links, uplink_search_links)
 from .decomposition import (CoverWitness, Decomposition, DependencyGraph,
                             NotABranchingError, build_dependency_graph,
                             compute_cover_witness, decompose,
@@ -21,9 +20,8 @@ from .greedy import (GreedyTrace, InvalidEpsilonError, Solution, epsilon_to_k,
                      solve, two_approx_only)
 from .io import dump, dumps, load, loads
 from .model import (Instance, Link, RootedTreeIndex, ValidationIssue,
-                    VerticalCostTable, WeightOverflowError, apex, drop_set,
-                    is_k_thin, is_uplink, link_path, validate,
-                    vertical_cost_table)
+                    VerticalCostTable, WeightOverflowError, apex, is_k_thin,
+                    link_path, validate, vertical_cost_table)
 from .oracle import (BudgetExceededError, KThinTable, OracleBudget,
                      brute_best_kthin, brute_uplink_cover, exact_opt)
 from .ratio import EmptyUError, RatioResult, best_ratio_component, decide

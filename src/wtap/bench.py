@@ -69,14 +69,14 @@ def _materialize_instances(config: dict) -> list[tuple[str, dict, Instance]]:
 
 def _run_algorithm(inst: Instance, algo: dict) -> tuple[int, int]:
     """Returns (weight, iterations)."""
+    unknown = sorted(set(algo) - {"name", "eps"})
+    if unknown:
+        raise ValueError(f"unknown algorithm keys {unknown}")
     name = algo["name"]
     if name == "uplink2":
         return two_approx_only(inst).weight, 0
     if name == "relgreedy":
-        eps = Fraction(str(algo.get("eps", "1")))
-        sol, trace = solve(inst, eps,
-                           k_override=algo.get("k_override"),
-                           full_shadows=bool(algo.get("full_shadows", False)))
+        sol, trace = solve(inst, Fraction(str(algo.get("eps", "1"))))
         return sol.weight, len(trace.iterations)
     raise ValueError(f"unknown algorithm {name!r}")
 
@@ -84,12 +84,7 @@ def _run_algorithm(inst: Instance, algo: dict) -> tuple[int, int]:
 def _algo_id(algo: dict) -> str:
     name = algo["name"]
     if name == "relgreedy":
-        parts = [name, f"eps={algo.get('eps', '1')}"]
-        if algo.get("k_override") is not None:
-            parts.append(f"k={algo['k_override']}")
-        if algo.get("full_shadows"):
-            parts.append("full-shadows")
-        return ",".join(parts)
+        return f"{name},eps={algo.get('eps', '1')}"
     return name
 
 

@@ -124,8 +124,7 @@ def _cmd_solve(args) -> None:
             "witness_links": sorted({p.link_id for p in sol.paths}),
         }
     else:
-        sol, trace = greedy_solve(inst, args.eps, k_override=args.k_override,
-                                  full_shadows=args.full_shadows)
+        sol, trace = greedy_solve(inst, args.eps)
         payload = {
             "algorithm": "relgreedy",
             "k": trace.k,
@@ -158,20 +157,21 @@ def _cmd_exact(args) -> None:
     _emit({"weight": sol.weight, "links": list(sol.link_ids)}, args.out)
 
 
-def _baseline_search(inst: Instance):
-    base = cheapest_disjoint_uplink_cover(inst)
-    uplinks = list(base.paths)
-    search = original_search_links(inst) + uplink_search_links(uplinks)
-    return uplinks, search
+def _baseline_search(inst: Instance, k: int) -> ComponentSearch:
+    """The search over the cheapest disjoint up-link cover and the links."""
+    uplinks = cheapest_disjoint_uplink_cover(inst).paths
+    return ComponentSearch(inst, uplinks, k, original_search_links(inst)
+                           + uplink_search_links(uplinks))
 
 
 def _cmd_ratio(args) -> None:
     inst = _load_validated(args.instance)
-    uplinks, search = _baseline_search(inst)
+    cs = _baseline_search(inst, args.k)
+    uplinks = cs.uplinks
     if not uplinks:
         _emit({"rho": None, "note": "edgeless instance"}, args.out)
         return
-    result = best_ratio_component(inst, uplinks, args.k, search)
+    result = best_ratio_component(cs)
     _emit({
         "rho": str(result.rho),
         "component": [_searchlink_json(sl) for sl in result.links],
@@ -186,8 +186,7 @@ def _cmd_ratio(args) -> None:
 
 def _cmd_component(args) -> None:
     inst = _load_validated(args.instance)
-    uplinks, search = _baseline_search(inst)
-    cs = ComponentSearch(inst, uplinks, args.k, search)
+    cs = _baseline_search(inst, args.k)
     res = cs.max_slack(args.rho.numerator, args.rho.denominator)
     _emit({
         "rho": str(args.rho),
@@ -269,9 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algorithm", choices=["uplink2", "relgreedy"],
                          required=True)
     p_solve.add_argument("--eps", type=_positive_fraction, default=Fraction(1))
-    p_solve.add_argument("--k-override", dest="k_override", type=_positive_int)
-    p_solve.add_argument("--full-shadows", dest="full_shadows",
-                         action="store_true")
     p_solve.add_argument("--out")
     p_solve.add_argument("instance")
 

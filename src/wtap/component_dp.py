@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, Sequence
 
 from ._kernels import lex_less
 from .baseline import UpPath
-from .model import Instance, link_vertices, mask_bits
+from .model import Instance, link_vertices, mask_bits, uncovered_edges
 
 MINUS = 0
 PLUS = 1
@@ -251,9 +251,10 @@ class ComponentSearch:
     """Reusable DP context for one (instance, U, k, search alphabet);
     ``drop_uplinks`` narrows it to fewer up-links.
 
-    The per-link structures (``apex_ids``, ``legs``, ``link_masks``) and the
-    plan's masks keep the ids of the alphabet the search was built with;
-    ``links`` is the current alphabet.
+    It is the one owner of U (``uplinks``), k and the alphabet: the ratio
+    search reads them from it.  The per-link structures (``apex_ids``,
+    ``legs``) and the plan's masks keep the ids of the alphabet the search
+    was built with; ``links`` is the current alphabet.
     """
 
     def __init__(self, instance: Instance, uplinks: Sequence[UpPath],
@@ -267,18 +268,16 @@ class ComponentSearch:
         self._alphabet = tuple(search_links)
         self._ids = list(range(len(self.links)))  # current id -> built id
 
-        # Per-link structure, by built id: apex, legs (for each endpoint
+        # Per-link structure, by built id: apex, and legs (for each endpoint
         # below the apex, the child of the apex it lies under and the
-        # endpoint), path mask.
+        # endpoint).
         self.apex_ids: list[list[int]] = [[] for _ in range(instance.n)]
         self.legs: list[tuple[tuple[int, int], ...]] = []
-        self.link_masks: list[int] = []
         for i, sl in enumerate(self._alphabet):
             apx = idx.lca(sl.a, sl.b)
             self.apex_ids[apx].append(i)
             self.legs.append(tuple((idx.child_toward(apx, e), e)
                                    for e in (sl.a, sl.b) if e != apx))
-            self.link_masks.append(idx.path_edge_mask(sl.a, sl.b))
 
         self._index_uplinks(uplinks)
         self._plan = self._compile()
@@ -293,12 +292,10 @@ class ComponentSearch:
         parent = self.idx.parent
         self.crossing = [-1] * n
         self.u_step: dict[tuple[int, int], int] = {}
-        self.u_masks: list[int] = []
         self.hang_weight = [-1] * n
         for ui, up in enumerate(self.uplinks):
             prev = -1
             v = up.bottom
-            mask = 0
             while True:
                 if prev >= 0:
                     self.u_step[(ui, v)] = prev
@@ -308,10 +305,8 @@ class ComponentSearch:
                 if self.crossing[v] != -1:
                     raise ValueError("up-link paths are not pairwise disjoint")
                 self.crossing[v] = ui
-                mask |= 1 << v
                 prev = v
                 v = parent[v]
-            self.u_masks.append(mask)
 
     def _fresh(self) -> None:
         """Count the plan's states and forget the last probe."""
@@ -332,14 +327,15 @@ class ComponentSearch:
     def result_for(self, num: int, cmask: int) -> SlackResult:
         """The answer for table slack ``num`` (slack * q at the last probe)
         and link set ``cmask``, a mask over the alphabet the search was built
-        with; drop and weight are recomputed from the set and checked."""
-        bits = mask_bits(cmask)
-        links = tuple(self._alphabet[i] for i in bits)
+        with; drop and weight are recomputed from the set and checked.  An
+        up-link drops unless an edge the set leaves uncovered crosses it."""
+        links = tuple(self._alphabet[i] for i in mask_bits(cmask))
         weight = sum(sl.weight for sl in links)
-        cover = 0
-        for i in bits:
-            cover |= self.link_masks[i]
-        drops = tuple(i for i, um in enumerate(self.u_masks) if um & ~cover == 0)
+        kept = bytearray(len(self.uplinks))
+        for v in uncovered_edges(self.instance, ((sl.a, sl.b) for sl in links)):
+            if self.crossing[v] >= 0:
+                kept[self.crossing[v]] = 1
+        drops = tuple(i for i, hit in enumerate(kept) if not hit)
         drop_weight = sum(self.uplinks[i].weight for i in drops)
         if self._p * drop_weight - self._q * weight != num:
             raise AssertionError("table slack disagrees with recomputation")
@@ -707,11 +703,3 @@ class ComponentSearch:
         plan.zero = [zs if zs is None else [new[e] for e in zs] for zs in plan.zero]
         plan.ze = [new[e] for e in plan.ze]
         plan.root = new[plan.root]
-
-
-def slack_max(instance: Instance, uplinks: Sequence[UpPath], k: int,
-              rho: Fraction, search_links: Sequence[SearchLink]) -> SlackResult:
-    """One-shot maximum-slack query; see ComponentSearch for repeated use."""
-    rho = Fraction(rho)
-    cs = ComponentSearch(instance, uplinks, k, search_links)
-    return cs.max_slack(rho.numerator, rho.denominator)

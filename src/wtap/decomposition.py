@@ -42,12 +42,6 @@ class DependencyGraph:
     arcs: tuple[tuple[int, int, int], ...]   # (from link, to link, up-link index)
     witnesses: tuple[CoverWitness, ...]
 
-    def in_arc(self, link_id: int) -> tuple[int, int, int] | None:
-        for arc in self.arcs:
-            if arc[1] == link_id:
-                return arc
-        return None
-
 
 @dataclass(frozen=True)
 class Decomposition:

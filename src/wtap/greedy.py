@@ -2,30 +2,28 @@
 
 Start from the cheapest disjoint vertical-path cover, then repeatedly swap
 in the best-ratio ceil(2/eps)-thin component, removing the up-links whose
-paths it covers, until no component has ratio below 1.
+paths it covers, until no component has ratio below 1.  eps is the only
+parameter: it fixes k = ceil(2/eps).
 
 The component alphabet is the original links plus the surviving up-link
-paths (each viewed as a link of its recorded cost).  A full shadow closure
-can be requested instead for differential experiments; the guarantee needs
-only the original links and the up-link singletons, which both alphabets
-contain.
+paths (each viewed as a link of its recorded cost); the guarantee needs
+only these.
 
 Each iteration only removes up-links, so the alphabet only shrinks.  One
-``ComponentSearch`` is compiled per solve; after each iteration
-``drop_uplinks`` cuts the dropped up-links and their search links out of it
-in place, and every later ratio search reuses it.
+``ComponentSearch`` is compiled per solve and holds U, k and the alphabet;
+after each iteration ``drop_uplinks`` cuts the dropped up-links and their
+search links out of it in place, and every later ratio search reuses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from .baseline import UpLinkSolution, UpPath, cheapest_disjoint_uplink_cover
 from .component_dp import (ComponentSearch, SearchLink, original_search_links,
-                           shadow_closure_search_links, uplink_search_links)
-from .model import Instance, uncovered_edges, vertical_cost_table
+                           uplink_search_links)
+from .model import Instance, uncovered_edges
 from .ratio import best_ratio_component
 
 
@@ -37,11 +35,11 @@ class InvalidEpsilonError(ValueError):
 class Solution:
     """A feasible link choice.
 
-    ``link_ids`` are the original instance links after mapping any internal
-    shadows back; ``weight`` is the total weight of the distinct chosen
-    objects (shadows counted at their own cost), the quantity the
-    approximation guarantee bounds.  ``deduped_weight`` is the weight of the
-    original-id set, which can only be smaller.
+    ``link_ids`` are the original instance links, each surviving up-link
+    path mapped to its witness link; ``weight`` is the total weight of the
+    distinct chosen objects (up-link paths counted at their own cost), the
+    quantity the approximation guarantee bounds.  ``deduped_weight`` is the
+    weight of the original-id set, which can only be smaller.
     """
     link_ids: tuple[int, ...]
     weight: int
@@ -87,11 +85,9 @@ def _finish(instance: Instance, chosen: dict[tuple, SearchLink],
     ids = set()
     pairs = []
     for sl in chosen.values():
-        kind = sl.label[0]
-        if kind in ("orig", "shadow"):
-            ids.add(sl.label[1])
-        else:
+        if sl.label[0] != "orig":
             raise AssertionError(f"unmapped label {sl.label}")
+        ids.add(sl.label[1])
         pairs.append((sl.a, sl.b))
     for p in remaining:
         ids.add(p.link_id)
@@ -104,54 +100,44 @@ def _finish(instance: Instance, chosen: dict[tuple, SearchLink],
                     deduped_weight=deduped)
 
 
-def solve(instance: Instance, eps: Fraction | int | str,
-          k_override: int | None = None,
-          full_shadows: bool = False) -> tuple[Solution, GreedyTrace]:
-    """Run the relative greedy; returns the solution and its trace."""
-    eps = Fraction(eps)
-    k = k_override if k_override is not None else epsilon_to_k(eps)
-    if k < 1:
-        raise InvalidEpsilonError("k override must be at least 1")
+def solve(instance: Instance,
+          eps: Fraction | int | str) -> tuple[Solution, GreedyTrace]:
+    """Run the relative greedy with k = ceil(2/eps); returns the solution
+    and its trace."""
+    k = epsilon_to_k(Fraction(eps))
     if instance.n == 1:
         return (Solution(link_ids=(), weight=0, deduped_weight=0),
                 GreedyTrace(k=k, initial_u_weight=0))
 
     baseline = cheapest_disjoint_uplink_cover(instance)
-    uplinks = list(baseline.paths)
     trace = GreedyTrace(k=k, initial_u_weight=baseline.weight)
-    originals = (shadow_closure_search_links(instance) if full_shadows
-                 else original_search_links(instance))
     chosen: dict[tuple, SearchLink] = {}
-    up_by_pair = {(p.top, p.bottom): p for p in uplinks}
-
-    alphabet = originals + uplink_search_links(uplinks)
-    search = ComponentSearch(instance, uplinks, k, alphabet)
-    while uplinks:
-        result = best_ratio_component(instance, uplinks, k, alphabet,
-                                      search=search)
+    up_by_pair = {(p.top, p.bottom): p for p in baseline.paths}
+    search = ComponentSearch(instance, baseline.paths, k,
+                             original_search_links(instance)
+                             + uplink_search_links(baseline.paths))
+    while search.uplinks:
+        result = best_ratio_component(search)
         trace.probes += result.probes
         trace.states += result.states
-        w_before = sum(p.weight for p in uplinks)
+        w_before = sum(p.weight for p in search.uplinks)
         if result.rho >= 1:
             trace.stopped_early = True
             break
-        dropped = set(result.drop_indices)
         for sl in result.links:
             if sl.label[0] == "up":
                 # a surviving path chosen as a component link maps to its witness
                 path = up_by_pair[(sl.label[1], sl.label[2])]
                 sl = SearchLink(sl.a, sl.b, sl.weight, ("orig", path.link_id))
             chosen[sl.label] = sl
-        uplinks = [p for i, p in enumerate(uplinks) if i not in dropped]
-        alphabet = originals + uplink_search_links(uplinks)
-        search.drop_uplinks(dropped)
+        search.drop_uplinks(result.drop_indices)
         trace.iterations.append(IterationRecord(
             component=result.links, component_weight=result.weight,
             drop_weight=result.drop_weight, ratio=result.rho,
             u_weight_before=w_before,
-            u_weight_after=sum(p.weight for p in uplinks)))
+            u_weight_after=sum(p.weight for p in search.uplinks)))
 
-    solution = _finish(instance, chosen, uplinks, trace)
+    solution = _finish(instance, chosen, search.uplinks, trace)
     return solution, trace
 
 

@@ -19,6 +19,8 @@ stored instance carries positive integer weights; the scale factor is
 recorded on the instance and in the ``meta`` block of serialized output.
 When every weight is an integer, the common case, the weights are kept as
 they are with scale 1, and no ``Fraction`` is built.
+A JSON link whose endpoints are not integers, or whose weight is not a
+number (``null``, a boolean, a list), is a ``ValueError``.
 Serialization round-trips byte-exactly after that scaling.
 """
 
@@ -63,14 +65,21 @@ def _parse_rational(text: str) -> Fraction:
 def loads_json(text: str) -> Instance:
     data = json.loads(text, parse_float=Fraction, parse_int=int)
     edges = [(int(u), int(v)) for u, v in data.get("edges", [])]
+    items = data["links"]
+    if not isinstance(items, list):
+        raise ValueError(f"'links' is not a list: {items!r}")
     raw_links = []
-    for item in data["links"]:
-        w = item["w"]
+    for i, item in enumerate(items):
+        if type(item) is not dict:
+            raise ValueError(f"link {i} is not an object: {item!r}")
+        u, v, w = item["u"], item["v"], item["w"]
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"link {i} endpoints {u!r}, {v!r} are not integers")
         if isinstance(w, str):
             w = _parse_rational(w)
-        elif type(w) is not int:
-            w = Fraction(w)
-        raw_links.append((int(item["u"]), int(item["v"]), w))
+        elif type(w) is not int and type(w) is not Fraction:  # nor a boolean
+            raise ValueError(f"link {i} weight is not a number: {w!r}")
+        raw_links.append((u, v, w))
     prior = int(data.get("meta", {}).get("scale", 1))
     return _build(int(data["n"]), int(data["root"]), edges, raw_links, prior)
 

@@ -5,11 +5,13 @@ the tree edges on the path between its endpoints.  Tree edges are identified
 by their child vertex (the endpoint farther from the root).
 
 Whether a set of links covers the tree is checked in O(n + m) by
-``uncovered_edges``, with no per-link edge sets.  Where set algebra over
-edges is the algorithm itself (the oracles, the decomposition checks, the
-component search), edge sets are plain Python ints used as bitsets over the
-child ids: ``link_path``, ``cover_mask`` and ``Instance.link_paths``.  Each
-such mask takes Θ(n) bits, so the solve path does not build them.
+``uncovered_edges``, with no per-link edge sets; the solve path (validation,
+the up-link cover, the component search and the relative greedy) checks
+coverage only this way.  Where set algebra over edges is the algorithm
+itself (the oracles and the decomposition checks), edge sets are plain
+Python ints used as bitsets over the child ids: ``link_path``,
+``cover_mask`` and ``Instance.link_paths``.  Each such mask takes Θ(n) bits,
+so the solve path does not build them.
 
 Weights are positive integers; rational inputs are scaled at parse time
 (see ``wtap.io``), so all arithmetic here is exact.
@@ -324,23 +326,11 @@ def apex(instance: Instance, link: Link | int) -> int:
     return instance.index.lca(lk.u, lk.v)
 
 
-def is_uplink(instance: Instance, link: Link | int) -> bool:
-    """True when one endpoint is an ancestor of the other."""
-    lk = instance.link(link) if isinstance(link, int) else link
-    return apex(instance, lk) in (lk.u, lk.v)
-
-
 def cover_mask(instance: Instance, link_ids: Iterable[int]) -> int:
     mask = 0
     for lid in link_ids:
         mask |= instance.link_paths[lid]
     return mask
-
-
-def drop_set(instance: Instance, u_ids: Iterable[int], c_ids: Iterable[int]) -> set[int]:
-    """Links of U whose covered path lies inside the union of C's paths."""
-    cov = cover_mask(instance, c_ids)
-    return {u for u in u_ids if instance.link_paths[u] & ~cov == 0}
 
 
 def link_vertices(instance: Instance, link: Link | int) -> list[int]:

@@ -17,17 +17,18 @@ Termination: adding the optimality of W_i at rho_i to the positive slack of
 W_{i+1} at rho_{i+1} = w(W_i)/d(W_i) gives
 (rho_i - rho_{i+1}) * (d(W_i) - d(W_{i+1})) > 0, so the drop weight, a
 positive integer, strictly decreases.  Non-positive weights are rejected.
+
+Both ``decide`` and ``best_ratio_component`` take only a ``ComponentSearch``
+and read U, k and the alphabet from it, so the search they probe is the one
+problem they answer for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .baseline import UpPath
 from .component_dp import ComponentSearch, SearchLink, SlackResult
-from .model import Instance
 
 
 class EmptyUError(ValueError):
@@ -49,62 +50,42 @@ class RatioResult:
         return (self.weight, self.drop_weight)
 
 
-def decide(instance: Instance, uplinks: Sequence[UpPath], k: int,
-           rho: Fraction, search_links: Sequence[SearchLink],
-           search: ComponentSearch | None = None) -> tuple[bool, SlackResult | None]:
+def decide(search: ComponentSearch,
+           rho: Fraction) -> tuple[bool, SlackResult | None]:
     """(True, witness) when rho >= rho*; (False, None) when rho < rho*."""
     rho = Fraction(rho)
-    cs = _search_for(instance, uplinks, k, search_links, search)
-    res = cs.max_slack(rho.numerator, rho.denominator)
+    res = search.max_slack(rho.numerator, rho.denominator)
     if res.cmask != 0 and res.slack >= 0:
         return True, res
     return False, None
 
 
-def best_ratio_component(instance: Instance, uplinks: Sequence[UpPath], k: int,
-                         search_links: Sequence[SearchLink],
-                         search: ComponentSearch | None = None) -> RatioResult:
-    if not uplinks:
+def best_ratio_component(search: ComponentSearch) -> RatioResult:
+    """The canonical best-ratio component for the search's U, k and alphabet."""
+    if not search.uplinks:
         raise EmptyUError("up-link set is empty")
-    for sl in search_links:
+    for sl in search.links:
         if sl.weight <= 0:
             raise ValueError(f"search link {sl.label} has weight {sl.weight}; "
                              "the ratio search needs positive weights")
-    for up in uplinks:
+    for up in search.uplinks:
         if up.weight <= 0:
             raise ValueError(f"up-link {up.top}-{up.bottom} of link {up.link_id} "
                              f"has weight {up.weight}; the ratio search needs "
                              "positive weights")
-    cs = _search_for(instance, uplinks, k, search_links, search)
-    ok, res = decide(instance, cs.uplinks, k, Fraction(1), cs.links, cs)
+    ok, res = decide(search, Fraction(1))
     if not ok:
         raise ValueError("search alphabet must contain every up-link of U")
     witness, probes = res, 1
     while res.slack > 0:
         # W has slack 0 at its own ratio, so this probe is a hit
         witness = res
-        _, res = decide(instance, cs.uplinks, k, _witness_ratio(witness),
-                        cs.links, cs)
+        _, res = decide(search, _witness_ratio(witness))
         probes += 1
     return RatioResult(rho=_witness_ratio(witness), links=witness.links,
                        drop_indices=witness.drop_indices,
                        weight=witness.weight, drop_weight=witness.drop_weight,
-                       probes=probes, states=cs.states)
-
-
-def _search_for(instance: Instance, uplinks: Sequence[UpPath], k: int,
-                search_links: Sequence[SearchLink],
-                search: ComponentSearch | None) -> ComponentSearch:
-    """``search``, checked to be built for (U, k, alphabet), or a new one."""
-    if search is None:
-        return ComponentSearch(instance, uplinks, k, search_links)
-    for what, have, want in (("up-links", search.uplinks, uplinks),
-                             ("search links", search.links, search_links)):
-        if have is not want and have != list(want):
-            raise ValueError(f"search was built for other {what}")
-    if search.k != k:
-        raise ValueError(f"search was built for k={search.k}, not k={k}")
-    return search
+                       probes=probes, states=search.states)
 
 
 def _witness_ratio(res: SlackResult) -> Fraction:

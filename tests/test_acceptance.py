@@ -122,8 +122,7 @@ def test_criterion_3_component_dp_reproduction():
                     return res
 
                 cs.max_slack = recorded
-                got = wtap.best_ratio_component(inst, uplinks, k, search,
-                                                search=cs)
+                got = wtap.best_ratio_component(cs)
                 cs.max_slack = max_slack
                 assert len(probes) == got.probes
                 for p, q, res in probes:
@@ -185,7 +184,7 @@ def test_criterion_4_fig2_quantitative():
             base = wtap.two_approx_only(inst)
             sol2, _ = wtap.solve(inst, 1)  # k = 2
             assert sol2.weight == analytic_opt, f"(d={d}) k=2 misses optimum"
-            sol1, _ = wtap.solve(inst, 1, k_override=1)
+            sol1, _ = wtap.solve(inst, 2)  # k = 1
             if d % 2 == 0:
                 assert base.weight == 2 * analytic_opt, f"(d={d}) baseline"
                 assert sol1.weight == base.weight, f"(d={d}) k=1 must stall"
@@ -216,7 +215,7 @@ def test_criterion_4_odd_d_baseline_equals_twice_optimum():
     "k=1 greedy improves below the baseline"))
 def test_criterion_4_odd_d_k1_returns_baseline():
     inst = wtap.gen_fig2(3, 5)
-    sol1, _ = wtap.solve(inst, 1, k_override=1)
+    sol1, _ = wtap.solve(inst, 2)  # k = 1
     assert sol1.weight == wtap.two_approx_only(inst).weight
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import wtap
+from wtap.bench import bench
 from wtap.cli import main
 
 
@@ -80,6 +81,17 @@ def test_validation_exit_code(tmp_path, capsys):
     assert "UncoverableEdge" in err
 
 
+def test_malformed_json_link_exit_code(tmp_path, capsys):
+    # a link field of the wrong type: an error line, no traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n":2,"root":0,"edges":[[0,1]],'
+                   '"links":[{"u":0,"v":1,"w":null}]}')
+    code, out, err = run_cli(["solve", "--algorithm", "uplink2", str(bad)], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error: cannot parse instance")
+    assert "Traceback" not in err
+
+
 def test_malformed_text_exit_code(tmp_path, capsys):
     # A truncated file and a link line without a weight: an error line, no traceback.
     for i, doc in enumerate(["3 0\n0 1\n", "3 0\n0 1\n1 2\n1\n0 2\n"]):
@@ -90,25 +102,32 @@ def test_malformed_text_exit_code(tmp_path, capsys):
         assert out == "" and err.startswith("error: cannot parse instance")
 
 
+REMOVED_FLAGS = ("--k-override", "--full-shadows")
+
+
 @pytest.mark.parametrize("args, flag", [
     (["solve", "--algorithm", "relgreedy", "--eps", "0"], "--eps"),
     (["solve", "--algorithm", "relgreedy", "--eps=-1/2"], "--eps"),
-    (["solve", "--algorithm", "relgreedy", "--k-override", "0"], "--k-override"),
+    (["solve", "--algorithm", "relgreedy", "--k-override", "1"], "--k-override"),
     (["ratio", "--k", "0"], "--k"),
     (["component", "--rho", "1/2", "--k", "0"], "--k"),
     (["component", "--rho", "-1", "--k", "2"], "--rho"),
     (["decompose", "--eps", "0", "--solution", "sol.json"], "--eps"),
     (["exact", "--max-links", "-1"], "--max-links"),
+    (["solve", "--algorithm", "relgreedy", "--full-shadows"], "--full-shadows"),
 ])
 def test_bad_argument_exit_code(tmp_path, capsys, args, flag):
-    # out-of-range numbers are usage errors: exit 2 and an error line
+    # out-of-range numbers are usage errors: exit 2 and an error line; so
+    # are the removed flags (eps is the solver's only knob)
     inst_path = tmp_path / "inst.json"
     run_cli(["gen", "fig2", "--d", "3", "--M", "5", "--out", str(inst_path)], capsys)
     with pytest.raises(SystemExit) as exc:
         main(args + [str(inst_path)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"error: argument {flag}" in err and "Traceback" not in err
+    want = (f"error: unrecognized arguments: {flag}" if flag in REMOVED_FLAGS
+            else f"error: argument {flag}")
+    assert want in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("args, flag", [
@@ -233,14 +252,32 @@ def test_bench_fig2_sweep_matches_exact(tmp_path, capsys):
         assert row["weight"] == row["exact_weight"]
 
 
-def test_solve_k_override_flag(tmp_path, capsys):
+def test_solve_eps_two_gives_k_one(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     run_cli(["gen", "fig2", "--d", "4", "--M", "10", "--out", str(inst_path)], capsys)
-    code, out, _ = run_cli(["solve", "--algorithm", "relgreedy", "--eps", "1",
-                            "--k-override", "1", str(inst_path)], capsys)
+    code, out, _ = run_cli(["solve", "--algorithm", "relgreedy", "--eps", "2",
+                            str(inst_path)], capsys)
     assert code == 0
     doc = json.loads(out)
     assert doc["k"] == 1 and doc["weight"] == 88
+
+
+def test_bench_unknown_algorithm_key_is_an_error_row():
+    # a key the runner does not read (a stale k_override, say) would run
+    # another k than the one asked for; the row says so instead
+    report = bench({
+        "instances": [{"kind": "fig2", "d": 4, "M": 10}],
+        "algorithms": [{"name": "relgreedy", "eps": "1"},
+                       {"name": "relgreedy", "eps": "1/2", "k_override": 1},
+                       {"name": "uplink2", "full_shadows": True}],
+    })
+    by_algo = {row["algorithm"]: row for row in report["rows"]}
+    assert by_algo["relgreedy,eps=1"]["status"] == "ok"
+    assert by_algo["relgreedy,eps=1/2"]["status"] == \
+        "error: unknown algorithm keys ['k_override']"
+    assert by_algo["uplink2"]["status"] == \
+        "error: unknown algorithm keys ['full_shadows']"
+    assert "weight" not in by_algo["relgreedy,eps=1/2"]
 
 
 def test_empty_bench_config(tmp_path, capsys):

@@ -22,15 +22,21 @@ def _search_for(inst, uplinks):
     return original_search_links(inst) + uplink_search_links(uplinks)
 
 
+def _slack_at(inst, uplinks, k, rho):
+    """One probe of a fresh search over the standard alphabet."""
+    cs = ComponentSearch(inst, uplinks, k, _search_for(inst, uplinks))
+    return cs.max_slack(rho.numerator, rho.denominator)
+
+
 def test_rho_zero_returns_empty(single_edge):
     up = [wtap.uplink_from_link(single_edge, 0)]
-    res = wtap.slack_max(single_edge, up, 1, Fraction(0), _search_for(single_edge, up))
+    res = _slack_at(single_edge, up, 1, Fraction(0))
     assert res.cmask == 0 and res.slack == 0
 
 
 def test_single_edge_rho_one(single_edge):
     up = [wtap.uplink_from_link(single_edge, 0)]
-    res = wtap.slack_max(single_edge, up, 1, Fraction(1), _search_for(single_edge, up))
+    res = _slack_at(single_edge, up, 1, Fraction(1))
     assert res.slack == 0
     assert [sl.label[0] for sl in res.links] != []  # nonempty maximizer preferred
 
@@ -39,8 +45,7 @@ def test_fig2_reference_slack_at_half():
     inst = wtap.gen_fig2(3, 5)
     uplinks = fig2_reference_cover(inst)
     groups = fig2_link_groups(inst)
-    res = wtap.slack_max(inst, uplinks, 2, Fraction(1, 2),
-                         _search_for(inst, uplinks))
+    res = _slack_at(inst, uplinks, 2, Fraction(1, 2))
     assert res.slack == 0
     chosen = sorted(sl.label[1] for sl in res.links)
     assert chosen == sorted(groups["long"] + groups["leafpair"])
@@ -405,7 +410,7 @@ def test_oracle_equivalence_deep_chains_arbitrary_u():
                 want, want_mask = table.max_slack(p, q)
                 assert res.slack == want, (seed, k, p, q)
                 assert (res.cmask != 0) == (want_mask != 0)
-            got = wtap.best_ratio_component(inst, ups, k, search)
+            got = wtap.best_ratio_component(cs)
             oracle = wtap.brute_best_kthin(inst, ups, k, search, budget)
             assert got.rho == oracle.rho, (seed, k)
 

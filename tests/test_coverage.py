@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -162,6 +163,30 @@ def test_cli_solve_never_reads_link_bitmasks(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(Instance, "link_paths", property(forbidden))
     for algo in ("uplink2", "relgreedy"):
         assert main(["solve", "--algorithm", algo, str(path)]) == 0
+    capsys.readouterr()
+
+
+def test_solve_path_builds_no_edge_bitmask(tmp_path, capsys, monkeypatch):
+    # the greedy, the ratio search and the component DP find drops through
+    # uncovered_edges; no per-link or per-up-link edge mask is built
+    def forbidden(self, *args):
+        raise AssertionError("edge bitmask built on a solve path")
+
+    insts = [wtap.gen_random(n=20, link_count=28, weight_max=9, seed=s)
+             for s in range(3)] + [wtap.gen_fig2(4, 10), wtap.gen_fig3(2)]
+    path = tmp_path / "inst.json"
+    wtap.io.dump(insts[0], path)
+    monkeypatch.setattr(wtap.RootedTreeIndex, "path_edge_mask", forbidden)
+    monkeypatch.setattr(wtap.RootedTreeIndex, "vertical_edge_mask", forbidden)
+    iterations = 0
+    for inst in insts:
+        for eps in (2, 1, Fraction(2, 3)):  # k = 1, 2, 3
+            sol, trace = wtap.solve(inst, eps)
+            assert sol.covers(inst)
+            iterations += len(trace.iterations)
+    assert iterations > 0
+    assert main(["ratio", "--k", "2", str(path)]) == 0
+    assert main(["component", "--rho", "1/2", "--k", "3", str(path)]) == 0
     capsys.readouterr()
 
 

@@ -51,7 +51,7 @@ def test_fig2_k2_reaches_optimum():
 def test_fig2_even_d_k1_stays_at_baseline():
     for d, m_val in ((4, 10), (6, 100)):
         inst = wtap.gen_fig2(d, m_val)
-        sol, trace = wtap.solve(inst, 1, k_override=1)
+        sol, trace = wtap.solve(inst, 2)  # k = 1
         assert sol.weight == wtap.two_approx_only(inst).weight
         assert trace.stopped_early and not trace.iterations
 
@@ -147,21 +147,21 @@ def test_one_compile_per_solve(monkeypatch):
     monkeypatch.setattr(ComponentSearch, "_compile", counting)
     cases = [(wtap.gen_random(n=6 + seed % 14, link_count=8 + seed % 13,
                               weight_max=9, seed=7600 + seed),
-              Fraction(2, 3) if seed % 3 == 0 else 1, seed % 4 == 0)
+              Fraction(2, 3) if seed % 3 == 0 else 2 if seed % 4 == 0 else 1)
              for seed in range(80)]
     cases += [(wtap.gen_random(n=8, link_count=12, weight_max=9, seed=7700),
-               Fraction(1, 2), False),
-              (wtap.gen_fig2(4, 10), 1, False), (wtap.gen_fig3(3), 1, False)]
+               Fraction(1, 2)),
+              (wtap.gen_fig2(4, 10), 1), (wtap.gen_fig3(3), 1)]
     iterations = 0
-    for inst, eps, full in cases:
+    for inst, eps in cases:
         compiles = 0
-        sol, trace = wtap.solve(inst, eps, full_shadows=full)
+        sol, trace = wtap.solve(inst, eps)
         assert compiles == 1
         iterations += len(trace.iterations)
         with monkeypatch.context() as m:
             m.setattr(ComponentSearch, "drop_uplinks", rebuild)
             compiles = 0
-            ref_sol, ref_trace = wtap.solve(inst, eps, full_shadows=full)
+            ref_sol, ref_trace = wtap.solve(inst, eps)
         assert compiles == len(ref_trace.iterations) + 1
         assert sol == ref_sol
         assert trace == ref_trace

@@ -107,7 +107,25 @@ def test_one_rational_weight_scales_every_weight():
     inst = wio.loads_text(text)
     assert inst.scale == 2
     assert [lk.weight for lk in inst.links] == [6, 1]
-    doc = '{"n":2,"root":0,"edges":[[0,1]],"links":[{"u":0,"v":1,"w":true}],"meta":{"scale":3}}'
+    doc = '{"n":2,"root":0,"edges":[[0,1]],"links":[{"u":0,"v":1,"w":2.0}],"meta":{"scale":3}}'
     inst = wio.loads_json(doc)
     assert inst.scale == 3
-    assert inst.links[0].weight == 1 and type(inst.links[0].weight) is int
+    assert inst.links[0].weight == 2 and type(inst.links[0].weight) is int
+
+
+@pytest.mark.parametrize("links, match", [
+    ('[{"u":0,"v":1,"w":null}]', "link 0 weight is not a number: None"),
+    ('[{"u":0,"v":1,"w":[1]}]', r"link 0 weight is not a number: \[1\]"),
+    ('[{"u":0,"v":1,"w":{"p":1}}]', "link 0 weight is not a number"),
+    ('[{"u":0,"v":1,"w":true}]', "link 0 weight is not a number: True"),
+    ('[{"u":null,"v":1,"w":1}]', "link 0 endpoints None, 1 are not integers"),
+    ('[{"u":0,"v":1.5,"w":1}]', "link 0 endpoints 0, Fraction"),
+    ('[{"u":0,"v":"1","w":1}]', "link 0 endpoints 0, '1' are not integers"),
+    ('[{"u":0,"v":1,"w":1}, 7]', "link 1 is not an object: 7"),
+    ('5', "'links' is not a list: 5"),
+    ('{"u":0,"v":1,"w":1}', "'links' is not a list"),
+])
+def test_malformed_json_link_raises_value_error(links, match):
+    doc = '{"n":2,"root":0,"edges":[[0,1]],"links":' + links + '}'
+    with pytest.raises(ValueError, match=match):
+        wio.loads_json(doc)

@@ -71,32 +71,18 @@ def test_link_path_length_identity():
 
 def test_apex_and_uplink(star_ab, single_edge):
     assert wtap.apex(star_ab, 0) == 0
-    assert not wtap.is_uplink(star_ab, 0)
     assert wtap.apex(single_edge, 0) == 0
-    assert wtap.is_uplink(single_edge, 0)
 
 
 def test_fig2_long_link_apex_is_root():
     inst = wtap.gen_fig2(4, 3)
     assert wtap.apex(inst, 0) == 0
-    # vertical and pendant links are up-links
+    # vertical and pendant links are up-links: the apex is an endpoint
     d = 4
     for lid in range(1, 2 * d + 1):
-        assert wtap.is_uplink(inst, lid)
+        assert wtap.apex(inst, lid) in inst.link(lid).endpoints()
     for lid in range(2 * d + 1, 3 * d + 1):
-        assert not wtap.is_uplink(inst, lid)
-
-
-def test_drop_set_examples():
-    inst = wtap.gen_fig2(3, 5)
-    from wtap.generators import fig2_link_groups
-    groups = fig2_link_groups(inst)
-    u_ids = groups["vertical"] + groups["pendant"]
-    assert wtap.drop_set(inst, u_ids, []) == set()
-    # a full solution covers everything, so every u drops
-    opt = groups["long"] + groups["leafpair"]
-    assert wtap.drop_set(inst, u_ids, opt) == set(u_ids)
-    assert wtap.drop_set(inst, u_ids, range(len(inst.links))) == set(u_ids)
+        assert wtap.apex(inst, lid) not in inst.link(lid).endpoints()
 
 
 def test_is_k_thin_examples():
@@ -125,19 +111,6 @@ def test_path_is_union_of_vertical_legs():
             legs = idx.vertical_edge_mask(apx, lk.u) | idx.vertical_edge_mask(apx, lk.v)
             assert legs == wtap.link_path(inst, lk)
             assert idx.vertical_edge_mask(apx, lk.u) & idx.vertical_edge_mask(apx, lk.v) == 0
-
-
-@given(st.integers(0, 10_000), st.integers(2, 9), st.integers(0, 8))
-@settings(max_examples=60, deadline=None)
-def test_drop_set_monotone(seed, n, extra):
-    inst = wtap.gen_random(n=n, link_count=extra, weight_max=4, seed=seed)
-    ids = list(range(len(inst.links)))
-    u_ids = ids[: max(1, len(ids) // 2)]
-    c_small = ids[::2]
-    c_big = ids
-    small = wtap.drop_set(inst, u_ids, c_small)
-    big = wtap.drop_set(inst, u_ids, c_big)
-    assert small <= big
 
 
 @given(st.integers(0, 10_000), st.integers(2, 9), st.integers(1, 3))

@@ -17,75 +17,47 @@ def _search_for(inst, uplinks):
     return original_search_links(inst) + uplink_search_links(uplinks)
 
 
+def _search(inst, uplinks, k):
+    return ComponentSearch(inst, uplinks, k, _search_for(inst, uplinks))
+
+
 def test_single_edge_ratio_one(single_edge):
     up = [wtap.uplink_from_link(single_edge, 0)]
-    res = wtap.best_ratio_component(single_edge, up, 1, _search_for(single_edge, up))
+    res = wtap.best_ratio_component(_search(single_edge, up, 1))
     assert res.rho == 1
     assert res.weight == res.drop_weight == 5
 
 
 def test_empty_u_rejected(single_edge):
     with pytest.raises(EmptyUError):
-        wtap.best_ratio_component(single_edge, [], 1, [])
+        wtap.best_ratio_component(ComponentSearch(single_edge, [], 1, []))
 
 
 def test_fig2_reference_ratios():
     inst = wtap.gen_fig2(3, 5)
     uplinks = fig2_reference_cover(inst)
     groups = fig2_link_groups(inst)
-    search = _search_for(inst, uplinks)
-    res2 = wtap.best_ratio_component(inst, uplinks, 2, search)
+    res2 = wtap.best_ratio_component(_search(inst, uplinks, 2))
     assert res2.rho == Fraction(1, 2)
     assert sorted(sl.label[1] for sl in res2.links) == sorted(
         groups["long"] + groups["leafpair"])
     assert res2.certificate == (18, 36)
     assert len(res2.drop_indices) == 6
-    res1 = wtap.best_ratio_component(inst, uplinks, 1, search)
+    res1 = wtap.best_ratio_component(_search(inst, uplinks, 1))
     assert res1.rho == 1
-
-
-def test_mismatched_search_rejected():
-    # a search built for another U, k or alphabet would answer for the
-    # wrong problem; the ratio search and decide refuse it
-    inst = wtap.gen_fig2(3, 5)
-    uplinks = fig2_reference_cover(inst)
-    search = _search_for(inst, uplinks)
-    fewer = uplinks[1:]
-    others = {
-        "up-links": ComponentSearch(inst, fewer, 2, search),
-        "k=3": ComponentSearch(inst, uplinks, 3, search),
-        "search links": ComponentSearch(inst, uplinks, 2, search[:-1]),
-    }
-    for what, cs in others.items():
-        with pytest.raises(ValueError, match=what):
-            wtap.best_ratio_component(inst, uplinks, 2, search, search=cs)
-        with pytest.raises(ValueError, match=what):
-            wtap.decide(inst, uplinks, 2, Fraction(1, 2), search, search=cs)
-    # the same problem passes, as a tuple too
-    cs = ComponentSearch(inst, uplinks, 2, search)
-    got = wtap.best_ratio_component(inst, tuple(uplinks), 2, tuple(search),
-                                    search=cs)
-    assert got.rho == Fraction(1, 2)
-    # a search cut down to fewer up-links answers for them only
-    cs.drop_uplinks([0])
-    with pytest.raises(ValueError, match="up-links"):
-        wtap.decide(inst, uplinks, 2, Fraction(1, 2), search, search=cs)
-    assert wtap.decide(inst, fewer, 2, Fraction(1, 2),
-                       _search_for(inst, fewer), search=cs)[0] == \
-        wtap.decide(inst, fewer, 2, Fraction(1, 2), _search_for(inst, fewer))[0]
 
 
 def test_decide_examples():
     inst = wtap.gen_fig2(3, 5)
     uplinks = fig2_reference_cover(inst)
-    search = _search_for(inst, uplinks)
-    ok, witness = wtap.decide(inst, uplinks, 2, Fraction(1), search)
+    cs = _search(inst, uplinks, 2)
+    ok, witness = wtap.decide(cs, Fraction(1))
     assert ok and witness.cmask != 0
-    ok, _ = wtap.decide(inst, uplinks, 2, Fraction(0), search)
+    ok, _ = wtap.decide(cs, Fraction(0))
     assert not ok
-    ok, _ = wtap.decide(inst, uplinks, 2, Fraction(1, 4), search)
+    ok, _ = wtap.decide(cs, Fraction(1, 4))
     assert not ok
-    ok, _ = wtap.decide(inst, uplinks, 2, Fraction(1, 2), search)
+    ok, _ = wtap.decide(cs, Fraction(1, 2))
     assert ok
 
 
@@ -96,9 +68,8 @@ def test_decide_monotone_in_rho():
         uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
         if not uplinks:
             continue
-        search = _search_for(inst, uplinks)
-        answers = [wtap.decide(inst, uplinks, 2, Fraction(i, 8), search)[0]
-                   for i in range(9)]
+        cs = _search(inst, uplinks, 2)
+        answers = [wtap.decide(cs, Fraction(i, 8))[0] for i in range(9)]
         # once True, stays True
         first = answers.index(True)
         assert all(answers[first:])
@@ -116,7 +87,8 @@ def test_matches_exhaustive_minimum():
         if len(search) > 12:
             continue
         for k in (1, 2, 3):
-            got = wtap.best_ratio_component(inst, uplinks, k, search)
+            got = wtap.best_ratio_component(
+                ComponentSearch(inst, uplinks, k, search))
             want = wtap.brute_best_kthin(inst, uplinks, k, search, budget)
             assert got.rho == want.rho
             # cross-multiplied optimality of the returned witness
@@ -134,8 +106,7 @@ def test_iteration_bound():
         if not uplinks:
             continue
         w_u = sum(p.weight for p in uplinks)
-        res = wtap.best_ratio_component(inst, uplinks, 2,
-                                        _search_for(inst, uplinks))
+        res = wtap.best_ratio_component(_search(inst, uplinks, 2))
         bound = (math.ceil(math.log2(w_u * w_u)) + 1) if w_u > 1 else 1
         assert res.probes <= bound + 1  # within the bisection bound
 
@@ -189,7 +160,7 @@ def test_dinkelbach_returns_canonical_answer():
                 return res
 
             cs.max_slack = recorded
-            got = wtap.best_ratio_component(inst, uplinks, k, search, cs)
+            got = wtap.best_ratio_component(cs)
             cs.max_slack = max_slack
             assert len(seen) == got.probes
             drops = [res.drop_weight for res in seen if res.slack > 0]
@@ -227,7 +198,7 @@ def test_nonpositive_weight_rejected_by_solve():
 def test_result_invariants():
     inst = wtap.gen_fig2(4, 10)
     uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
-    res = wtap.best_ratio_component(inst, uplinks, 2, _search_for(inst, uplinks))
+    res = wtap.best_ratio_component(_search(inst, uplinks, 2))
     assert res.links
     assert res.rho == Fraction(res.weight, res.drop_weight)
     idx = inst.index
