@@ -1,9 +1,12 @@
 """Hot integer kernels.
 
 Three plain-Python kernels: the vertical cost table fill, the baseline DP
-sweep and the exact minimum cover.  The two tree tables hold Theta(sum of
-depths) slots, so they live in ``array('q')`` (8 B per slot) and the kernels
-write them a row slice at a time; everything else is lists and Python ints.
+sweep and the exact minimum cover.  The two tree tables hold one slot per
+feasible (ancestor, vertex) pair: row b keeps only the suffix of depths
+from ``front[b]``, the least apex depth of a link passing b, so a table
+takes Σ_b (depth[b] - front[b]) slots, not Σ depth.  They live in
+``array('q')`` (8 B per slot) and the kernels write them a row slice at a
+time; everything else is lists and Python ints.
 Callers reach the kernels as ``_kernels.<name>(...)`` so that a tracer can
 patch them in place; the benchmark's tracer does so by these names, which
 is why the minimum cover is still called ``min_cover_gray`` although it no
@@ -69,7 +72,7 @@ def fill_vertical_table(la, lb, lapex, lw, lid, parent, depth, anc_off, cost, be
                 y = parent[y]
 
 
-def fill_baseline_dp(order, kids_off, kids, depth, anc_off, cost, h, bp):
+def fill_baseline_dp(order, kids_off, kids, depth, front, anc_off, cost, h, bp):
     """Bottom-up table fill for the disjoint vertical-path cover.
 
     ``h[anc_off[c] + depth[t]]`` is the cheapest cover of the subtree below c
@@ -79,39 +82,41 @@ def fill_baseline_dp(order, kids_off, kids, depth, anc_off, cost, h, bp):
     ending at c, then each child in order; the first strictly cheapest
     wins.
 
-    ``h`` and ``bp`` come in filled with ``INF`` and -2, and only feasible
-    entries are written.  The feasible entries of every row of ``cost`` and
-    ``h`` are a suffix: a link or cover that works from t also works from
-    any t' between t and c.  So a row of c is feasible exactly where its
-    ``cost`` row is, and only when every child edge can be covered from c;
-    a child edge that cannot be covered from c cannot be from higher up
-    either.  That suffix is computed as a list and written in one slice.
+    ``h`` and ``bp`` share the row layout of ``cost``: row c holds the depths
+    ``[front[c], depth[c])`` (see ``model.VerticalCostTable``).  They come in
+    filled with ``INF`` and -2, and only feasible entries are written.  A
+    row of ``h`` is feasible exactly where its ``cost`` row is, that is on
+    the whole row, and only when every child edge can be covered from c: a
+    link or cover that works from t also works from any t' between t and c,
+    and a child edge that cannot be covered from c cannot be from higher up
+    either.  A child d whose row is empty (``front[d] > depth[c]``) blocks
+    c, and d's candidates exist only from ``front[d]`` down.  The row is
+    computed as a list and written in one slice.
     """
     for c in order:
         dc = depth[c]
-        off = anc_off[c]
-        kid_offs = [anc_off[d] for d in kids[kids_off[c]:kids_off[c + 1]]]
-        at_c = [h[od + dc] for od in kid_offs]
+        fc = front[c]
+        if fc == dc:
+            continue
+        kid_list = kids[kids_off[c]:kids_off[c + 1]]
+        at_c = [h[anc_off[d] + dc] if front[d] <= dc else INF for d in kid_list]
         if max(at_c, default=0) >= INF:
             continue
-        f = off + dc
-        while f > off and cost[f - 1] < INF:
-            f -= 1
-        if f == off + dc:
-            continue
+        off = anc_off[c]
         sfin = sum(at_c)
-        vals = [v + sfin for v in cost[f:off + dc]]
+        vals = [v + sfin for v in cost[off + fc:off + dc]]
         sel = [-1] * len(vals)
-        lo = f - off
-        for p, od in enumerate(kid_offs):
+        for p, d in enumerate(kid_list):
             others = sfin - at_c[p]
-            for t, v in enumerate(h[od + lo:od + dc]):
+            od = anc_off[d]
+            lo = max(fc, front[d])
+            for t, v in enumerate(h[od + lo:od + dc], lo - fc):
                 v += others
                 if v < vals[t]:
                     vals[t] = v
                     sel[t] = p
-        h[f:off + dc] = array('q', vals)
-        bp[f:off + dc] = array('q', sel)
+        h[off + fc:off + dc] = array('q', vals)
+        bp[off + fc:off + dc] = array('q', sel)
 
 
 def min_cover_gray(pmask, w, n_edges):

@@ -62,7 +62,7 @@ def cheapest_disjoint_uplink_cover(instance: Instance,
     if table is None:
         table = vertical_cost_table(instance)
     idx = instance.index
-    anc_off = table.anc_off
+    anc_off, front = table.anc_off, table.front
     order = [v for v in reversed(idx.bfs_order) if v != instance.root]
     kids_off = [0] * (n + 1)
     kids: list[int] = []
@@ -72,17 +72,19 @@ def cheapest_disjoint_uplink_cover(instance: Instance,
     total = anc_off[n]
     h = array('q', [INF]) * total
     bp = array('q', [-2]) * total
-    _kernels.fill_baseline_dp(order, kids_off, kids, idx.depth, anc_off, table.cost, h, bp)
+    _kernels.fill_baseline_dp(order, kids_off, kids, idx.depth, front, anc_off,
+                              table.cost, h, bp)
 
     paths: list[UpPath] = []
     weight = 0
     # Walk the back-pointers: a state (c, tdep) covers edge (parent(c), c)
-    # with a path whose top is the ancestor of c at depth tdep.
+    # with a path whose top is the ancestor of c at depth tdep.  Depths
+    # above front[c] have no slot in row c: no link reaches them.
     stack = [(c, 0) for c in sorted(idx.children[instance.root], reverse=True)]
     while stack:
         c, tdep = stack.pop()
         slot = anc_off[c] + tdep
-        if h[slot] >= INF:
+        if tdep < front[c] or h[slot] >= INF:
             raise InfeasibleError(f"no vertical cover for edge above vertex {c}")
         sel = bp[slot]
         if sel == -1:

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Subcommands: gen, solve, exact, ratio, component, decompose, bench.
-Exit codes: 0 success, 2 validation error, 3 enumeration budget exceeded.
+Exit codes: 0 success, 2 validation error, 3 enumeration budget or table
+size budget exceeded.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .decomposition import decompose, verify_cover_structure
 from .generators import gen_fig2, gen_fig3, gen_random
 from .greedy import solve as greedy_solve
 from .greedy import two_approx_only
-from .model import Instance, WeightOverflowError, validate
+from .model import Instance, TableTooLargeError, WeightOverflowError, validate
 from .oracle import BudgetExceededError, OracleBudget, exact_opt
 from .ratio import best_ratio_component
 
@@ -321,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, TableTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except WeightOverflowError as exc:

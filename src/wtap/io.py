@@ -19,8 +19,10 @@ stored instance carries positive integer weights; the scale factor is
 recorded on the instance and in the ``meta`` block of serialized output.
 When every weight is an integer, the common case, the weights are kept as
 they are with scale 1, and no ``Fraction`` is built.
-A JSON link whose endpoints are not integers, or whose weight is not a
-number (``null``, a boolean, a list), is a ``ValueError``.
+In JSON, ``n``, ``root``, ``meta.scale`` and the endpoints of edges and
+links must be integers (not booleans), ``edges`` a list of pairs and a link
+weight a number; anything else (``null``, ``2.5``, ``true``, a list) is a
+``ValueError``.
 Serialization round-trips byte-exactly after that scaling.
 """
 
@@ -64,7 +66,19 @@ def _parse_rational(text: str) -> Fraction:
 
 def loads_json(text: str) -> Instance:
     data = json.loads(text, parse_float=Fraction, parse_int=int)
-    edges = [(int(u), int(v)) for u, v in data.get("edges", [])]
+    if type(data) is not dict:
+        raise ValueError(f"instance is not an object: {data!r}")
+    # ``type(x) is int`` also refuses booleans, which are ints to isinstance.
+    n, root = data["n"], data["root"]
+    if type(n) is not int or type(root) is not int:
+        raise ValueError(f"'n' {n!r} and 'root' {root!r} must be integers")
+    edges = data.get("edges", [])
+    if type(edges) is not list:
+        raise ValueError(f"'edges' is not a list: {edges!r}")
+    for i, e in enumerate(edges):
+        if not (type(e) is list and len(e) == 2
+                and type(e[0]) is int and type(e[1]) is int):
+            raise ValueError(f"edge {i} is not a pair of integers: {e!r}")
     items = data["links"]
     if not isinstance(items, list):
         raise ValueError(f"'links' is not a list: {items!r}")
@@ -80,8 +94,11 @@ def loads_json(text: str) -> Instance:
         elif type(w) is not int and type(w) is not Fraction:  # nor a boolean
             raise ValueError(f"link {i} weight is not a number: {w!r}")
         raw_links.append((u, v, w))
-    prior = int(data.get("meta", {}).get("scale", 1))
-    return _build(int(data["n"]), int(data["root"]), edges, raw_links, prior)
+    meta = data.get("meta", {})
+    prior = meta.get("scale", 1) if type(meta) is dict else None
+    if type(prior) is not int or prior < 1:
+        raise ValueError(f"'meta' is not an object with a positive integer 'scale': {meta!r}")
+    return _build(n, root, edges, raw_links, prior)
 
 
 def _fields(lines: list[str], i: int, count: int, what: str) -> list[str]:

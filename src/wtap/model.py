@@ -32,6 +32,15 @@ class WeightOverflowError(ValueError):
     """Weights too large for the int64 kernel arithmetic."""
 
 
+class TableTooLargeError(RuntimeError):
+    """The tree tables of ``uplink2`` would exceed ``TABLE_SLOT_BUDGET``."""
+
+
+# Slots per tree table (8 B each; the up-link cover holds four such tables,
+# so about 1 GiB in all).  Checked before anything is allocated.
+TABLE_SLOT_BUDGET = 1 << 25
+
+
 @dataclass(frozen=True)
 class Link:
     id: int
@@ -366,39 +375,70 @@ class VerticalCostTable:
     Entry (t, b) is the minimum weight over links whose path contains the
     whole vertical path t..b, together with the achieving original link id.
     Realizes shadow-completeness implicitly: no shadow links are created.
+
+    Row b holds only the depths ``[front[b], depth[b])``, where ``front[b]``
+    is the least apex depth of any link whose path runs through the edge
+    above b; every entry of that suffix is present and every depth above it
+    absent.  ``anc_off[b]`` is the row's base, so the entry for an ancestor
+    t at depth ``front[b]`` or below sits at ``anc_off[b] + depth[t]``; a
+    shallower t has no slot, and its depth must be checked against
+    ``front[b]`` first.  ``anc_off[n]`` is the slot count: the number of
+    present entries, not Σ depth.
     """
 
     def __init__(self, instance: Instance):
         idx = instance.index
         n = instance.n
         guard_weight_range(instance)
+        links = instance.links
+        la = [lk.u for lk in links]
+        lb = [lk.v for lk in links]
+        lapex = [apex(instance, lk) for lk in links]
+        depth, parent, order = idx.depth, idx.parent, idx.bfs_order
+        # A leg from endpoint y up to depth a passes every vertex between,
+        # so front[b] is the least apex depth over links ending in subtree(b),
+        # capped at depth[b].
+        front = depth[:]
+        for u, v, x in zip(la, lb, lapex):
+            a = depth[x]
+            if a < front[u]:
+                front[u] = a
+            if a < front[v]:
+                front[v] = a
+        for i in range(n - 1, 0, -1):
+            v = order[i]
+            if front[v] < front[parent[v]]:
+                front[parent[v]] = front[v]
         anc_off = [0] * (n + 1)
-        for v, d in enumerate(idx.depth):
-            anc_off[v + 1] = anc_off[v] + d
-        total = anc_off[n]
+        total = 0
+        for b in range(n):
+            anc_off[b] = total - front[b]
+            total += depth[b] - front[b]
+        anc_off[n] = total
+        if total > TABLE_SLOT_BUDGET:
+            raise TableTooLargeError(
+                f"vertical cost table needs {total} slots, over the budget of "
+                f"{TABLE_SLOT_BUDGET}")
         cost = array('q', [INF]) * total
         best = array('q', [-1]) * total
-        links = instance.links
         _kernels.fill_vertical_table(
-            [lk.u for lk in links], [lk.v for lk in links],
-            [apex(instance, lk) for lk in links], [lk.weight for lk in links],
-            [lk.id for lk in links], idx.parent, idx.depth, anc_off, cost, best)
+            la, lb, lapex, [lk.weight for lk in links], [lk.id for lk in links],
+            parent, depth, anc_off, cost, best)
         self.instance = instance
+        self.front = front
         self.anc_off = anc_off
         self.cost = cost
         self.best = best
 
-    def _slot(self, t: int, b: int) -> int:
+    def cost_of(self, t: int, b: int) -> tuple[int, int] | None:
+        """(weight, achieving link id) for vertical path t..b, or None."""
         idx = self.instance.index
         if t == b or not idx.is_ancestor(t, b):
             raise ValueError(f"{t} is not a strict ancestor of {b}")
-        return self.anc_off[b] + idx.depth[t]
-
-    def cost_of(self, t: int, b: int) -> tuple[int, int] | None:
-        """(weight, achieving link id) for vertical path t..b, or None."""
-        slot = self._slot(t, b)
-        if self.cost[slot] >= INF:
+        d = idx.depth[t]
+        if d < self.front[b]:
             return None
+        slot = self.anc_off[b] + d
         return self.cost[slot], self.best[slot]
 
     def iter_entries(self):
@@ -406,10 +446,9 @@ class VerticalCostTable:
         idx = self.instance.index
         for b in range(self.instance.n):
             off = self.anc_off[b]
-            for d in range(idx.depth[b]):
-                if self.cost[off + d] < INF:
-                    t = idx.ancestor_at_depth(b, d)
-                    yield t, b, self.cost[off + d], self.best[off + d]
+            for d in range(self.front[b], idx.depth[b]):
+                t = idx.ancestor_at_depth(b, d)
+                yield t, b, self.cost[off + d], self.best[off + d]
 
 
 def guard_weight_range(instance: Instance) -> None:

@@ -5,34 +5,37 @@ import random
 import pytest
 
 import wtap
-from wtap import Instance, Link, _kernels
+from wtap import Instance, Link, _kernels, model
 from wtap._kernels import INF
 from wtap.generators import fig2_link_groups, fig2_reference_cover
 
 
-def _baseline_dp_reference(order, kids_off, kids, depth, anc_off, cost):
-    """Every slot of every row, candidates in order, first strict minimum."""
-    h = [INF] * anc_off[-1]
-    bp = [-2] * anc_off[-1]
+def _baseline_dp_reference(order, kids_off, kids, depth, front, anc_off, cost):
+    """h and back-pointer of every (c, depth of t) pair, candidates in order,
+    first strict minimum.  Reads the table only where its row has a slot."""
+    def cost_at(c, t):
+        return cost[anc_off[c] + t] if t >= front[c] else INF
+
+    h, bp = {}, {}
     for c in order:
         kid_list = kids[kids_off[c]:kids_off[c + 1]]
         dc = depth[c]
-        at_c = [h[anc_off[d] + dc] for d in kid_list]
+        at_c = [h[d, dc] for d in kid_list]
         blocked = [p for p, v in enumerate(at_c) if v >= INF]
         sfin = sum(v for v in at_c if v < INF)
         for t in range(dc):
-            slot = anc_off[c] + t
-            if not blocked and cost[slot] < INF:
-                h[slot], bp[slot] = cost[slot] + sfin, -1
+            h[c, t], bp[c, t] = INF, -2
+            if not blocked and cost_at(c, t) < INF:
+                h[c, t], bp[c, t] = cost_at(c, t) + sfin, -1
             for p, d in enumerate(kid_list):
                 if len(blocked) > 1 or (blocked and p != blocked[0]):
                     continue
-                v = h[anc_off[d] + t]
+                v = h[d, t]
                 if v >= INF:
                     continue
                 v += sfin - (0 if blocked else at_c[p])
-                if v < h[slot]:
-                    h[slot], bp[slot] = v, p
+                if v < h[c, t]:
+                    h[c, t], bp[c, t] = v, p
     return h, bp
 
 
@@ -111,14 +114,22 @@ def test_matches_brute_force_and_two_approx():
 
 
 def test_baseline_dp_matches_per_slot_reference(monkeypatch):
-    # whole h and back-pointer tables, with ties (small weights), blocked
-    # children and infeasible rows, on random trees and caterpillars
+    # h and back-pointer of every (t, c) pair, over every depth of t, with
+    # ties (small weights), blocked children and infeasible rows, on random
+    # trees and caterpillars; depths above a row's front read as infeasible
     seen = []
 
     def fill(*args):
         _fill(*args)
-        want = _baseline_dp_reference(*args[:6])
-        seen.append((list(args[6]), list(args[7])) == want)
+        order, _, _, depth, front, anc_off, _, h, bp = args
+        assert len(h) == len(bp) == anc_off[-1]
+        got = {}
+        for c in order:
+            for t in range(depth[c]):
+                slot = anc_off[c] + t
+                got[c, t] = (h[slot], bp[slot]) if t >= front[c] else (INF, -2)
+        want_h, want_bp = _baseline_dp_reference(*args[:7])
+        seen.append(got == {key: (want_h[key], want_bp[key]) for key in want_h})
 
     _fill = _kernels.fill_baseline_dp
     monkeypatch.setattr(_kernels, "fill_baseline_dp", fill)
@@ -160,3 +171,45 @@ def test_two_approx_only_examples(single_edge, star_ab):
     assert star.deduped_weight == 3
     fig = wtap.gen_fig2(4, 10)
     assert wtap.two_approx_only(fig).weight == 88
+
+
+def test_long_path_table_holds_only_feasible_slots():
+    # n = 20 000 and links at most 4 levels long: Σ depth would be 2e8
+    # slots per table, the feasible suffixes are at most 4n
+    n, reach = 20000, 4
+    rng = random.Random(4500)
+    pairs = [(v - 1, v) for v in range(1, n)]
+    pairs += [(v - rng.randint(2, reach), v) for v in rng.sample(range(reach, n), n // 2)]
+    links = [Link(i, *((u, v) if i % 2 else (v, u)),
+                  rng.randint(1, 9) * (v - u) if v - u > 1 else 10)
+             for i, (u, v) in enumerate(pairs)]
+    inst = Instance(n, 0, [(v - 1, v) for v in range(1, n)], links)
+    assert wtap.vertical_cost_table(inst).anc_off[-1] <= reach * n
+    # Independent 1-D interval DP: dp[b] is the cheapest cover of edges
+    # 1..b by disjoint intervals [t, b], each priced at the cheapest link
+    # spanning it.
+    span = {}
+    for lk in links:
+        key = (min(lk.u, lk.v), max(lk.u, lk.v))
+        span[key] = min(span.get(key, INF), lk.weight)
+
+    def price(t, b):
+        return min(span.get((u, v), INF) for u in range(b - reach, t + 1)
+                   for v in range(b, u + reach + 1))
+
+    dp = [0] * n
+    for b in range(1, n):
+        dp[b] = min(dp[t] + price(t, b) for t in range(max(0, b - reach), b))
+    assert wtap.cheapest_disjoint_uplink_cover(inst).weight == dp[-1]
+
+
+def test_table_size_budget(monkeypatch):
+    # the slot count is known before anything is allocated; past the
+    # budget the table build raises instead of allocating
+    inst = wtap.gen_fig2(4, 10)
+    slots = wtap.vertical_cost_table(inst).anc_off[-1]
+    monkeypatch.setattr(model, "TABLE_SLOT_BUDGET", slots)
+    assert wtap.cheapest_disjoint_uplink_cover(inst).weight == 88
+    monkeypatch.setattr(model, "TABLE_SLOT_BUDGET", slots - 1)
+    with pytest.raises(wtap.TableTooLargeError, match=f"needs {slots} slots"):
+        wtap.cheapest_disjoint_uplink_cover(inst)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import wtap
+from wtap import model
 from wtap.bench import bench
 from wtap.cli import main
 
@@ -92,6 +93,23 @@ def test_malformed_json_link_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("header", [
+    '"n":2,"root":0,"edges":null',
+    '"n":2,"root":0,"edges":[5]',
+    '"n":2.5,"root":0,"edges":[[0,1]]',
+    '"n":2,"root":true,"edges":[[0,1]]',
+    '"n":null,"root":0,"edges":[[0,1]]',
+])
+def test_malformed_json_header_exit_code(tmp_path, capsys, header):
+    # a header field of the wrong type: exit 2, an error line, no traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text('{' + header + ',"links":[{"u":0,"v":1,"w":1}]}')
+    code, out, err = run_cli(["solve", "--algorithm", "uplink2", str(bad)], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error: cannot parse instance")
+    assert "Traceback" not in err
+
+
 def test_malformed_text_exit_code(tmp_path, capsys):
     # A truncated file and a link line without a weight: an error line, no traceback.
     for i, doc in enumerate(["3 0\n0 1\n", "3 0\n0 1\n1 2\n1\n0 2\n"]):
@@ -157,6 +175,18 @@ def test_budget_exit_code(tmp_path, capsys):
              "--out", str(inst_path)], capsys)
     code, _, err = run_cli(["exact", "--max-links", "3", str(inst_path)], capsys)
     assert code == 3
+
+
+def test_table_size_budget_exit_code(tmp_path, capsys, monkeypatch):
+    # tree tables past the slot budget: exit 3 and an error line, before
+    # anything is allocated
+    inst_path = tmp_path / "inst.json"
+    run_cli(["gen", "fig2", "--d", "4", "--M", "10", "--out", str(inst_path)], capsys)
+    monkeypatch.setattr(model, "TABLE_SLOT_BUDGET", 1)
+    code, out, err = run_cli(["solve", "--algorithm", "uplink2", str(inst_path)], capsys)
+    assert code == 3
+    assert out == "" and err.startswith("error: vertical cost table needs")
+    assert "Traceback" not in err
 
 
 def test_weight_overflow_exit_code(tmp_path, capsys):

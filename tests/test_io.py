@@ -129,3 +129,30 @@ def test_malformed_json_link_raises_value_error(links, match):
     doc = '{"n":2,"root":0,"edges":[[0,1]],"links":' + links + '}'
     with pytest.raises(ValueError, match=match):
         wio.loads_json(doc)
+
+
+@pytest.mark.parametrize("header, match", [
+    ('"n":2,"root":0,"edges":null', "'edges' is not a list: None"),
+    ('"n":2,"root":0,"edges":[5]', "edge 0 is not a pair of integers: 5"),
+    ('"n":2,"root":0,"edges":[[0]]', r"edge 0 is not a pair of integers: \[0\]"),
+    ('"n":2,"root":0,"edges":[[0,1,2]]', "edge 0 is not a pair of integers"),
+    ('"n":2,"root":0,"edges":[[0,true]]', "edge 0 is not a pair of integers"),
+    ('"n":2,"root":0,"edges":[[0,1.0]]', "edge 0 is not a pair of integers"),
+    ('"n":2,"root":0,"edges":{"0":1}', "'edges' is not a list"),
+    ('"n":2.5,"root":0,"edges":[[0,1]]', "'n' Fraction.* and 'root' 0 must be integers"),
+    ('"n":null,"root":0,"edges":[[0,1]]', "'n' None and 'root' 0 must be integers"),
+    ('"n":2,"root":true,"edges":[[0,1]]', "'n' 2 and 'root' True must be integers"),
+    ('"n":"2","root":0,"edges":[[0,1]]', "must be integers"),
+    ('"n":2,"root":0,"edges":[[0,1]],"meta":null', "'meta' is not an object"),
+    ('"n":2,"root":0,"edges":[[0,1]],"meta":{"scale":2.5}', "positive integer 'scale'"),
+    ('"n":2,"root":0,"edges":[[0,1]],"meta":{"scale":0}', "positive integer 'scale'"),
+])
+def test_malformed_json_header_raises_value_error(header, match):
+    doc = '{' + header + ',"links":[{"u":0,"v":1,"w":1}]}'
+    with pytest.raises(ValueError, match=match):
+        wio.loads_json(doc)
+
+
+def test_json_instance_must_be_an_object():
+    with pytest.raises(ValueError, match="instance is not an object"):
+        wio.loads_json('[{"n":2}]')
