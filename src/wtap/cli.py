@@ -78,8 +78,8 @@ def _nonnegative_fraction(text: str) -> Fraction:
     return value
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer of at least ``low``."""
+def _int_at_least(low: int, most: int | None = None):
+    """An argparse type: an integer of at least ``low`` and at most ``most``."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -87,6 +87,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {text!r}")
         return value
     return parse
 
@@ -253,8 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     g_rand = gen_sub.add_parser("random")
     g_rand.add_argument("--n", type=_positive_int, required=True)
     g_rand.add_argument("--links", type=_nonnegative_int, required=True)
-    g_rand.add_argument("--weight-max", dest="weight_max", type=_positive_int,
-                        default=10)
+    # weights are drawn as int64, so weight_max + 1 must not pass 2**63
+    g_rand.add_argument("--weight-max", dest="weight_max",
+                        type=_int_at_least(1, 2**63 - 1), default=10)
     g_rand.add_argument("--seed", type=_nonnegative_int, default=0)
     g_rand.add_argument("--out")
     g_fig2 = gen_sub.add_parser("fig2")

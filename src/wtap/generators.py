@@ -1,10 +1,21 @@
 """Seeded instance generators.
 
-Random generation uses numpy's PCG64 with fixed per-purpose child streams
+Random generation draws from fixed per-purpose child streams of the seed
 (tree=0, links=1, weights=2), so reruns with the same seed are byte-identical
-and adding a later stage never perturbs earlier draws.  numpy is imported
-on the first draw, not with the package: generating instances is the only
-part of ``wtap`` that needs it.
+and adding a later stage never perturbs earlier draws.  Each stream is numpy's
+``Generator(PCG64(SeedSequence(seed, spawn_key=(purpose,))))`` rebuilt in
+plain Python, draw for draw, so ``wtap`` needs no numpy:
+
+* seeding is SeedSequence's hash mix of the entropy words into a pool of
+  four, expanded by ``generate_state(4, uint64)`` and fed to
+  ``PCG64.set_seed``;
+* the generator is PCG64: a 128-bit LCG step, then the XSL-RR output
+  (O'Neill 2014, "PCG: A Family of Simple Fast Space-Efficient
+  Statistically Good Algorithms for Random Number Generation");
+* bounded integers follow numpy's ``random_bounded_uint64_fill``: Lemire's
+  multiply-and-reject method (Lemire, "Fast Random Integer Generation in an
+  Interval", ACM TOMACS 2019) on a buffered 32-bit draw for ranges of up
+  to 2^32 values, on a 64-bit draw above.
 
 ``gen_fig2`` and ``gen_fig3`` build the two structured families used by the
 test harness: a pendant-path family on which no small component improves the
@@ -14,18 +25,176 @@ a single dependency path.
 
 from __future__ import annotations
 
+import operator
+
 from .baseline import UpPath, uplink_from_link
 from .model import Instance, Link, uncovered_edges
 
 
-def _stream(seed: int, purpose: int):
-    """numpy's PCG64 child stream ``purpose`` of ``seed``.
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 
-    numpy is imported here, on first use, so that solving never loads it.
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+# PCG's default 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words32(value: int) -> list[int]:
+    """``value`` as little-endian 32-bit words; 0 is one zero word."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _seed_state(seed: int, purpose: int) -> tuple[int, int]:
+    """PCG64's (initstate, initseq) from ``seed`` and ``purpose``.
+
+    Mirrors, for ``SeedSequence(seed, spawn_key=(purpose,))``,
+    ``get_assembled_entropy``, ``mix_entropy`` and
+    ``generate_state(4, uint64)``: the entropy is padded with zero words to
+    the pool size because a spawn key follows it.  Each of the pair is two
+    of the four 64-bit words, high word first, as ``pcg64_set_seed`` reads
+    them.
     """
-    from numpy.random import PCG64, Generator, SeedSequence
+    entropy = _words32(seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    entropy += _words32(purpose)
 
-    return Generator(PCG64(SeedSequence(seed, spawn_key=(purpose,))))
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    # generate_state(4, uint64): eight 32-bit words, cycling over the pool
+    hash_const = _INIT_B
+    state32 = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        state32.append(value ^ (value >> 16))
+    w = [state32[2 * j] | state32[2 * j + 1] << 32 for j in range(4)]
+    return w[0] << 64 | w[1], w[2] << 64 | w[3]
+
+
+class _PCG64:
+    """PCG64 with XSL-RR output, and numpy's bounded draws on top of it.
+
+    A 32-bit draw is the low half of a 64-bit draw, whose high half is kept
+    for the next 32-bit draw, as in numpy's ``pcg64_next32``; 64-bit draws
+    leave that half in place.
+    """
+
+    __slots__ = ("_state", "_inc", "_half")
+
+    def __init__(self, initstate: int, initseq: int):
+        # pcg_setseq_128_srandom_r: state 0, step, add the seed, step.
+        self._inc = (initseq << 1 | 1) & _MASK128
+        self._state = ((self._inc + initstate) * _PCG_MULT + self._inc) & _MASK128
+        self._half = None
+
+    def _next64(self) -> int:
+        state = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        value = ((state >> 64) ^ state) & _MASK64
+        rot = state >> 122
+        return ((value >> rot) | (value << (64 - rot))) & _MASK64
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        value = self._next64()
+        self._half = value >> 32
+        return value & _MASK32
+
+    def integers(self, low: int, high: int) -> int:
+        """A uniform integer in ``[low, high)``, as numpy draws it."""
+        if not -(1 << 63) <= low < high <= 1 << 63:
+            raise ValueError("integers needs -2**63 <= low < high <= 2**63, "
+                             f"got low={low}, high={high}")
+        # numpy's random_bounded_uint64_fill with cnt=1: no draw for a single
+        # value, else Lemire on a 32-bit draw up to 2**32 values and on a
+        # 64-bit draw above.  numpy returns the raw draw for exactly 2**32 or
+        # 2**64 values; Lemire gives the same there, with threshold 0.
+        span = high - low
+        if span == 1:
+            return low
+        if span <= 1 << 32:
+            draw, bits = self._next32, 32
+        else:
+            draw, bits = self._next64, 64
+        mask = (1 << bits) - 1
+        m = draw() * span
+        if m & mask < span:
+            threshold = (1 << bits) % span
+            while m & mask < threshold:
+                m = draw() * span
+        return low + (m >> bits)
+
+    def shuffle(self, items: list) -> None:
+        """Shuffle a list in place, as numpy's ``Generator.shuffle`` does.
+
+        Fisher-Yates with numpy's ``random_interval``: draw under the
+        smallest bit mask covering ``i`` and reject draws above ``i``.
+        """
+        for i in reversed(range(1, len(items))):
+            mask = (1 << i.bit_length()) - 1
+            draw = self._next32 if i <= _MASK32 else self._next64
+            j = draw() & mask
+            while j > i:
+                j = draw() & mask
+            items[i], items[j] = items[j], items[i]
+
+
+def _stream(seed: int, purpose: int) -> _PCG64:
+    """numpy's ``Generator(PCG64(SeedSequence(seed, spawn_key=(purpose,))))``.
+
+    Rebuilt draw for draw from three published algorithms, each mirroring
+    the numpy routine named:
+
+    * SeedSequence's hash mix (``get_assembled_entropy``, ``mix_entropy``,
+      ``generate_state(4, uint64)``) and ``pcg64_set_seed``;
+    * PCG64's 128-bit LCG step and XSL-RR output (``pcg64_next64``, and
+      ``pcg64_next32`` with its buffered half);
+    * Lemire's bounded integers (``random_bounded_uint64_fill`` with
+      ``cnt=1``), behind ``integers(low, high)`` with the int64 dtype.
+
+    ``shuffle`` of a list mirrors ``Generator.shuffle`` too; the tests use it.
+
+    Raises ``TypeError`` for a seed that is not an integer and
+    ``ValueError`` for a negative one, as SeedSequence does.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return _PCG64(*_seed_state(seed, purpose))
 
 
 def gen_random(n: int, link_count: int, weight_max: int, seed: int) -> Instance:
@@ -42,7 +211,7 @@ def gen_random(n: int, link_count: int, weight_max: int, seed: int) -> Instance:
     if weight_max < 1:
         raise ValueError("weight_max must be at least 1")
     rng_tree = _stream(seed, 0)
-    edges = [(int(rng_tree.integers(0, i)), i) for i in range(1, n)]
+    edges = [(rng_tree.integers(0, i), i) for i in range(1, n)]
 
     rng_links = _stream(seed, 1)
     pairs: list[tuple[int, int]] = []
@@ -51,8 +220,8 @@ def gen_random(n: int, link_count: int, weight_max: int, seed: int) -> Instance:
     max_attempts = 20 * link_count + 100
     while len(pairs) < link_count and attempts < max_attempts:
         attempts += 1
-        u = int(rng_links.integers(0, n))
-        v = int(rng_links.integers(0, n))
+        u = rng_links.integers(0, n)
+        v = rng_links.integers(0, n)
         if u == v:
             continue
         key = (min(u, v), max(u, v))
@@ -62,7 +231,7 @@ def gen_random(n: int, link_count: int, weight_max: int, seed: int) -> Instance:
         pairs.append(key)
 
     rng_w = _stream(seed, 2)
-    weights = [int(rng_w.integers(1, weight_max + 1)) for _ in pairs]
+    weights = [rng_w.integers(1, weight_max + 1) for _ in pairs]
     links = [Link(id=i, u=u, v=v, weight=w)
              for i, ((u, v), w) in enumerate(zip(pairs, weights))]
 

@@ -157,6 +157,7 @@ def test_bad_argument_exit_code(tmp_path, capsys, args, flag):
     (["fig2", "--d", "1", "--M", "5"], "--d"),
     (["fig2", "--d", "4", "--M", "0"], "--M"),
     (["fig3", "--m", "0"], "--m"),
+    (["random", "--n", "5", "--links", "3", "--weight-max", str(2**63)], "--weight-max"),
 ])
 def test_bad_gen_argument_exit_code(capsys, args, flag):
     # numbers no instance can be generated from are usage errors too
@@ -211,6 +212,26 @@ def test_solving_does_not_import_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_generating_does_not_import_numpy(tmp_path):
+    # the random stream is plain Python, drawn as numpy's PCG64 would draw it
+    out = tmp_path / "inst.json"
+    code = (
+        "import sys\n"
+        "from wtap import gen_fig2, gen_fig3, gen_random\n"
+        "from wtap.cli import main\n"
+        f"assert main(['gen', 'random', '--n', '9', '--links', '6', '--seed', '5',"
+        f" '--out', {str(out)!r}]) == 0\n"
+        "gen_random(12, 20, 2**40, 7)\n"
+        "gen_fig2(4, 10)\n"
+        "gen_fig3(3)\n"
+        "sys.exit('numpy' in sys.modules)\n")
+    src = str(Path(wtap.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(out.read_text())["n"] == 9
 
 
 def test_bench_json_csv_and_determinism(tmp_path, capsys):
