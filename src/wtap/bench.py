@@ -29,6 +29,10 @@ CSV_COLUMNS = ["instance", "algorithm", "n", "links", "weight",
                "exact_weight", "ratio", "iterations", "status", "wall_time_ms"]
 
 
+class ConfigError(ValueError):
+    """The config itself is malformed: no row can be run from it."""
+
+
 def _materialize_instances(config: dict) -> list[tuple[str, dict, Instance]]:
     out = []
     for entry in config.get("instances", []):
@@ -45,6 +49,8 @@ def _materialize_instances(config: dict) -> list[tuple[str, dict, Instance]]:
             seed0 = int(entry.get("seed", 0))
             wmax = int(entry.get("weight_max", 10))
             span = n_max - n_min + 1
+            if span < 1:
+                raise ValueError(f"n_min {n_min} is above n_max {n_max}")
             for i in range(count):
                 n = n_min + (i % span)
                 links = int(entry["links"]) if "links" in entry else n
@@ -89,11 +95,28 @@ def _algo_id(algo: dict) -> str:
 
 
 def bench(config: dict, timings: bool = False) -> dict:
-    """Run every (instance, algorithm) pair; per-row errors never abort."""
+    """Run every (instance, algorithm) pair; per-row errors never abort.
+
+    A malformed config raises ``ConfigError`` before any row runs.
+    """
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    algos = config.get("algorithms", [])
+    if not (isinstance(algos, list)
+            and all(isinstance(a, dict) and "name" in a for a in algos)):
+        raise ConfigError('"algorithms" must be a list of objects with a "name"')
     oracle_cfg = config.get("oracle", {})
-    budget = OracleBudget(max_links=int(oracle_cfg.get("max_links", 18)))
+    if not isinstance(oracle_cfg, dict):
+        raise ConfigError('"oracle" must be an object')
+    try:
+        budget = OracleBudget(max_links=int(oracle_cfg.get("max_links", 18)))
+        instances = _materialize_instances(config)
+    except KeyError as exc:
+        raise ConfigError(f"missing key {exc}") from exc
+    except (TypeError, ValueError, OSError) as exc:
+        raise ConfigError(str(exc)) from exc
     rows: list[dict[str, Any]] = []
-    for name, params, inst in _materialize_instances(config):
+    for name, params, inst in instances:
         issues = validate(inst)
         exact_weight = None
         if not issues and len(inst.links) <= budget.max_links:
@@ -101,7 +124,7 @@ def bench(config: dict, timings: bool = False) -> dict:
                 exact_weight = exact_opt(inst, budget).weight
             except BudgetExceededError:
                 exact_weight = None
-        for algo in config.get("algorithms", []):
+        for algo in algos:
             row: dict[str, Any] = {
                 "instance": name,
                 "algorithm": _algo_id(algo),

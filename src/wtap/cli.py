@@ -22,7 +22,8 @@ from .decomposition import decompose, verify_cover_structure
 from .generators import gen_fig2, gen_fig3, gen_random
 from .greedy import solve as greedy_solve
 from .greedy import two_approx_only
-from .model import Instance, TableTooLargeError, WeightOverflowError, validate
+from .model import (Instance, TableTooLargeError, WeightOverflowError,
+                    uncovered_edges, validate)
 from .oracle import BudgetExceededError, OracleBudget, exact_opt
 from .ratio import best_ratio_component
 
@@ -208,10 +209,20 @@ def _cmd_decompose(args) -> None:
         raise _CliError(f"cannot parse solution file: {exc}", EXIT_VALIDATION)
     if isinstance(data, dict) and "links" in data:
         f_ids = data["links"]
-    elif isinstance(data, dict) and "solution" in data:
-        f_ids = data["solution"]["links"]
+    elif isinstance(data, dict) and isinstance(data.get("solution"), dict):
+        f_ids = data["solution"].get("links")
     else:
         f_ids = data
+    m = len(inst.links)
+    if not (isinstance(f_ids, list)
+            and all(type(i) is int and 0 <= i < m for i in f_ids)):
+        raise _CliError(f"solution links must be a list of link ids in [0, {m})",
+                        EXIT_VALIDATION)
+    bare = uncovered_edges(inst, ((inst.links[i].u, inst.links[i].v) for i in f_ids))
+    if bare:
+        v = bare[0]
+        raise _CliError(f"solution leaves {len(bare)} tree edges uncovered, "
+                        f"({inst.index.parent[v]}, {v}) first", EXIT_VALIDATION)
     uplinks = list(cheapest_disjoint_uplink_cover(inst).paths)
     dec = decompose(inst, f_ids, uplinks, args.eps)
     report = verify_cover_structure(inst, f_ids, uplinks)
@@ -233,7 +244,10 @@ def _cmd_bench(args) -> None:
         config = json.loads(Path(args.config).read_text())
     except (OSError, ValueError) as exc:
         raise _CliError(f"cannot parse config: {exc}", EXIT_VALIDATION)
-    report = bench_mod.bench(config, timings=args.timings)
+    try:
+        report = bench_mod.bench(config, timings=args.timings)
+    except bench_mod.ConfigError as exc:
+        raise _CliError(f"invalid config {args.config}: {exc}", EXIT_VALIDATION)
     if args.format == "csv":
         text = bench_mod.report_to_csv(report)
     else:

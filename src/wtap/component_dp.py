@@ -16,14 +16,17 @@ therefore keyed by v, the sorted endpoints below v of its Y links, and x.
 Which states the root reaches, each one's candidate link sets Z (links with
 apex v), the child states each candidate combines and whether it is
 feasible do not depend on rho.  ``ComponentSearch`` therefore compiles them
-once into a flat plan, listed in post-order so that every state follows the
-states it reads; each probe is then one bottom-up integer sweep over it.
+once into a flat plan, listed top-down: vertices in BFS order, the states of
+one vertex contiguous, so every state precedes the states it reads; each
+probe is then one integer sweep over the plan from its end.  ``_candidates``
+is the one place that says what a state reads: the compile lists each
+requested state's candidates through it once, then prunes the infeasible.
 
 Removing up-links from U, together with their search links, only takes
 candidates, states and PLUS alternatives away, and no key names a link.
-``drop_uplinks`` therefore prunes the plan in place with three linear passes
-instead of compiling it again, and the relative greedy compiles one plan per
-solve.
+``drop_uplinks`` therefore prunes the plan in place, with the keep-reached
+and renumber pass the compile ends with, instead of compiling it again, and
+the relative greedy compiles one plan per solve.
 
 All slack values are integers in units of 1/q: slack * q = p*w(drop) - q*w(C).
 Inside the plan, link sets are bitmasks over the alphabet the search was
@@ -36,9 +39,10 @@ change.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations, compress, count
 from typing import Iterable, Iterator, Sequence
 
 from ._kernels import lex_less
@@ -115,10 +119,10 @@ class _Plan:
     ``term_ze[t]`` by entry ``term_ch[t]``, or by entry ``term_pl[t]`` plus
     rho * ``term_uw[t]`` when that is at least as large (``term_pl[t]`` is
     -1 when there is no such choice, and ``term_uw[t]`` then means nothing).
-    ``ze[v]`` is the empty-boundary entry (v, {}, -) and ``zero[v]`` lists
-    those of v's children.  States come in post-order of their vertices, so
-    each follows the entries it reads, and those of one vertex are
-    contiguous.  ``root`` is the entry (root, {}, -).
+    ``zero[v]`` lists the empty-boundary entries (c, {}, -) of v's children.
+    States come top-down, their vertices in BFS order, so each precedes the
+    entries it reads, and those of one vertex are contiguous.  State 0 is
+    the root's (root, {}, -).
     """
 
     def __init__(self, n: int):
@@ -132,17 +136,98 @@ class _Plan:
         self.term_ch: list[int] = []
         self.term_pl: list[int] = []
         self.term_uw: list[int] = []
-        self.zero: list[list[int] | None] = [None] * n
-        self.ze = [-1] * n
-        self.root = -1
+        self.zero: list[list[int]] = [[] for _ in range(n)]
+
+    def prune(self, live: bytearray, keep: bytearray,
+              names: Sequence[int]) -> None:
+        """Keep the states the root reaches, renumbered in order, in place.
+
+        ``zero``, ``term_ze``, ``term_ch``, ``term_pl`` and ``live`` call
+        state s ``names[s]``; afterwards the columns hold the new state ids.
+        ``keep`` marks the candidates that stay; each reads only states that
+        have one.  ``live`` marks the states that may still be taken as a
+        PLUS alternative.  Top-down from the root, a state is reached through
+        its vertex's empty-boundary entries and the kept candidates' terms,
+        whose PLUS alternative counts only if its state is live; one that
+        went becomes -1.
+        """
+        vert, key = self.vert, self.key
+        cand_lo, cand_w, cand_z = self.cand_lo, self.cand_w, self.cand_z
+        term_lo, term_ze, term_ch = self.term_lo, self.term_ze, self.term_ch
+        term_pl, term_uw = self.term_pl, self.term_uw
+
+        nst = len(vert)
+        reach = bytearray(nst)  # by name
+        reach[names[0]] = 1
+        for s in range(nst):
+            if not reach[names[s]]:
+                continue
+            for e in self.zero[vert[s]]:
+                reach[e] = 1
+            lo, hi = cand_lo[s], cand_lo[s + 1]
+            if keep.find(0, lo, hi) < 0:  # all kept: one span of terms
+                spans = [(term_lo[lo], term_lo[hi])]
+            else:
+                spans = [(term_lo[c], term_lo[c + 1])
+                         for c in compress(range(lo, hi), keep[lo:hi])]
+            for a, b in spans:
+                for e in term_ch[a:b]:
+                    reach[e] = 1
+                for e in term_pl[a:b]:
+                    if e >= 0 and live[e]:
+                        reach[e] = 1
+
+        # Renumber in order, in place: every write index trails its read
+        # index, and a bound is read before the slot that holds it is
+        # written.  new[-1] stays -1, so a PLUS alternative that went maps
+        # to -1.
+        new = [-1] * (nst + 1)
+        ns = nc = 0
+        hi = cand_lo[0]
+        for s in range(nst):
+            lo, hi = hi, cand_lo[s + 1]
+            if not reach[names[s]]:
+                keep[lo:hi] = bytes(hi - lo)
+                continue
+            new[names[s]] = ns
+            vert[ns] = vert[s]
+            key[ns] = key[s]
+            nc += keep.count(1, lo, hi)
+            ns += 1
+            cand_lo[ns] = nc
+        tkeep = bytearray(b"\x01") * len(term_ch)
+        c = keep.find(0)
+        while c >= 0:
+            tkeep[term_lo[c]:term_lo[c + 1]] = bytes(term_lo[c + 1] - term_lo[c])
+            c = keep.find(0, c + 1)
+        nt = 0
+        for i, c in enumerate(compress(range(len(cand_w)), keep)):
+            cand_w[i] = cand_w[c]
+            cand_z[i] = cand_z[c]
+            nt += term_lo[c + 1] - term_lo[c]
+            term_lo[i + 1] = nt
+        for col in (term_ze, term_ch, term_pl):
+            for i, e in enumerate(compress(col, tkeep)):
+                col[i] = new[e]
+        for i, w in enumerate(compress(term_uw, tkeep)):
+            term_uw[i] = w
+        for col, size in ((vert, ns), (key, ns), (cand_lo, ns + 1),
+                          (cand_w, nc), (cand_z, nc), (term_lo, nc + 1),
+                          (term_ze, nt), (term_ch, nt), (term_pl, nt),
+                          (term_uw, nt)):
+            del col[size:]
+        if -1 in term_ch:
+            raise AssertionError("a kept candidate reads an entry that went")
+        self.zero = [[new[e] for e in zs] for zs in self.zero]
 
 
 class _Sweep:
     """One probe: every state's value at rho = p/q, link sets on demand.
 
     ``val[s]`` is state s's slack * q and ``pick[s]`` its best candidate,
-    found in one pass in plan order.  Link sets are needed only to break
-    ties and to answer, so ``mask`` composes them from the picks when asked.
+    found in one pass from the plan's end, so every state comes after the
+    states it reads.  Link sets are needed only to break ties and to
+    answer, so ``mask`` composes them from the picks when asked.
     """
 
     def __init__(self, plan: _Plan, p: int, q: int):
@@ -155,9 +240,11 @@ class _Sweep:
         cand_lo, cand_w = plan.cand_lo, plan.cand_w
         term_lo, term_ze, term_ch = plan.term_lo, plan.term_ze, plan.term_ch
         term_pl, term_uw, zero = plan.term_pl, plan.term_uw, plan.zero
+        vert = plan.vert
         at = -1
         zs = 0
-        for s, v in enumerate(plan.vert):
+        for s in range(nst - 1, -1, -1):
+            v = vert[s]
             if v != at:  # a vertex's states are contiguous
                 at = v
                 zs = 0
@@ -195,8 +282,7 @@ class _Sweep:
 
     def root(self) -> tuple[int, int]:
         """The plan root's slack * q and link-set mask."""
-        s = self.plan.root
-        return self.val[s], self.mask(s)
+        return self.val[0], self.mask(0)
 
     def _parts(self, s: int, c: int) -> list[int]:
         """The states whose sets candidate c of state s combines."""
@@ -358,7 +444,8 @@ class ComponentSearch:
         ``ComponentSearch(instance, U', k, alphabet')`` would, with the same
         states and candidates; the states of one vertex may come in another
         order.  Only the up-link structures are rebuilt; the plan is pruned
-        in place (see ``_restrict``).
+        in place by ``_restrict``, which ends with the pass the compile ends
+        with, ``_Plan.prune``.
         """
         gone = set(indices)
         if not gone <= set(range(len(self.uplinks))):
@@ -378,22 +465,13 @@ class ComponentSearch:
         self._restrict(cut)
         self._fresh()
 
-    def extract_root(self) -> SlackResult:
-        """The table's answer: the entry for (root, empty boundary, -).
-
-        Requires a prior ``max_slack`` call, whose rho it reuses.
-        """
-        return self.result_for(*self._probed().root())
-
-    def _probed(self) -> _Sweep:
-        if self._last is None:
-            raise RuntimeError("no probe yet: call max_slack first")
-        return self._last
-
     def entries(self) -> Iterator[tuple[int, tuple[int, ...], int, int, int]]:
         """Every compiled state as (v, endpoints below v of its boundary
         links, x, slack * q, C mask over the current alphabet) at the last rho."""
-        plan, sw = self._plan, self._probed()
+        sw = self._last
+        if sw is None:
+            raise RuntimeError("no probe yet: call max_slack first")
+        plan = self._plan
         return ((v, ends, x, sw.val[s], self._current(sw.mask(s)))
                 for s, (v, (ends, x)) in enumerate(zip(plan.vert, plan.key)))
 
@@ -420,19 +498,25 @@ class ComponentSearch:
                         down[child] = down.get(child, ()) + (e,)
                 yield zsize, zweight, zmask, tuple(down.items())
 
-    def _frame(self, v: int, ends: tuple[int, ...], x: int
-               ) -> tuple[int, dict[int, tuple[int, ...]], int]:
-        """What state (v, ends, x) fixes for its candidates: ``(cstar, ybase, avail)``.
+    def _candidates(self, v: int, ends: tuple[int, ...], x: int):
+        """Yield the candidate specs ``(w(Z), Z mask, terms)`` of state (v, ends, x).
 
-        ``cstar`` is the child the up-link entering v continues into when x
-        is PLUS (every candidate must send a link down into it), else -1;
-        ``ybase`` maps each child the boundary links go down into to their
-        endpoints below it, sorted; ``avail`` is how many apex links of v a
-        candidate may still add.
+        This is the one place that says what a state reads.  A candidate
+        adds at most k - |ends| apex links Z of v.  When x is PLUS an up-link
+        must enter v (else there is no candidate), and when it goes on into
+        a child, cstar, some boundary or Z link must go down into cstar too.
+        A term ``(child, key, plus_key, up_weight)`` reads the child's entry
+        with key ``key`` (as in ``_Plan.key``): the endpoints below v in that
+        child's subtree, and PLUS for cstar, else MINUS.  When an up-link
+        hangs from v into that child, its PLUS entry ``plus_key`` may be
+        taken instead with the up-link's weight as bonus (otherwise
+        ``plus_key`` is None).  Children no link goes down into have no term.
         """
         cstar = -1
         if x == PLUS:
             u = self.crossing[v]
+            if u < 0:
+                return
             if self.uplinks[u].bottom != v:
                 cstar = self.u_step[(u, v)]
         toward = self.idx.child_toward
@@ -441,18 +525,7 @@ class ComponentSearch:
             if e != v:
                 c = toward(v, e)
                 ybase[c] = ybase.get(c, ()) + (e,)
-        return cstar, ybase, self.k - len(ends)
-
-    def _candidates(self, v: int, ends: tuple[int, ...], x: int):
-        """Yield the candidate specs ``(w(Z), Z mask, terms)`` of state (v, ends, x).
-
-        When x is PLUS an up-link must enter v.  A term ``(child, key,
-        plus_key, up_weight)`` reads the child's entry with key ``key`` (as in
-        ``_Plan.key``); when an up-link hangs from v into that child, its
-        PLUS entry ``plus_key`` may be taken instead with the up-link's
-        weight as bonus (otherwise ``plus_key`` is None).
-        """
-        cstar, ybase, avail = self._frame(v, ends, x)
+        avail = self.k - len(ends)
         hang_weight = self.hang_weight
         for zsize, zweight, zmask, down in self._zsets(v):
             if zsize > avail:
@@ -472,163 +545,87 @@ class ComponentSearch:
                     terms.append((child, (ce, want), None, 0))
             yield zweight, zmask, terms
 
-    def _child_keys(self, v: int, ends: tuple[int, ...], x: int,
-                    into: dict[int, int], subsets: dict[int, list]):
-        """Yield ``(child, key)`` for every entry the candidates of (v, ends, x) read.
-
-        They are the keys of ``_candidates``' terms, found per child without
-        enumerating the candidates: for child c and each set S of apex links
-        of v going down into c with |S| <= avail, the endpoints below c of
-        the boundary links and of S (none at all is left out: c's empty
-        entry is read through ``_Plan.zero``).  ``into`` and ``subsets`` are
-        ``_apex_down(v)``.  When x is PLUS, S must leave room for a
-        candidate that sends a link into cstar: the boundary does already,
-        or S does, or a further apex link can within avail (one that goes
-        into cstar and not into c, as it must not join S).
-        """
-        cstar, ybase, avail = self._frame(v, ends, x)
-        free = cstar < 0 or cstar in ybase
-        need = 0 if free else into.get(cstar, 0)
-        for c in dict.fromkeys([*ybase, *subsets]):
-            base = ybase.get(c, ())
-            spare = not free and need & ~into.get(c, 0) != 0
-            uw = self.hang_weight[c]
-            x_c = PLUS if c == cstar else MINUS
-            for size, s, s_ends in subsets.get(c, ((0, 0, ()),)):
-                if size > avail:
-                    break
-                if not (free or s & need or (spare and size < avail)):
-                    continue
-                ce = tuple(sorted(base + s_ends))
-                if not ce:
-                    continue
-                if uw >= 0:
-                    yield c, (ce, MINUS)
-                    yield c, (ce, PLUS)
-                else:
-                    yield c, (ce, x_c)
-
-    def _apex_down(self, v: int) -> tuple[dict[int, int], dict[int, list]]:
-        """Per child c of v: the mask of v's apex links that go down into c,
-        and the sets of at most k of them as ``(size, mask, endpoints below
-        c)``, by size."""
-        into: dict[int, int] = {}
-        legs_of: dict[int, list[tuple[int, int]]] = {}
-        for lid in self.apex_ids[v]:
-            for child, e in self.legs[lid]:
-                into[child] = into.get(child, 0) | (1 << lid)
-                legs_of.setdefault(child, []).append((lid, e))
-        subsets = {child: [(size, sum(1 << i for i, _ in combo),
-                            tuple(sorted(e for _, e in combo)))
-                           for size in range(min(self.k, len(legs)) + 1)
-                           for combo in combinations(legs, size)]
-                   for child, legs in legs_of.items()}
-        return into, subsets
-
     def _compile(self) -> _Plan:
-        """Plan for the states reachable from (root, {}, -).
+        """Plan for the states reachable from (root, {}, -), in two steps.
 
-        A depth-first walk over the tree with an explicit stack.  On the
-        way down, each state requested at a vertex requests, child by child,
-        the entries its candidates read (``_child_keys``), without
-        enumerating the candidates.  On the way up (post-order), each state
-        is added with the candidates whose entries are all feasible, and
-        gets its id; a state left with no candidate gets -1 and is left out.
+        1. List: visit the vertices in BFS order.  Each state requested at
+           a vertex is appended with every candidate ``_candidates`` lists
+           for it, and requests the child entries their terms name (and,
+           before any, the children's empty-boundary entries).  Entries
+           are named by the order of their first request.
+        2. Prune: bottom-up, a PLUS state drops the candidates that read an
+           entry left with no candidate (a MINUS state reads only MINUS
+           entries, which all keep the empty Z); then ``_Plan.prune`` keeps
+           what the root reaches and renumbers names to states.
         """
-        children = self.idx.children
-        root = self.instance.root
-        plan = _Plan(self.instance.n)
-        # per vertex: requested state key -> None, then its id once added
-        states: list[dict] = [{} for _ in range(self.instance.n)]
-        states[root][_EMPTY_KEY] = None
-        stack = [(root, False)]
-        while stack:
-            u, expanded = stack.pop()
-            got = states[u]
-            if expanded:
-                self._add_vertex(plan, u, got, states)
-                for c in children[u]:
-                    states[c] = {}  # read only by u's states
+        n, children = self.instance.n, self.idx.children
+        plan = _Plan(n)
+        cand_lo, cand_w, cand_z = plan.cand_lo, plan.cand_w, plan.cand_z
+        term_lo, term_ze, term_ch = plan.term_lo, plan.term_ze, plan.term_ch
+        term_pl, term_uw = plan.term_pl, plan.term_uw
+        names: list[int] = []  # state -> the name of its entry
+        # per vertex: requested key -> entry name, a fresh one on first request
+        asked: list[dict | None] = [None] * n
+        asked[self.instance.root] = {_EMPTY_KEY: 0}
+        fresh = count(1).__next__
+
+        for v in self.idx.bfs_order:
+            for c in children[v]:
+                asked[c] = defaultdict(fresh)
+            ze = {c: asked[c][_EMPTY_KEY] for c in children[v]}
+            plan.zero[v] = list(ze.values())
+            for key, e in asked[v].items():
+                names.append(e)
+                plan.vert.append(v)
+                plan.key.append(key)
+                for zweight, zmask, terms in self._candidates(v, *key):
+                    cand_w.append(zweight)
+                    cand_z.append(zmask)
+                    for child, ck, pk, uw in terms:
+                        got = asked[child]
+                        term_ze.append(ze[child])
+                        term_ch.append(got[ck])
+                        term_pl.append(-1 if pk is None else got[pk])
+                        term_uw.append(uw)
+                    term_lo.append(len(term_ze))
+                cand_lo.append(len(cand_w))
+            asked[v] = None  # only v's parent requests v's states
+
+        nst = len(names)
+        live = bytearray(nst)  # by name
+        keep = bytearray(len(cand_w))
+        for s in range(nst - 1, -1, -1):
+            lo, hi = cand_lo[s], cand_lo[s + 1]
+            if plan.key[s][1] == MINUS:
+                keep[lo:hi] = b"\x01" * (hi - lo)
+                live[names[s]] = hi > lo
                 continue
-            down = None
-            for key in got:
-                if not self._enters(u, key):
-                    continue
-                if down is None:
-                    down = self._apex_down(u)
-                    for c in children[u]:
-                        states[c].setdefault(_EMPTY_KEY, None)
-                for c, ck in self._child_keys(u, *key, *down):
-                    states[c].setdefault(ck, None)
-            stack.append((u, True))
-            stack.extend((c, False) for c in children[u])
-        plan.root = states[root][_EMPTY_KEY]
-        assert plan.root >= 0  # (root, {}, -) is always feasible
+            for c in range(lo, hi):
+                if all(live[e] for e in term_ch[term_lo[c]:term_lo[c + 1]]):
+                    keep[c] = live[names[s]] = 1
+        plan.prune(live, keep, names)
         return plan
-
-    def _enters(self, v: int, key: tuple) -> bool:
-        """False for a PLUS state at a vertex no up-link enters: infeasible."""
-        return key[1] == MINUS or self.crossing[v] >= 0
-
-    def _add_vertex(self, plan: _Plan, v: int, got: dict, states) -> None:
-        """Replace the entry of every state requested at v by its id."""
-        plan.zero[v] = [plan.ze[c] for c in self.idx.children[v]]
-        for key in got:
-            got[key] = (self._append_state(plan, v, key, self._candidates(v, *key),
-                                           states)
-                        if self._enters(v, key) else -1)
-        plan.ze[v] = got.get(_EMPTY_KEY, -1)
-
-    @staticmethod
-    def _append_state(plan: _Plan, v: int, key: tuple, cands, states) -> int:
-        """Append a state with its feasible candidates; its id, or -1 if none."""
-        c0 = len(plan.cand_w)
-        for zweight, zmask, terms in cands:
-            if key[1] == PLUS and any(states[child][ck] < 0
-                                      for child, ck, _, _ in terms):
-                continue  # only a PLUS state must read PLUS entries
-            plan.cand_w.append(zweight)
-            plan.cand_z.append(zmask)
-            for child, ck, pk, uw in terms:
-                plan.term_ze.append(plan.ze[child])
-                plan.term_ch.append(states[child][ck])
-                plan.term_pl.append(-1 if pk is None else states[child][pk])
-                plan.term_uw.append(uw)
-            plan.term_lo.append(len(plan.term_ze))
-        if len(plan.cand_w) == c0:
-            return -1
-        plan.vert.append(v)
-        plan.key.append(key)
-        plan.cand_lo.append(len(plan.cand_w))
-        return len(plan.vert) - 1
 
     def _restrict(self, gone: int) -> None:
         """Prune the plan to the current up-links, in place; ``gone`` masks
         the removed search links.
 
-        1. A candidate goes when its Z holds a removed link, and a PLUS
-           state when the up-link crossing its vertex was removed.  As
-           up-links are disjoint, every other state keeps a candidate, and
-           the state each term of a kept candidate reads is kept: a MINUS
-           state keeps the empty Z, and a PLUS state on a surviving up-link
-           keeps, for each candidate Z, Z minus the removed links, which go
-           down no edge of that up-link.
-        2. Top-down from the root: keep what the kept candidates read.  A
-           term's PLUS alternative goes when its state went, as it does when
-           the up-link hanging into that child was removed.
-        3. Renumber states, candidates and terms in order, in place.
+        A candidate goes when its Z holds a removed link, and a PLUS state
+        when the up-link crossing its vertex was removed; then
+        ``_Plan.prune``.  As up-links are disjoint, every other state keeps
+        a candidate, and the state each term of a kept candidate reads is
+        kept: a MINUS state keeps the empty Z, and a PLUS state on a
+        surviving up-link keeps, for each candidate Z, Z minus the removed
+        links, which go down no edge of that up-link.  A term's PLUS
+        alternative goes when its state went, as it does when the up-link
+        hanging into that child was removed.
         """
         plan = self._plan
-        vert, key = plan.vert, plan.key
-        cand_lo, cand_w, cand_z = plan.cand_lo, plan.cand_w, plan.cand_z
-        term_lo, term_ze, term_ch = plan.term_lo, plan.term_ze, plan.term_ch
-        term_pl, term_uw = plan.term_pl, plan.term_uw
+        vert, key, cand_lo, cand_z = plan.vert, plan.key, plan.cand_lo, plan.cand_z
         crossing = self.crossing
-
-        # 1. What survives.
         nst = len(vert)
         live = bytearray(nst)
-        keep = bytearray(len(cand_w))
+        keep = bytearray(len(cand_z))
         for s in range(nst):
             if key[s][1] == PLUS and crossing[vert[s]] < 0:
                 continue
@@ -636,70 +633,4 @@ class ComponentSearch:
             for c in range(cand_lo[s], cand_lo[s + 1]):
                 if not cand_z[c] & gone:
                     keep[c] = 1
-
-        # 2. Top-down: what the root reaches.  A PLUS alternative counts
-        # only if its state is live.
-        reach = bytearray(nst)
-        reach[plan.root] = 1
-        for s in range(nst - 1, -1, -1):
-            if not reach[s]:
-                continue
-            for e in plan.zero[vert[s]]:
-                reach[e] = 1
-            lo, hi = cand_lo[s], cand_lo[s + 1]
-            if keep.find(0, lo, hi) < 0:  # all kept: one span of terms
-                spans = [(term_lo[lo], term_lo[hi])]
-            else:
-                spans = [(term_lo[c], term_lo[c + 1])
-                         for c in compress(range(lo, hi), keep[lo:hi])]
-            for a, b in spans:
-                for e in term_ch[a:b]:
-                    reach[e] = 1
-                for e in term_pl[a:b]:
-                    if e >= 0 and live[e]:
-                        reach[e] = 1
-
-        # 3. Renumber in order, in place: every write index trails its read
-        # index, and a bound is read before the slot that holds it is
-        # written.  new[-1] stays -1, so a PLUS alternative that went maps
-        # to -1.
-        new = [-1] * (nst + 1)
-        ns = nc = 0
-        hi = cand_lo[0]
-        for s in range(nst):
-            lo, hi = hi, cand_lo[s + 1]
-            if not reach[s]:
-                keep[lo:hi] = bytes(hi - lo)
-                continue
-            new[s] = ns
-            vert[ns] = vert[s]
-            key[ns] = key[s]
-            nc += keep.count(1, lo, hi)
-            ns += 1
-            cand_lo[ns] = nc
-        tkeep = bytearray(b"\x01") * len(term_ch)
-        c = keep.find(0)
-        while c >= 0:
-            tkeep[term_lo[c]:term_lo[c + 1]] = bytes(term_lo[c + 1] - term_lo[c])
-            c = keep.find(0, c + 1)
-        nt = 0
-        for i, c in enumerate(compress(range(len(cand_w)), keep)):
-            cand_w[i] = cand_w[c]
-            cand_z[i] = cand_z[c]
-            nt += term_lo[c + 1] - term_lo[c]
-            term_lo[i + 1] = nt
-        for col in (term_ze, term_ch, term_pl):
-            for i, e in enumerate(compress(col, tkeep)):
-                col[i] = new[e]
-        for i, w in enumerate(compress(term_uw, tkeep)):
-            term_uw[i] = w
-        for col, size in ((vert, ns), (key, ns), (cand_lo, ns + 1),
-                          (cand_w, nc), (cand_z, nc), (term_lo, nc + 1),
-                          (term_ze, nt), (term_ch, nt), (term_pl, nt),
-                          (term_uw, nt)):
-            del col[size:]
-        if -1 in term_ch:
-            raise AssertionError("a kept candidate reads an entry that went")
-        plan.zero = [zs if zs is None else [new[e] for e in zs] for zs in plan.zero]
-        plan.ze = [new[e] for e in plan.ze]
-        plan.root = new[plan.root]
+        plan.prune(live, keep, range(nst))

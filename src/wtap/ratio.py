@@ -45,10 +45,6 @@ class RatioResult:
     probes: int
     states: int
 
-    @property
-    def certificate(self) -> tuple[int, int]:
-        return (self.weight, self.drop_weight)
-
 
 def decide(search: ComponentSearch,
            rho: Fraction) -> tuple[bool, SlackResult | None]:

@@ -73,6 +73,25 @@ def test_decompose_command(tmp_path, capsys):
     assert 2 * doc["removed_weight"] <= doc["u_weight"]
 
 
+@pytest.mark.parametrize("solution", [
+    '{"links": [99]}', '["a"]', '[1.5]', '[true]', '{"links": [-1]}',
+    '{"solution": [0]}', '{"links": [0]}',
+])
+def test_decompose_rejects_bad_solution(tmp_path, capsys, solution):
+    # ids that are not link ids, and a set that leaves edges uncovered: exit
+    # 2 and one error line, no traceback
+    inst_path = tmp_path / "inst.json"
+    sol_path = tmp_path / "sol.json"
+    run_cli(["gen", "random", "--n", "8", "--links", "10", "--seed", "3",
+             "--out", str(inst_path)], capsys)
+    sol_path.write_text(solution)
+    code, out, err = run_cli(["decompose", "--eps", "1/2", "--solution",
+                              str(sol_path), str(inst_path)], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error: solution")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_validation_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n":3,"root":0,"edges":[[0,1],[1,2]],'
@@ -337,6 +356,26 @@ def test_empty_bench_config(tmp_path, capsys):
     code, out, _ = run_cli(["bench", "--config", str(cfg)], capsys)
     assert code == 0
     assert json.loads(out)["rows"] == []
+
+
+@pytest.mark.parametrize("config", [
+    [1, 2],
+    {"instances": [{"kind": "nope"}]},
+    {"instances": [{"kind": "random", "seed": 1}]},
+    {"instances": [{"kind": "file", "path": "no-such-instance.json"}]},
+    {"instances": [{"kind": "random_batch", "count": 2, "n_min": 6, "n_max": 5}]},
+    {"instances": [{"kind": "fig3", "m": 2}], "algorithms": [{"eps": "1"}]},
+    {"instances": [], "oracle": {"max_links": "many"}},
+    {"instances": [], "oracle": 18},
+])
+def test_bench_rejects_bad_config(tmp_path, capsys, config):
+    # a malformed config is a validation error: exit 2 and one error line
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(["bench", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == "" and err.startswith(f"error: invalid config {cfg}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_console_entrypoint_runs():

@@ -69,8 +69,8 @@ def test_leaf_entries():
     # leaf with the up-link entering and no boundary link, which the root
     # never requests: only the empty set, with nothing below to cover
     assert list(cs._candidates(2, (), PLUS)) == [(0, 0, [])]
-    # no up-link enters the root's "subtree"
-    assert not cs._enters(0, ((), PLUS))
+    # no up-link enters the root's "subtree": a PLUS state there has none
+    assert list(cs._candidates(0, (), PLUS)) == []
 
 
 def test_inner_plus_infeasible_without_boundary_link():
@@ -139,14 +139,6 @@ def test_chosen_component_is_k_thin():
             assert all(c <= k for c in counts.values())
 
 
-def test_extract_root_matches_max_slack():
-    inst = wtap.gen_fig2(3, 5)
-    uplinks = fig2_reference_cover(inst)
-    cs = ComponentSearch(inst, uplinks, 2, _search_for(inst, uplinks))
-    res = cs.max_slack(1, 2)
-    assert cs.extract_root() == res
-
-
 def _entry_invariants(inst, uplinks, cs, k, p, q):
     # Y is the vertical paths from v down to the boundary endpoints
     idx = inst.index
@@ -199,9 +191,8 @@ def test_table_entry_invariants_hold():
 
 
 def test_plan_reads_every_state():
-    # the walk down requests, child by child, exactly the entries the
-    # candidates read (requesting too few fails the build with a KeyError),
-    # and every compiled state but the root is read
+    # the build keeps only what the root reaches: every compiled state but
+    # the root (state 0) is read
     for seed in range(40):
         n = 3 + seed % 12
         inst = wtap.gen_random(n=n, link_count=n + seed % 5, weight_max=6,
@@ -215,17 +206,8 @@ def test_plan_reads_every_state():
             read = set(plan.term_ch) | set(plan.term_pl) | set(plan.term_ze)
             for zs in plan.zero:
                 read.update(zs or ())
-            unread = set(range(len(plan.vert))) - read - {plan.root}
+            unread = set(range(len(plan.vert))) - read - {0}
             assert not unread, f"seed {seed} k={k}: {len(unread)} unread"
-            for v, key in zip(plan.vert, plan.key):
-                want = set()
-                for _, _, terms in cs._candidates(v, *key):
-                    for child, ck, pk, _ in terms:
-                        want.add((child, ck))
-                        if pk is not None:
-                            want.add((child, pk))
-                got = cs._child_keys(v, *key, *cs._apex_down(v))
-                assert set(got) == want, f"seed {seed} k={k} at {v}"
 
 
 def _chained_drops(count, seed0):
@@ -289,6 +271,47 @@ def test_plan_keys_are_unique():
     assert plans > 150
 
 
+@pytest.mark.parametrize("eps, n, seed, k, weight, probes, states", [
+    (Fraction(2), 14, 1, 1, 60, 5, 141),
+    (Fraction(1), 20, 5, 2, 88, 7, 578),
+    (Fraction(2, 3), 12, 3, 3, 40, 4, 222),
+    (Fraction(1, 2), 12, 6, 4, 54, 4, 310),
+])
+def test_greedy_counts_pinned(eps, n, seed, k, weight, probes, states):
+    # pinned: probes and compiled states summed over a solve's ratio
+    # searches, which a change to how the plan is built must not move
+    inst = wtap.gen_random(n, n, 20, seed)
+    sol, trace = wtap.greedy.solve(inst, eps)
+    assert (trace.k, sol.weight, trace.probes, trace.states) == \
+        (k, weight, probes, states)
+
+
+@pytest.mark.parametrize("k, n, seed, states", [
+    (1, 14, 11, [50, 44, 39, 36, 35]),
+    (2, 14, 12, [109, 79, 75, 67, 64]),
+    (3, 12, 13, [154, 100, 87, 84]),
+    (4, 10, 14, [124, 90, 66, 62]),
+])
+def test_drop_chain_states_pinned(k, n, seed, states):
+    # pinned: states as built and after each drop of every other up-link;
+    # each build also prunes states that kept states request (infeasible
+    # PLUS ones)
+    inst = wtap.gen_random(n, n, 20, seed)
+    uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
+    cs = ComponentSearch(inst, uplinks, k, _search_for(inst, uplinks))
+    plan = cs._plan
+    kept = set(zip(plan.vert, plan.key))
+    asked = {(c, key) for v, vkey in kept
+             for _, _, terms in cs._candidates(v, *vkey)
+             for c, ck, pk, _ in terms for key in (ck, pk) if key is not None}
+    assert asked - kept
+    got = [cs.states]
+    while cs.uplinks:
+        cs.drop_uplinks(range(0, len(cs.uplinks), 2))
+        got.append(cs.states)
+    assert got == states
+
+
 def test_drop_uplinks_rejects_unknown_index():
     inst = wtap.gen_fig2(3, 5)
     uplinks = fig2_reference_cover(inst)
@@ -303,17 +326,13 @@ def test_answer_before_any_probe_raises():
     inst = wtap.gen_fig2(3, 5)
     uplinks = fig2_reference_cover(inst)
     cs = ComponentSearch(inst, uplinks, 2, _search_for(inst, uplinks))
-    asks = (cs.extract_root, cs.entries)
-    for ask in asks:
-        with pytest.raises(RuntimeError, match="max_slack"):
-            ask()
+    with pytest.raises(RuntimeError, match="max_slack"):
+        cs.entries()
     cs.max_slack(1, 2)
-    for ask in asks:
-        ask()
+    cs.entries()
     cs.drop_uplinks([0])  # a cut plan has not been probed either
-    for ask in asks:
-        with pytest.raises(RuntimeError, match="max_slack"):
-            ask()
+    with pytest.raises(RuntimeError, match="max_slack"):
+        cs.entries()
 
 
 def test_deterministic_tables():

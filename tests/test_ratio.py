@@ -41,7 +41,7 @@ def test_fig2_reference_ratios():
     assert res2.rho == Fraction(1, 2)
     assert sorted(sl.label[1] for sl in res2.links) == sorted(
         groups["long"] + groups["leafpair"])
-    assert res2.certificate == (18, 36)
+    assert (res2.weight, res2.drop_weight) == (18, 36)
     assert len(res2.drop_indices) == 6
     res1 = wtap.best_ratio_component(_search(inst, uplinks, 1))
     assert res1.rho == 1
