@@ -6,7 +6,7 @@ feasible (ancestor, vertex) pair: row b keeps only the suffix of depths
 from ``front[b]``, the least apex depth of a link passing b, so a table
 takes Σ_b (depth[b] - front[b]) slots, not Σ depth.  They live in
 ``array('q')`` (8 B per slot) and the kernels write them a row slice at a
-time; everything else is lists and Python ints.
+time; the links and the tree index they read as they are, with no copies.
 Callers reach the kernels as ``_kernels.<name>(...)`` so that a tracer can
 patch them in place; the benchmark's tracer does so by these names, which
 is why the minimum cover is still called ``min_cover_gray`` although it no
@@ -40,12 +40,14 @@ def lex_less(m1: int, m2: int) -> bool:
     return (m1 & hi) == 0
 
 
-def fill_vertical_table(la, lb, lapex, lw, lid, parent, depth, anc_off, cost, best):
+def fill_vertical_table(links, lapex, parent, depth, anc_off, cost, best):
     """Cheapest link for every vertical pair (t, b).
 
-    ``cost[anc_off[b] + depth[t]]`` becomes the least w(j) over links j whose
-    path contains t..b, and ``best`` that link's id; ties prefer the smaller
-    id.  ``cost`` and ``best`` come in filled with ``INF`` and -1.
+    ``links`` is ``Instance.links`` (a link's id is its position) and
+    ``lapex[j]`` the apex of link j.  ``cost[anc_off[b] + depth[t]]`` becomes
+    the least weight over links j whose path contains t..b, and ``best``
+    that link's id; ties prefer the smaller id.  ``cost`` and ``best`` come
+    in filled with ``INF`` and -1.
 
     Links are taken in (weight, id) order, so the first one to reach a slot
     owns it.  The slots written in row b are always a suffix, from
@@ -55,12 +57,13 @@ def fill_vertical_table(la, lb, lapex, lw, lid, parent, depth, anc_off, cost, be
     wrote that row also wrote every row above it, up to depth a or higher.
     """
     front = list(depth)
-    for j in sorted(range(len(lw)), key=lambda j: (lw[j], lid[j])):
+    for j in sorted(range(len(links)), key=lambda j: (links[j].weight, j)):
+        lk = links[j]
         apx = lapex[j]
         a = depth[apx]
-        wj = array('q', [lw[j]])
-        idj = array('q', [lid[j]])
-        for y in (la[j], lb[j]):
+        wj = array('q', [lk.weight])
+        idj = array('q', [j])
+        for y in (lk.u, lk.v):
             while y != apx:
                 f = front[y]
                 if f <= a:
@@ -72,9 +75,10 @@ def fill_vertical_table(la, lb, lapex, lw, lid, parent, depth, anc_off, cost, be
                 y = parent[y]
 
 
-def fill_baseline_dp(order, kids_off, kids, depth, front, anc_off, cost, h, bp):
+def fill_baseline_dp(order, children, depth, front, anc_off, cost, h, bp):
     """Bottom-up table fill for the disjoint vertical-path cover.
 
+    ``children[c]`` lists the children of c (``RootedTreeIndex.children``).
     ``h[anc_off[c] + depth[t]]`` is the cheapest cover of the subtree below c
     plus the edge above c, given the path through that edge starts at t.
     ``bp`` stores -1 when that path ends at c, else the child position it
@@ -98,7 +102,7 @@ def fill_baseline_dp(order, kids_off, kids, depth, front, anc_off, cost, h, bp):
         fc = front[c]
         if fc == dc:
             continue
-        kid_list = kids[kids_off[c]:kids_off[c + 1]]
+        kid_list = children[c]
         at_c = [h[anc_off[d] + dc] if front[d] <= dc else INF for d in kid_list]
         if max(at_c, default=0) >= INF:
             continue

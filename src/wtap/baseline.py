@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import _kernels
 from ._kernels import INF
-from .model import Instance, VerticalCostTable, apex, vertical_cost_table
+from .model import Instance, apex, vertical_cost_table
 
 
 class InfeasibleError(ValueError):
@@ -49,8 +49,7 @@ def uplink_from_link(instance: Instance, link_id: int) -> UpPath:
     return UpPath(top=top, bottom=bottom, weight=lk.weight, link_id=link_id)
 
 
-def cheapest_disjoint_uplink_cover(instance: Instance,
-                                   table: VerticalCostTable | None = None) -> UpLinkSolution:
+def cheapest_disjoint_uplink_cover(instance: Instance) -> UpLinkSolution:
     """Minimum-weight cover of all tree edges by disjoint vertical paths.
 
     Every returned path carries the cheapest original link realizing it.
@@ -59,20 +58,14 @@ def cheapest_disjoint_uplink_cover(instance: Instance,
     n = instance.n
     if n == 1:
         return UpLinkSolution(paths=(), weight=0)
-    if table is None:
-        table = vertical_cost_table(instance)
+    table = vertical_cost_table(instance)
     idx = instance.index
     anc_off, front = table.anc_off, table.front
     order = [v for v in reversed(idx.bfs_order) if v != instance.root]
-    kids_off = [0] * (n + 1)
-    kids: list[int] = []
-    for v in range(n):
-        kids.extend(idx.children[v])
-        kids_off[v + 1] = len(kids)
     total = anc_off[n]
     h = array('q', [INF]) * total
     bp = array('q', [-2]) * total
-    _kernels.fill_baseline_dp(order, kids_off, kids, idx.depth, front, anc_off,
+    _kernels.fill_baseline_dp(order, idx.children, idx.depth, front, anc_off,
                               table.cost, h, bp)
 
     paths: list[UpPath] = []

@@ -44,6 +44,8 @@ def _materialize_instances(config: dict) -> list[tuple[str, dict, Instance]]:
             out.append((name, entry, inst))
         elif kind == "random_batch":
             count = int(entry["count"])
+            if count < 0:
+                raise ValueError(f"random_batch count {count} is negative")
             n_min = int(entry.get("n_min", 2))
             n_max = int(entry["n_max"])
             seed0 = int(entry.get("seed", 0))

@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: gen, solve, exact, ratio, component, decompose, bench.
-Exit codes: 0 success, 2 validation error, 3 enumeration budget or table
-size budget exceeded.
+Exit codes: 0 success, 2 validation error (an unreadable input or an
+unwritable ``--out`` included), 3 enumeration budget or table size budget
+exceeded.
 """
 
 from __future__ import annotations
@@ -38,12 +39,20 @@ class _CliError(Exception):
         self.code = code
 
 
+def _write(text: str, out: str | None) -> None:
+    """Write ``text``, newline-terminated, to the file ``out`` or stdout."""
+    text = text if text.endswith("\n") else text + "\n"
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise _CliError(f"cannot write {out}: {exc}", EXIT_VALIDATION)
+
+
 def _emit(payload, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out:
-        Path(out).write_text(text + "\n")
-    else:
-        print(text)
+    _write(json.dumps(payload, indent=2, sort_keys=True), out)
 
 
 def _load_validated(path: str) -> Instance:
@@ -109,11 +118,7 @@ def _cmd_gen(args) -> None:
         inst = gen_fig2(args.d, args.M)
     else:
         inst = gen_fig3(args.m)
-    text = wio.dumps(inst)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    _write(wio.dumps(inst), args.out)
 
 
 def _cmd_solve(args) -> None:
@@ -252,10 +257,7 @@ def _cmd_bench(args) -> None:
         text = bench_mod.report_to_csv(report)
     else:
         text = bench_mod.report_to_json(report)
-    if args.out:
-        Path(args.out).write_text(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    _write(text, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

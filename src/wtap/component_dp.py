@@ -29,12 +29,11 @@ and renumber pass the compile ends with, instead of compiling it again, and
 the relative greedy compiles one plan per solve.
 
 All slack values are integers in units of 1/q: slack * q = p*w(drop) - q*w(C).
-Inside the plan, link sets are bitmasks over the alphabet the search was
-built with (the built alphabet); answers map them to the current alphabet.
+Inside the plan, a link set is a bitmask over the positions of the links in
+the alphabet the search was built with; an answer is a tuple of links.
 Ties between equal-slack candidates prefer a nonempty set, then the
-lexicographically smallest sorted id tuple, so tables are deterministic;
-removing links keeps the order of the others, so that order does not
-change.
+lexicographically smallest sorted position tuple, so tables are
+deterministic.
 """
 
 from __future__ import annotations
@@ -65,8 +64,8 @@ class SearchLink:
 
 
 def original_search_links(instance: Instance) -> list[SearchLink]:
-    return [SearchLink(lk.u, lk.v, lk.weight, ("orig", lk.id))
-            for lk in instance.links]
+    return [SearchLink(lk.u, lk.v, lk.weight, ("orig", lid))
+            for lid, lk in enumerate(instance.links)]
 
 
 def uplink_search_links(uplinks: Sequence[UpPath]) -> list[SearchLink]:
@@ -77,13 +76,13 @@ def uplink_search_links(uplinks: Sequence[UpPath]) -> list[SearchLink]:
 def shadow_closure_search_links(instance: Instance) -> list[SearchLink]:
     """All shadows of all links, keeping the cheapest link per vertex pair."""
     best: dict[tuple[int, int], tuple[int, int]] = {}
-    for lk in instance.links:
+    for lid, lk in enumerate(instance.links):
         verts = link_vertices(instance, lk)
         for i in range(len(verts)):
             for j in range(i + 1, len(verts)):
                 a, b = verts[i], verts[j]
                 key = (min(a, b), max(a, b))
-                cand = (lk.weight, lk.id)
+                cand = (lk.weight, lid)
                 if key not in best or cand < best[key]:
                     best[key] = cand
     return [SearchLink(a, b, w, ("shadow", lid))
@@ -100,7 +99,6 @@ def _preferred(m1: int, m2: int) -> bool:
 @dataclass(frozen=True)
 class SlackResult:
     slack: Fraction
-    cmask: int
     links: tuple[SearchLink, ...]
     drop_indices: tuple[int, ...]
     drop_weight: int
@@ -276,7 +274,7 @@ class _Sweep:
             self.msk[s] = best_m
 
     def mask(self, s: int) -> int:
-        """The link set of state s, as a mask over the built alphabet."""
+        """The link set of state s, as a mask over the plan's alphabet."""
         self._fill([s])
         return self.msk[s]
 
@@ -337,10 +335,11 @@ class ComponentSearch:
     """Reusable DP context for one (instance, U, k, search alphabet);
     ``drop_uplinks`` narrows it to fewer up-links.
 
-    It is the one owner of U (``uplinks``), k and the alphabet: the ratio
-    search reads them from it.  The per-link structures (``apex_ids``,
-    ``legs``) and the plan's masks keep the ids of the alphabet the search
-    was built with; ``links`` is the current alphabet.
+    It is the one owner of U (``uplinks``), k and the alphabet (``links``):
+    the ratio search reads them from it.  The per-link structures
+    (``apex_ids``, ``legs``) and the plan's masks number links by their
+    position in the alphabet the search was built with, the only numbering
+    it keeps.
     """
 
     def __init__(self, instance: Instance, uplinks: Sequence[UpPath],
@@ -352,11 +351,10 @@ class ComponentSearch:
         self.idx = idx = instance.index
         self.links = list(search_links)
         self._alphabet = tuple(search_links)
-        self._ids = list(range(len(self.links)))  # current id -> built id
 
-        # Per-link structure, by built id: apex, and legs (for each endpoint
-        # below the apex, the child of the apex it lies under and the
-        # endpoint).
+        # Per-link structure, by position in the alphabet: apex, and legs
+        # (for each endpoint below the apex, the child of the apex it lies
+        # under and the endpoint).
         self.apex_ids: list[list[int]] = [[] for _ in range(instance.n)]
         self.legs: list[tuple[tuple[int, int], ...]] = []
         for i, sl in enumerate(self._alphabet):
@@ -370,28 +368,17 @@ class ComponentSearch:
         self._fresh()
 
     def _index_uplinks(self, uplinks: Sequence[UpPath]) -> None:
-        """Build the up-link structures for U: the unique crossing path per
-        vertex, the step-down map, and the weight of the up-link hanging
-        from each vertex's parent."""
+        """Store U and ``crossing``: for each vertex v, the index of the
+        up-link whose path runs through the edge above v, or -1."""
         self.uplinks = list(uplinks)
-        n = self.instance.n
         parent = self.idx.parent
-        self.crossing = [-1] * n
-        self.u_step: dict[tuple[int, int], int] = {}
-        self.hang_weight = [-1] * n
+        self.crossing = crossing = [-1] * self.instance.n
         for ui, up in enumerate(self.uplinks):
-            prev = -1
             v = up.bottom
-            while True:
-                if prev >= 0:
-                    self.u_step[(ui, v)] = prev
-                if v == up.top:
-                    self.hang_weight[prev] = up.weight
-                    break
-                if self.crossing[v] != -1:
+            while v != up.top:
+                if crossing[v] != -1:
                     raise ValueError("up-link paths are not pairwise disjoint")
-                self.crossing[v] = ui
-                prev = v
+                crossing[v] = ui
                 v = parent[v]
 
     def _fresh(self) -> None:
@@ -410,12 +397,12 @@ class ComponentSearch:
         self._last = _Sweep(self._plan, p, q)
         return self.result_for(*self._last.root())
 
-    def result_for(self, num: int, cmask: int) -> SlackResult:
+    def result_for(self, num: int, mask: int) -> SlackResult:
         """The answer for table slack ``num`` (slack * q at the last probe)
-        and link set ``cmask``, a mask over the alphabet the search was built
-        with; drop and weight are recomputed from the set and checked.  An
-        up-link drops unless an edge the set leaves uncovered crosses it."""
-        links = tuple(self._alphabet[i] for i in mask_bits(cmask))
+        and the link set ``mask`` over the plan's alphabet; drop and weight
+        are recomputed from the set and checked.  An up-link drops unless an
+        edge the set leaves uncovered crosses it."""
+        links = self._links(mask)
         weight = sum(sl.weight for sl in links)
         kept = bytearray(len(self.uplinks))
         for v in uncovered_edges(self.instance, ((sl.a, sl.b) for sl in links)):
@@ -425,54 +412,51 @@ class ComponentSearch:
         drop_weight = sum(self.uplinks[i].weight for i in drops)
         if self._p * drop_weight - self._q * weight != num:
             raise AssertionError("table slack disagrees with recomputation")
-        return SlackResult(slack=Fraction(num, self._q), cmask=self._current(cmask),
-                           links=links, drop_indices=drops,
-                           drop_weight=drop_weight, weight=weight)
+        return SlackResult(slack=Fraction(num, self._q), links=links,
+                           drop_indices=drops, drop_weight=drop_weight,
+                           weight=weight)
 
-    def _current(self, mask: int) -> int:
-        """``mask`` over the built alphabet, renumbered to the current one."""
-        return sum(1 << j for j, i in enumerate(self._ids) if mask >> i & 1)
+    def _links(self, mask: int) -> tuple[SearchLink, ...]:
+        """The links of a mask over the plan's alphabet, in position order."""
+        return tuple(self._alphabet[i] for i in mask_bits(mask))
 
     # ------------------------------------------------------------------
     def drop_uplinks(self, indices: Iterable[int]) -> None:
         """Remove the up-links at ``indices`` from U, and their search links.
 
         The search links removed are the alphabet entries equal to
-        ``uplink_search_links`` of those up-links; the other links keep their
-        order, so originals keep their ids and later ids shift down.
-        Afterwards the object answers every query, ``entries`` included, as
+        ``uplink_search_links`` of those up-links; ``links`` is filtered in
+        place, keeping the order of the others.  Afterwards the object
+        answers every query, ``entries`` included, as
         ``ComponentSearch(instance, U', k, alphabet')`` would, with the same
         states and candidates; the states of one vertex may come in another
-        order.  Only the up-link structures are rebuilt; the plan is pruned
-        in place by ``_restrict``, which ends with the pass the compile ends
-        with, ``_Plan.prune``.
+        order.  Only ``crossing`` is rebuilt; ``_restrict`` prunes the plan
+        in place by the removed links' built positions, and ends with the
+        pass the compile ends with, ``_Plan.prune``.
         """
         gone = set(indices)
         if not gone <= set(range(len(self.uplinks))):
             raise IndexError(f"no up-links {sorted(gone)} among {len(self.uplinks)}")
         cut_links = set(uplink_search_links([self.uplinks[i] for i in gone]))
         cut = 0
-        ids = []
-        for i in self._ids:
-            if self._alphabet[i] in cut_links:
+        for i, sl in enumerate(self._alphabet):
+            if sl in cut_links:
                 cut |= 1 << i
-            else:
-                ids.append(i)
-        self._ids = ids
-        self.links = [self._alphabet[i] for i in ids]
+        self.links[:] = [sl for sl in self.links if sl not in cut_links]
         self._last = None  # free the last sweep before the passes
         self._index_uplinks([p for i, p in enumerate(self.uplinks) if i not in gone])
         self._restrict(cut)
         self._fresh()
 
-    def entries(self) -> Iterator[tuple[int, tuple[int, ...], int, int, int]]:
+    def entries(self) -> Iterator[tuple]:
         """Every compiled state as (v, endpoints below v of its boundary
-        links, x, slack * q, C mask over the current alphabet) at the last rho."""
+        links, x, slack * q, C's links) at the last rho.  No key comes
+        twice, so sorting the entries never compares link tuples."""
         sw = self._last
         if sw is None:
             raise RuntimeError("no probe yet: call max_slack first")
         plan = self._plan
-        return ((v, ends, x, sw.val[s], self._current(sw.mask(s)))
+        return ((v, ends, x, sw.val[s], self._links(sw.mask(s)))
                 for s, (v, (ends, x)) in enumerate(zip(plan.vert, plan.key)))
 
     # ------------------------------------------------------------------
@@ -508,25 +492,26 @@ class ComponentSearch:
         A term ``(child, key, plus_key, up_weight)`` reads the child's entry
         with key ``key`` (as in ``_Plan.key``): the endpoints below v in that
         child's subtree, and PLUS for cstar, else MINUS.  When an up-link
-        hangs from v into that child, its PLUS entry ``plus_key`` may be
-        taken instead with the up-link's weight as bonus (otherwise
-        ``plus_key`` is None).  Children no link goes down into have no term.
+        hangs from v into that child (it crosses the child's edge and its
+        top is v), its PLUS entry ``plus_key`` may be taken instead with the
+        up-link's weight as bonus (otherwise ``plus_key`` is None).  Children
+        no link goes down into have no term.
         """
+        crossing, uplinks = self.crossing, self.uplinks
+        toward = self.idx.child_toward
         cstar = -1
         if x == PLUS:
-            u = self.crossing[v]
+            u = crossing[v]
             if u < 0:
                 return
-            if self.uplinks[u].bottom != v:
-                cstar = self.u_step[(u, v)]
-        toward = self.idx.child_toward
+            if uplinks[u].bottom != v:
+                cstar = toward(v, uplinks[u].bottom)
         ybase: dict[int, tuple[int, ...]] = {}
         for e in ends:
             if e != v:
                 c = toward(v, e)
                 ybase[c] = ybase.get(c, ()) + (e,)
         avail = self.k - len(ends)
-        hang_weight = self.hang_weight
         for zsize, zweight, zmask, down in self._zsets(v):
             if zsize > avail:
                 break
@@ -537,9 +522,9 @@ class ComponentSearch:
                 continue  # the entering up-link's inside edges would stay uncovered
             terms = []
             for child, ce in ydict.items():
-                uw = hang_weight[child]
-                if uw >= 0:
-                    terms.append((child, (ce, MINUS), (ce, PLUS), uw))
+                u = crossing[child]
+                if u >= 0 and uplinks[u].top == v:
+                    terms.append((child, (ce, MINUS), (ce, PLUS), uplinks[u].weight))
                 else:
                     want = PLUS if child == cstar else MINUS
                     terms.append((child, (ce, want), None, 0))

@@ -232,13 +232,12 @@ def gen_random(n: int, link_count: int, weight_max: int, seed: int) -> Instance:
 
     rng_w = _stream(seed, 2)
     weights = [rng_w.integers(1, weight_max + 1) for _ in pairs]
-    links = [Link(id=i, u=u, v=v, weight=w)
-             for i, ((u, v), w) in enumerate(zip(pairs, weights))]
+    links = [Link(u, v, w) for (u, v), w in zip(pairs, weights)]
 
     inst = Instance(n=n, root=0, edges=edges, links=links)
     for child in uncovered_edges(inst, pairs):
         parent = inst.index.parent[child]
-        links.append(Link(id=len(links), u=parent, v=child, weight=weight_max))
+        links.append(Link(parent, child, weight_max))
     if len(links) != len(inst.links):
         inst = Instance(n=n, root=0, edges=edges, links=links)
     return inst
@@ -286,13 +285,13 @@ def gen_fig2(d: int, M: int) -> Instance:
         edges.append((t, leaf_a(j)))
         edges.append((t, leaf_b(j)))
 
-    links = [Link(id=0, u=top_id(p), v=top_id(d), weight=d * M)]
+    links = [Link(u=top_id(p), v=top_id(d), weight=d * M)]
     for j in range(1, d + 1):
-        links.append(Link(id=j, u=top_parent(j), v=leaf_a(j), weight=2 * M + 1))
+        links.append(Link(u=top_parent(j), v=leaf_a(j), weight=2 * M + 1))
     for j in range(1, d + 1):
-        links.append(Link(id=d + j, u=top_id(j), v=leaf_b(j), weight=1))
+        links.append(Link(u=top_id(j), v=leaf_b(j), weight=1))
     for j in range(1, d + 1):
-        links.append(Link(id=2 * d + j, u=leaf_a(j), v=leaf_b(j), weight=1))
+        links.append(Link(u=leaf_a(j), v=leaf_b(j), weight=1))
     return Instance(n=n, root=root, edges=edges, links=links)
 
 
@@ -342,8 +341,8 @@ def gen_fig3(m: int) -> Instance:
     edges.extend((i, pend(i)) for i in range(m + 1))
     edges.extend((hub, leaf(i)) for i in range(m + 1))
 
-    links = [Link(id=i, u=leaf(i), v=pend(i), weight=1) for i in range(m + 1)]
-    links.extend(Link(id=m + i, u=i - 1, v=pend(i), weight=1)
+    links = [Link(u=leaf(i), v=pend(i), weight=1) for i in range(m + 1)]
+    links.extend(Link(u=i - 1, v=pend(i), weight=1)
                  for i in range(1, m + 1))
     return Instance(n=n, root=0, edges=edges, links=links)
 

@@ -66,7 +66,6 @@ class GreedyTrace:
     initial_u_weight: int
     iterations: list[IterationRecord] = field(default_factory=list)
     stopped_early: bool = False
-    final_weight: int = 0
     probes: int = 0   # max_slack calls, summed over every ratio search
     states: int = 0   # compiled DP states, summed over every ratio search
 
@@ -79,7 +78,7 @@ def epsilon_to_k(eps: Fraction) -> int:
 
 
 def _finish(instance: Instance, chosen: dict[tuple, SearchLink],
-            remaining: list[UpPath], trace: GreedyTrace) -> Solution:
+            remaining: list[UpPath]) -> Solution:
     weight = sum(sl.weight for sl in chosen.values())
     weight += sum(p.weight for p in remaining)
     ids = set()
@@ -95,7 +94,6 @@ def _finish(instance: Instance, chosen: dict[tuple, SearchLink],
     if uncovered_edges(instance, pairs):
         raise AssertionError("greedy output does not cover all tree edges")
     deduped = sum(instance.link(l).weight for l in ids)
-    trace.final_weight = weight
     return Solution(link_ids=tuple(sorted(ids)), weight=weight,
                     deduped_weight=deduped)
 
@@ -137,8 +135,7 @@ def solve(instance: Instance,
             u_weight_before=w_before,
             u_weight_after=sum(p.weight for p in search.uplinks)))
 
-    solution = _finish(instance, chosen, search.uplinks, trace)
-    return solution, trace
+    return _finish(instance, chosen, search.uplinks), trace
 
 
 def two_approx_only(instance: Instance,

@@ -47,8 +47,7 @@ def _build(n: int, root: int, edges: list[tuple[int, int]],
            raw_links: list[tuple[int, int, int | Fraction]],
            prior_scale: int = 1) -> Instance:
     weights, scale = _scale_weights([w for _, _, w in raw_links])
-    links = [Link(id=i, u=u, v=v, weight=weights[i])
-             for i, (u, v, _) in enumerate(raw_links)]
+    links = [Link(u, v, w) for (u, v, _), w in zip(raw_links, weights)]
     return Instance(n=n, root=root, edges=edges, links=links,
                     scale=scale * prior_scale)
 

@@ -43,7 +43,7 @@ TABLE_SLOT_BUDGET = 1 << 25
 
 @dataclass(frozen=True)
 class Link:
-    id: int
+    """A weighted link; its id is its position in ``Instance.links``."""
     u: int
     v: int
     weight: int
@@ -75,12 +75,10 @@ class Instance:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range")
         for pos, lk in enumerate(links):
-            if lk.id != pos:
-                raise ValueError(f"link at position {pos} has id {lk.id}")
             if lk.u == lk.v:
-                raise ValueError(f"link {lk.id} is a self-loop")
+                raise ValueError(f"link {pos} is a self-loop")
             if not (0 <= lk.u < n and 0 <= lk.v < n):
-                raise ValueError(f"link {lk.id} endpoint out of range")
+                raise ValueError(f"link {pos} endpoint out of range")
         self.n = n
         self.root = root
         self.edges = tuple((min(u, v), max(u, v)) for u, v in edges)
@@ -270,10 +268,10 @@ def validate(instance: Instance) -> list[ValidationIssue]:
     Reported codes: NotATree, NonpositiveWeight, UncoverableEdge.
     """
     issues = []
-    for lk in instance.links:
+    for lid, lk in enumerate(instance.links):
         if lk.weight <= 0:
             issues.append(ValidationIssue(
-                "NonpositiveWeight", lk.id, f"weight {lk.weight}"))
+                "NonpositiveWeight", lid, f"weight {lk.weight}"))
     issues.extend(_check_tree(instance))
     if any(i.code == "NotATree" for i in issues):
         return issues
@@ -373,8 +371,9 @@ class VerticalCostTable:
     """Cheapest link realizing each vertical ancestor-descendant path.
 
     Entry (t, b) is the minimum weight over links whose path contains the
-    whole vertical path t..b, together with the achieving original link id.
-    Realizes shadow-completeness implicitly: no shadow links are created.
+    whole vertical path t..b, together with the achieving link's id, its
+    position in ``instance.links`` (the smaller on ties).  Realizes
+    shadow-completeness implicitly: no shadow links are created.
 
     Row b holds only the depths ``[front[b], depth[b])``, where ``front[b]``
     is the least apex depth of any link whose path runs through the edge
@@ -391,20 +390,18 @@ class VerticalCostTable:
         n = instance.n
         guard_weight_range(instance)
         links = instance.links
-        la = [lk.u for lk in links]
-        lb = [lk.v for lk in links]
         lapex = [apex(instance, lk) for lk in links]
         depth, parent, order = idx.depth, idx.parent, idx.bfs_order
         # A leg from endpoint y up to depth a passes every vertex between,
         # so front[b] is the least apex depth over links ending in subtree(b),
         # capped at depth[b].
         front = depth[:]
-        for u, v, x in zip(la, lb, lapex):
+        for lk, x in zip(links, lapex):
             a = depth[x]
-            if a < front[u]:
-                front[u] = a
-            if a < front[v]:
-                front[v] = a
+            if a < front[lk.u]:
+                front[lk.u] = a
+            if a < front[lk.v]:
+                front[lk.v] = a
         for i in range(n - 1, 0, -1):
             v = order[i]
             if front[v] < front[parent[v]]:
@@ -421,9 +418,8 @@ class VerticalCostTable:
                 f"{TABLE_SLOT_BUDGET}")
         cost = array('q', [INF]) * total
         best = array('q', [-1]) * total
-        _kernels.fill_vertical_table(
-            la, lb, lapex, [lk.weight for lk in links], [lk.id for lk in links],
-            parent, depth, anc_off, cost, best)
+        _kernels.fill_vertical_table(links, lapex, parent, depth, anc_off,
+                                     cost, best)
         self.instance = instance
         self.front = front
         self.anc_off = anc_off
@@ -440,15 +436,6 @@ class VerticalCostTable:
             return None
         slot = self.anc_off[b] + d
         return self.cost[slot], self.best[slot]
-
-    def iter_entries(self):
-        """Yield (t, b, weight, link id) for every present entry."""
-        idx = self.instance.index
-        for b in range(self.instance.n):
-            off = self.anc_off[b]
-            for d in range(self.front[b], idx.depth[b]):
-                t = idx.ancestor_at_depth(b, d)
-                yield t, b, self.cost[off + d], self.best[off + d]
 
 
 def guard_weight_range(instance: Instance) -> None:

@@ -19,8 +19,7 @@ from . import _kernels
 from .baseline import UpPath
 from .component_dp import SearchLink, lex_less
 from .greedy import Solution
-from .model import (Instance, VerticalCostTable, link_vertices, mask_bits,
-                    vertical_cost_table)
+from .model import Instance, link_vertices, mask_bits, vertical_cost_table
 from .ratio import RatioResult
 
 
@@ -187,8 +186,7 @@ def brute_best_kthin(instance: Instance, uplinks: Sequence[UpPath], k: int,
 
 
 def brute_uplink_cover(instance: Instance,
-                       budget: OracleBudget | None = None,
-                       table: VerticalCostTable | None = None) -> tuple[int, list[UpPath]]:
+                       budget: OracleBudget | None = None) -> tuple[int, list[UpPath]]:
     """Cheapest partition of the edges into realizable vertical paths.
 
     Exhaustive recursion over the lowest-id uncovered edge; memoized on the
@@ -198,8 +196,7 @@ def brute_uplink_cover(instance: Instance,
         raise BudgetExceededError("brute_uplink_cover is limited to n <= 16")
     if instance.n == 1:
         return 0, []
-    if table is None:
-        table = vertical_cost_table(instance)
+    table = vertical_cost_table(instance)
     idx = instance.index
     full = instance.full_edge_mask
 

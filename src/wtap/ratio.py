@@ -51,7 +51,7 @@ def decide(search: ComponentSearch,
     """(True, witness) when rho >= rho*; (False, None) when rho < rho*."""
     rho = Fraction(rho)
     res = search.max_slack(rho.numerator, rho.denominator)
-    if res.cmask != 0 and res.slack >= 0:
+    if res.links and res.slack >= 0:
         return True, res
     return False, None
 

@@ -10,7 +10,7 @@ from wtap._kernels import INF
 from wtap.generators import fig2_link_groups, fig2_reference_cover
 
 
-def _baseline_dp_reference(order, kids_off, kids, depth, front, anc_off, cost):
+def _baseline_dp_reference(order, children, depth, front, anc_off, cost):
     """h and back-pointer of every (c, depth of t) pair, candidates in order,
     first strict minimum.  Reads the table only where its row has a slot."""
     def cost_at(c, t):
@@ -18,7 +18,7 @@ def _baseline_dp_reference(order, kids_off, kids, depth, front, anc_off, cost):
 
     h, bp = {}, {}
     for c in order:
-        kid_list = kids[kids_off[c]:kids_off[c + 1]]
+        kid_list = children[c]
         dc = depth[c]
         at_c = [h[d, dc] for d in kid_list]
         blocked = [p for p, v in enumerate(at_c) if v >= INF]
@@ -121,14 +121,14 @@ def test_baseline_dp_matches_per_slot_reference(monkeypatch):
 
     def fill(*args):
         _fill(*args)
-        order, _, _, depth, front, anc_off, _, h, bp = args
+        order, _, depth, front, anc_off, _, h, bp = args
         assert len(h) == len(bp) == anc_off[-1]
         got = {}
         for c in order:
             for t in range(depth[c]):
                 slot = anc_off[c] + t
                 got[c, t] = (h[slot], bp[slot]) if t >= front[c] else (INF, -2)
-        want_h, want_bp = _baseline_dp_reference(*args[:7])
+        want_h, want_bp = _baseline_dp_reference(*args[:6])
         seen.append(got == {key: (want_h[key], want_bp[key]) for key in want_h})
 
     _fill = _kernels.fill_baseline_dp
@@ -153,7 +153,7 @@ def test_baseline_dp_matches_per_slot_reference(monkeypatch):
                     a = max(parent[a], 0)
                 if a != v:
                     pairs.append((a, v))
-            links = [Link(i, a, v, rng.randint(1, 3)) for i, (a, v) in enumerate(pairs)]
+            links = [Link(a, v, rng.randint(1, 3)) for a, v in pairs]
             inst = Instance(n, 0, [(parent[v], v) for v in range(1, n)], links)
         try:
             wtap.cheapest_disjoint_uplink_cover(inst)
@@ -180,7 +180,7 @@ def test_long_path_table_holds_only_feasible_slots():
     rng = random.Random(4500)
     pairs = [(v - 1, v) for v in range(1, n)]
     pairs += [(v - rng.randint(2, reach), v) for v in rng.sample(range(reach, n), n // 2)]
-    links = [Link(i, *((u, v) if i % 2 else (v, u)),
+    links = [Link(*((u, v) if i % 2 else (v, u)),
                   rng.randint(1, 9) * (v - u) if v - u > 1 else 10)
              for i, (u, v) in enumerate(pairs)]
     inst = Instance(n, 0, [(v - 1, v) for v in range(1, n)], links)

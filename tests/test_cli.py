@@ -92,6 +92,34 @@ def test_decompose_rejects_bad_solution(tmp_path, capsys, solution):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [
+    ["gen", "fig3", "--m", "2"],
+    ["solve", "--algorithm", "uplink2", "{inst}"],
+    ["solve", "--algorithm", "relgreedy", "{inst}"],
+    ["exact", "{inst}"],
+    ["ratio", "--k", "2", "{inst}"],
+    ["component", "--rho", "1/2", "--k", "2", "{inst}"],
+    ["decompose", "--eps", "1/2", "--solution", "{sol}", "{inst}"],
+    ["bench", "--config", "{cfg}"],
+    ["bench", "--config", "{cfg}", "--format", "csv"],
+], ids=["gen", "solve-uplink2", "solve-relgreedy", "exact", "ratio", "component",
+        "decompose", "bench-json", "bench-csv"])
+def test_unwritable_out_exit_code(tmp_path, capsys, args):
+    # an --out in a missing directory: exit 2 and one error line, no traceback
+    paths = {"inst": tmp_path / "inst.json", "sol": tmp_path / "sol.json",
+             "cfg": tmp_path / "cfg.json"}
+    run_cli(["gen", "fig2", "--d", "3", "--M", "5", "--out", str(paths["inst"])],
+            capsys)
+    run_cli(["exact", str(paths["inst"]), "--out", str(paths["sol"])], capsys)
+    paths["cfg"].write_text(json.dumps({"instances": [], "algorithms": []}))
+    bad = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli([a.format(**paths) for a in args]
+                             + ["--out", str(bad)], capsys)
+    assert code == 2
+    assert out == "" and err.startswith(f"error: cannot write {bad}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_validation_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n":3,"root":0,"edges":[[0,1],[1,2]],'
@@ -367,6 +395,7 @@ def test_empty_bench_config(tmp_path, capsys):
     {"instances": [{"kind": "fig3", "m": 2}], "algorithms": [{"eps": "1"}]},
     {"instances": [], "oracle": {"max_links": "many"}},
     {"instances": [], "oracle": 18},
+    {"instances": [{"kind": "random_batch", "count": -1, "n_max": 5}]},
 ])
 def test_bench_rejects_bad_config(tmp_path, capsys, config):
     # a malformed config is a validation error: exit 2 and one error line

@@ -13,7 +13,6 @@ from wtap.baseline import UpPath
 from wtap.component_dp import (MINUS, PLUS, ComponentSearch, SearchLink,
                                lex_less, original_search_links,
                                shadow_closure_search_links, uplink_search_links)
-from wtap.model import mask_bits
 from wtap.generators import fig2_link_groups, fig2_reference_cover
 from wtap.oracle import KThinTable, OracleBudget
 
@@ -31,7 +30,7 @@ def _slack_at(inst, uplinks, k, rho):
 def test_rho_zero_returns_empty(single_edge):
     up = [wtap.uplink_from_link(single_edge, 0)]
     res = _slack_at(single_edge, up, 1, Fraction(0))
-    assert res.cmask == 0 and res.slack == 0
+    assert res.links == () and res.slack == 0
 
 
 def test_single_edge_rho_one(single_edge):
@@ -54,7 +53,7 @@ def test_fig2_reference_slack_at_half():
 
 def test_leaf_entries():
     # chain 0-1-2; one up-link path (0..2); alphabet holds link 0 and that path
-    inst = Instance(3, 0, [(0, 1), (1, 2)], [Link(0, 0, 2, 4)])
+    inst = Instance(3, 0, [(0, 1), (1, 2)], [Link(0, 2, 4)])
     up = [wtap.uplink_from_link(inst, 0)]
     search = _search_for(inst, up)
     cs = ComponentSearch(inst, up, 1, search)
@@ -63,9 +62,9 @@ def test_leaf_entries():
     # at rho = 1/2 no set pays, and a leaf is feasible with the empty set,
     # with or without the up-link entering it
     assert sorted(cs.entries()) == [
-        (0, (), MINUS, 0, 0),
-        (1, (), MINUS, 0, 0), (1, (2,), MINUS, 0, 0), (1, (2,), PLUS, 0, 0),
-        (2, (), MINUS, 0, 0), (2, (2,), MINUS, 0, 0), (2, (2,), PLUS, 0, 0)]
+        (0, (), MINUS, 0, ()),
+        (1, (), MINUS, 0, ()), (1, (2,), MINUS, 0, ()), (1, (2,), PLUS, 0, ()),
+        (2, (), MINUS, 0, ()), (2, (2,), MINUS, 0, ()), (2, (2,), PLUS, 0, ())]
     # leaf with the up-link entering and no boundary link, which the root
     # never requests: only the empty set, with nothing below to cover
     assert list(cs._candidates(2, (), PLUS)) == [(0, 0, [])]
@@ -75,17 +74,17 @@ def test_leaf_entries():
 
 def test_inner_plus_infeasible_without_boundary_link():
     # with an empty boundary set nothing can cover the up-link's inside edge
-    inst = Instance(3, 0, [(0, 1), (1, 2)], [Link(0, 0, 2, 4)])
+    inst = Instance(3, 0, [(0, 1), (1, 2)], [Link(0, 2, 4)])
     up = [wtap.uplink_from_link(inst, 0)]
     cs = ComponentSearch(inst, up, 1, _search_for(inst, up))
     cs.max_slack(1, 1)
     assert list(cs._candidates(1, (), PLUS)) == []
-    entries = {(v, ends, x): (num, cmask) for v, ends, x, num, cmask in cs.entries()}
+    entries = {(v, ends, x): (num, links) for v, ends, x, num, links in cs.entries()}
     assert (1, (), PLUS) not in entries
     # a boundary link ending at 2 covers everything below vertex 1
-    assert entries[(1, (2,), PLUS)] == (0, 0)
+    assert entries[(1, (2,), PLUS)] == (0, ())
     # at rho = 1 link 0 pays for the up-link exactly; a nonempty set wins the tie
-    assert entries[(0, (), MINUS)] == (0, 1)
+    assert entries[(0, (), MINUS)] == (0, (SearchLink(0, 2, 4, ("orig", 0)),))
 
 
 def test_oracle_equivalence_small():
@@ -107,7 +106,7 @@ def test_oracle_equivalence_small():
                 res = cs.max_slack(p, q)
                 want_slack, want_mask = table.max_slack(p, q)
                 assert res.slack == want_slack
-                assert (res.cmask != 0) == (want_mask != 0)
+                assert bool(res.links) == (want_mask != 0)
 
 
 def test_stored_slack_matches_recomputation():
@@ -143,10 +142,9 @@ def _entry_invariants(inst, uplinks, cs, k, p, q):
     # Y is the vertical paths from v down to the boundary endpoints
     idx = inst.index
     u_masks = [idx.vertical_edge_mask(u.top, u.bottom) for u in uplinks]
-    for v, ends, x, num, cmask in cs.entries():
+    for v, ends, x, num, c_links in cs.entries():
         assert list(ends) == sorted(ends) and len(ends) <= k, (v, ends, x)
         assert all(idx.is_ancestor(v, e) for e in ends), (v, ends, x)
-        c_links = [cs.links[i] for i in mask_bits(cmask)]
         for sl in c_links:
             assert idx.is_ancestor(v, sl.a) and idx.is_ancestor(v, sl.b)
         counts: dict[int, int] = {}
@@ -345,7 +343,7 @@ def test_deterministic_tables():
 
 
 def test_up_links_must_be_disjoint():
-    inst = Instance(3, 0, [(0, 1), (1, 2)], [Link(0, 0, 2, 4)])
+    inst = Instance(3, 0, [(0, 1), (1, 2)], [Link(0, 2, 4)])
     overlapping = [UpPath(0, 2, 4, 0), UpPath(0, 1, 4, 0)]
     with pytest.raises(ValueError):
         ComponentSearch(inst, overlapping, 1, _search_for(inst, overlapping))
@@ -371,13 +369,13 @@ def _caterpillar(n, link_count, wmax, seed):
         u = int(rng.integers(0, n))
         v = int(rng.integers(0, n))
         if u != v:
-            links.append(Link(len(links), u, v, int(rng.integers(1, wmax + 1))))
+            links.append(Link(u, v, int(rng.integers(1, wmax + 1))))
     inst = Instance(n, 0, edges, links)
     missing = inst.full_edge_mask & ~cover_mask(inst, range(len(links)))
     while missing:
         low = missing & (-missing)
         c = low.bit_length() - 1
-        links.append(Link(len(links), int(inst.index.parent[c]), c, wmax))
+        links.append(Link(int(inst.index.parent[c]), c, wmax))
         missing ^= low
     return Instance(n, 0, edges, links)
 
@@ -428,7 +426,7 @@ def test_oracle_equivalence_deep_chains_arbitrary_u():
                 res = cs.max_slack(p, q)
                 want, want_mask = table.max_slack(p, q)
                 assert res.slack == want, (seed, k, p, q)
-                assert (res.cmask != 0) == (want_mask != 0)
+                assert bool(res.links) == (want_mask != 0)
             got = wtap.best_ratio_component(cs)
             oracle = wtap.brute_best_kthin(inst, ups, k, search, budget)
             assert got.rho == oracle.rho, (seed, k)
@@ -448,10 +446,9 @@ def test_long_path_leaves_recursion_limit_alone():
     # and the library must not raise the interpreter's recursion limit
     n = 3000
     rng = random.Random(3)
-    links = [Link(i - 1, i - 1, i, 20) for i in range(1, n)]
+    links = [Link(i - 1, i, 20) for i in range(1, n)]
     for v in range(2, n, 2):
-        links.append(Link(len(links), max(0, v - rng.randint(1, 6)), v,
-                          rng.randint(1, 20)))
+        links.append(Link(max(0, v - rng.randint(1, 6)), v, rng.randint(1, 20)))
     inst = Instance(n, 0, [(i - 1, i) for i in range(1, n)], links)
     uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
     search = _search_for(inst, uplinks)

@@ -25,8 +25,8 @@ def _reference_uncovered(inst, pairs):
 
 def _reference_validate(inst):
     """``validate`` as it was when it ORed the ``link_paths`` bitmasks."""
-    issues = [ValidationIssue("NonpositiveWeight", lk.id, f"weight {lk.weight}")
-              for lk in inst.links if lk.weight <= 0]
+    issues = [ValidationIssue("NonpositiveWeight", lid, f"weight {lk.weight}")
+              for lid, lk in enumerate(inst.links) if lk.weight <= 0]
     issues.extend(_check_tree(inst))
     if any(i.code == "NotATree" for i in issues):
         return issues
@@ -60,7 +60,7 @@ def _random_instance(rng, shape, n):
     links = []
     for _ in range(rng.randrange(0, 2 * n + 1) if n > 1 else 0):
         u, v = rng.sample(range(n), 2)
-        links.append(Link(len(links), u, v, rng.choice((-1, 0, 1, 2, 5))))
+        links.append(Link(u, v, rng.choice((-1, 0, 1, 2, 5))))
     return Instance(n, rng.randrange(n), edges, links)
 
 
@@ -94,7 +94,7 @@ def test_validate_issue_lists_match_reference():
             [(i.code, i.subject, str(i)) for i in want], trial
         codes.update(i.code for i in got)
     assert codes == {"NonpositiveWeight", "UncoverableEdge"}
-    bad = Instance(4, 0, [(0, 1), (1, 2), (2, 0)], [Link(0, 0, 3, 0)])
+    bad = Instance(4, 0, [(0, 1), (1, 2), (2, 0)], [Link(0, 3, 0)])
     assert wtap.validate(bad) == _reference_validate(bad)
     assert [i.code for i in wtap.validate(bad)] == ["NonpositiveWeight", "NotATree"]
 
@@ -112,7 +112,7 @@ def test_gen_random_same_as_with_bitset_patching(monkeypatch):
 
 def test_assert_partition_raises_on_overlap_gap_and_non_vertical():
     inst = Instance(4, 0, [(0, 1), (1, 2), (1, 3)],
-                    [Link(0, 0, 2, 1), Link(1, 1, 3, 1), Link(2, 1, 2, 1)])
+                    [Link(0, 2, 1), Link(1, 3, 1), Link(1, 2, 1)])
     whole = [UpPath(0, 2, 1, 0), UpPath(1, 3, 1, 1)]
     _assert_partition(inst, UpLinkSolution(paths=tuple(whole), weight=2))
     overlap = whole + [UpPath(1, 2, 1, 2)]
@@ -194,7 +194,7 @@ def test_validate_memory_stays_linear_on_a_long_path():
     # The bitset check ORed one (v+1)-bit int per link here: about 150 MB.
     n = 50_000
     inst = Instance(n, 0, [(i - 1, i) for i in range(1, n)],
-                    [Link(i - 1, i - 1, i, 1) for i in range(1, n)])
+                    [Link(i - 1, i, 1) for i in range(1, n)])
     tracemalloc.start()
     try:
         issues = wtap.validate(inst)

@@ -14,11 +14,11 @@ def _chain_instance():
     # chain 0-1-...-8 with four overlapping links and one long up-link
     edges = [(i, i + 1) for i in range(8)]
     links = [
-        Link(0, 0, 3, 1),
-        Link(1, 2, 5, 1),
-        Link(2, 4, 7, 1),
-        Link(3, 6, 8, 1),
-        Link(4, 0, 8, 1),
+        Link(0, 3, 1),
+        Link(2, 5, 1),
+        Link(4, 7, 1),
+        Link(6, 8, 1),
+        Link(0, 8, 1),
     ]
     return Instance(9, 0, edges, links)
 

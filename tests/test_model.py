@@ -15,21 +15,21 @@ def test_validate_minimal_ok(single_edge):
 
 
 def test_validate_missing_coverage():
-    inst = Instance(3, 0, [(0, 1), (1, 2)], [Link(0, 0, 1, 2)])
+    inst = Instance(3, 0, [(0, 1), (1, 2)], [Link(0, 1, 2)])
     issues = wtap.validate(inst)
     assert [i.code for i in issues] == ["UncoverableEdge"]
     assert issues[0].subject == 2
 
 
 def test_validate_not_a_tree():
-    inst = Instance(3, 0, [(0, 1), (0, 1)], [Link(0, 0, 1, 2)])
+    inst = Instance(3, 0, [(0, 1), (0, 1)], [Link(0, 1, 2)])
     assert any(i.code == "NotATree" for i in wtap.validate(inst))
-    inst2 = Instance(4, 0, [(0, 1), (1, 2)], [Link(0, 0, 1, 2)])
+    inst2 = Instance(4, 0, [(0, 1), (1, 2)], [Link(0, 1, 2)])
     assert any(i.code == "NotATree" for i in wtap.validate(inst2))
 
 
 def test_validate_nonpositive_weight():
-    inst = Instance(2, 0, [(0, 1)], [Link(0, 0, 1, 0)])
+    inst = Instance(2, 0, [(0, 1)], [Link(0, 1, 0)])
     assert any(i.code == "NonpositiveWeight" for i in wtap.validate(inst))
 
 
@@ -44,11 +44,7 @@ def test_validate_single_vertex():
 
 def test_self_loop_rejected_at_construction():
     with pytest.raises(ValueError):
-        Instance(2, 0, [(0, 1)], [Link(0, 1, 1, 3)])
-    # Link ids index link_paths and the cost tables, so they must be positions.
-    with pytest.raises(ValueError, match="position 0 has id 1"):
-        Instance(3, 0, [(0, 1), (1, 2)],
-                 [Link(1, 0, 2, 8), Link(0, 1, 2, 1), Link(2, 0, 1, 1)])
+        Instance(2, 0, [(0, 1)], [Link(1, 1, 3)])
 
 
 def test_link_path_parent_child(single_edge):
@@ -168,7 +164,7 @@ def _vertical_table_reference(inst):
     """Per-slot relaxation: every link, every vertical pair on its legs."""
     idx = inst.index
     best = {}
-    for lk in inst.links:
+    for lid, lk in enumerate(inst.links):
         top = idx.lca(lk.u, lk.v)
         for y in (lk.u, lk.v):
             while y != top:
@@ -176,7 +172,7 @@ def _vertical_table_reference(inst):
                 while t != top:
                     t = idx.parent[t]
                     key = (t, y)
-                    best[key] = min(best.get(key, (lk.weight, lk.id)), (lk.weight, lk.id))
+                    best[key] = min(best.get(key, (lk.weight, lid)), (lk.weight, lid))
                 y = idx.parent[y]
     return best
 
@@ -190,12 +186,20 @@ def test_vertical_cost_table_matches_per_slot_reference():
         else:
             n = 5 + seed
             pairs = [(i % n, (7 * i + 3) % n) for i in range(2 * n)]
-            links = [Link(j, u, v, 1 + j % 3)
+            links = [Link(u, v, 1 + j % 3)
                      for j, (u, v) in enumerate((u, v) for u, v in pairs if u != v)]
             inst = Instance(n, seed % n, [(v - 1, v) for v in range(1, n)], links)
         want = _vertical_table_reference(inst)
-        got = {(t, b): (w, lid) for t, b, w, lid in
-               wtap.vertical_cost_table(inst).iter_entries()}
+        idx = inst.index
+        table = wtap.vertical_cost_table(inst)
+        got = {}
+        for b in range(inst.n):
+            t = b
+            while t != inst.root:
+                t = idx.parent[t]
+                entry = table.cost_of(t, b)
+                if entry is not None:
+                    got[(t, b)] = entry
         assert got == want
 
 

@@ -66,7 +66,7 @@ def test_exact_opt_budget():
 
 
 def _path(n: int, pairs, weight_max: int, rng: random.Random) -> Instance:
-    links = [Link(i, u, v, rng.randint(1, weight_max)) for i, (u, v) in enumerate(pairs)]
+    links = [Link(u, v, rng.randint(1, weight_max)) for u, v in pairs]
     return Instance(n, 0, [(i, i + 1) for i in range(n - 1)], links)
 
 
@@ -108,7 +108,7 @@ def _oracle_cases():
         inst = wtap.gen_random(n=4 + seed % 6, link_count=11 + seed % 4,
                                weight_max=2, seed=9700 + seed)
         cases.append(Instance(inst.n, inst.root, inst.edges,
-                              [Link(lk.id, lk.u, lk.v, lk.weight % 2) for lk in inst.links]))
+                              [Link(lk.u, lk.v, lk.weight % 2) for lk in inst.links]))
     cases.extend(wtap.gen_fig3(m) for m in range(1, 6))
     cases.extend(wtap.gen_fig2(d, 3) for d in (2, 3, 4))
     cases.extend(_gapped_path(4 + i, 3 + i % 10, rng) for i in range(20))
@@ -140,8 +140,8 @@ def test_exact_opt_weights_beyond_int64():
     # Two links of about 2**62 each: their sum overflows int64, and the
     # cheapest cover is the single heavy link 0, not links 1 and 2.
     inst = Instance(3, 0, [(0, 1), (1, 2)],
-                    [Link(0, 0, 2, 1 << 62), Link(1, 0, 1, (1 << 62) - 1),
-                     Link(2, 1, 2, 2)])
+                    [Link(0, 2, 1 << 62), Link(0, 1, (1 << 62) - 1),
+                     Link(1, 2, 2)])
     sol = wtap.exact_opt(inst)
     assert sol.weight == 1 << 62
     assert sol.link_ids == (0,)
