@@ -9,8 +9,9 @@ brute-force oracles for desk-scale ground truth.
 
 from .baseline import (InfeasibleError, UpLinkSolution, UpPath,
                        cheapest_disjoint_uplink_cover, uplink_from_link)
-from .component_dp import (ComponentSearch, SearchLink, original_search_links,
-                           shadow_closure_search_links, uplink_search_links)
+from .component_dp import (ComponentSearch, PlanTooLargeError, SearchLink,
+                           original_search_links, shadow_closure_search_links,
+                           uplink_search_links)
 from .decomposition import (CoverWitness, Decomposition, DependencyGraph,
                             NotABranchingError, build_dependency_graph,
                             compute_cover_witness, decompose,

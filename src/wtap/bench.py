@@ -33,39 +33,49 @@ class ConfigError(ValueError):
     """The config itself is malformed: no row can be run from it."""
 
 
+def _int(entry: dict, key: str, default: int | None = None) -> int:
+    """``entry[key]`` (or ``default`` when absent), which must be an int and
+    not a bool: ``type(x) is int`` refuses both, as ``io.loads_json`` does."""
+    value = entry[key] if default is None else entry.get(key, default)
+    if type(value) is not int:
+        raise ValueError(f"{key!r} {value!r} is not an integer")
+    return value
+
+
 def _materialize_instances(config: dict) -> list[tuple[str, dict, Instance]]:
     out = []
     for entry in config.get("instances", []):
         kind = entry["kind"]
         if kind == "random":
-            inst = gen_random(int(entry["n"]), int(entry.get("links", entry["n"])),
-                              int(entry.get("weight_max", 10)), int(entry["seed"]))
-            name = f"random-n{entry['n']}-s{entry['seed']}"
+            n = _int(entry, "n")
+            inst = gen_random(n, _int(entry, "links", n),
+                              _int(entry, "weight_max", 10), _int(entry, "seed"))
+            name = f"random-n{n}-s{entry['seed']}"
             out.append((name, entry, inst))
         elif kind == "random_batch":
-            count = int(entry["count"])
+            count = _int(entry, "count")
             if count < 0:
                 raise ValueError(f"random_batch count {count} is negative")
-            n_min = int(entry.get("n_min", 2))
-            n_max = int(entry["n_max"])
-            seed0 = int(entry.get("seed", 0))
-            wmax = int(entry.get("weight_max", 10))
+            n_min = _int(entry, "n_min", 2)
+            n_max = _int(entry, "n_max")
+            seed0 = _int(entry, "seed", 0)
+            wmax = _int(entry, "weight_max", 10)
             span = n_max - n_min + 1
             if span < 1:
                 raise ValueError(f"n_min {n_min} is above n_max {n_max}")
             for i in range(count):
                 n = n_min + (i % span)
-                links = int(entry["links"]) if "links" in entry else n
+                links = _int(entry, "links", n)
                 seed = seed0 * 1_000_000 + i
                 inst = gen_random(n, links, wmax, seed)
                 params = {"kind": "random", "n": n, "links": links,
                           "weight_max": wmax, "seed": seed}
                 out.append((f"random-n{n}-s{seed}", params, inst))
         elif kind == "fig2":
-            d, m = int(entry["d"]), int(entry["M"])
+            d, m = _int(entry, "d"), _int(entry, "M")
             out.append((f"fig2-d{d}-M{m}", entry, gen_fig2(d, m)))
         elif kind == "fig3":
-            m = int(entry["m"])
+            m = _int(entry, "m")
             out.append((f"fig3-m{m}", entry, gen_fig3(m)))
         elif kind == "file":
             path = entry["path"]

@@ -17,8 +17,8 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import io as wio
 from .baseline import cheapest_disjoint_uplink_cover
-from .component_dp import (ComponentSearch, original_search_links,
-                           uplink_search_links)
+from .component_dp import (ComponentSearch, PlanTooLargeError,
+                           original_search_links, uplink_search_links)
 from .decomposition import decompose, verify_cover_structure
 from .generators import gen_fig2, gen_fig3, gen_random
 from .greedy import solve as greedy_solve
@@ -341,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (BudgetExceededError, TableTooLargeError) as exc:
+    except (BudgetExceededError, TableTooLargeError, PlanTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except WeightOverflowError as exc:

@@ -23,10 +23,13 @@ is the one place that says what a state reads: the compile lists each
 requested state's candidates through it once, then prunes the infeasible.
 
 Removing up-links from U, together with their search links, only takes
-candidates, states and PLUS alternatives away, and no key names a link.
-``drop_uplinks`` therefore prunes the plan in place, with the keep-reached
-and renumber pass the compile ends with, instead of compiling it again, and
-the relative greedy compiles one plan per solve.
+candidates, states and PLUS alternatives away, and no key names a link;
+all of them sit at the vertices of the removed paths, or are read only
+from there.  The compile therefore ends by counting each state's readers,
+and ``drop_uplinks`` kills what a drop removes where it stands and
+cascades through the counts, so the relative greedy compiles one plan per
+solve and no drop walks the whole plan.  Dead states keep their places
+with an empty candidate range; nothing is compacted.
 
 All slack values are integers in units of 1/q: slack * q = p*w(drop) - q*w(C).
 Inside the plan, a link set is a bitmask over the positions of the links in
@@ -52,6 +55,14 @@ MINUS = 0
 PLUS = 1
 
 _EMPTY_KEY = ((), MINUS)  # state key of (v, {}, -)
+
+# Candidates the compile may list before it gives up.  At k = 7,
+# gen_random(30, 30, 20, 3) lists 781 330 of them, and n = 40 passes it.
+PLAN_CANDIDATE_BUDGET = 1 << 20
+
+
+class PlanTooLargeError(RuntimeError):
+    """The component-DP plan would list over ``PLAN_CANDIDATE_BUDGET`` candidates."""
 
 
 @dataclass(frozen=True)
@@ -110,17 +121,24 @@ class _Plan:
 
     State ``s`` sits at vertex ``vert[s]`` with key ``key[s] = (ends, x)``:
     the sorted endpoints below that vertex of its boundary links, and its
-    flag.  Its candidates are ``cand_lo[s]:cand_lo[s+1]``.  Candidate ``c``
+    flag.  Its candidates are ``cand_lo[s]:cand_hi[s]``.  Candidate ``c``
     has weight ``cand_w[c]``, apex-link mask ``cand_z[c]`` (over the
-    alphabet the search was built with) and terms ``term_lo[c]:term_lo[c+1]``.
+    alphabet the search was built with) and terms ``term_lo[c]:term_hi[c]``.
     Term ``t`` replaces, for one child, the child's empty-boundary entry
     ``term_ze[t]`` by entry ``term_ch[t]``, or by entry ``term_pl[t]`` plus
     rho * ``term_uw[t]`` when that is at least as large (``term_pl[t]`` is
     -1 when there is no such choice, and ``term_uw[t]`` then means nothing).
     ``zero[v]`` lists the empty-boundary entries (c, {}, -) of v's children.
     States come top-down, their vertices in BFS order, so each precedes the
-    entries it reads, and those of one vertex are contiguous.  State 0 is
-    the root's (root, {}, -).
+    entries it reads, and those of one vertex, ``span[v]``, are contiguous.
+    State 0 is the root's (root, {}, -).
+
+    While the compile lists and prunes, ranges are ``cand_lo[s]:cand_lo[s+1]``
+    and ``term_lo[c]:term_lo[c+1]``; ``count_reads`` then splits off the
+    ends, so that a candidate can move within its state's range, and counts
+    in ``ref[s]`` the readers of each state.  ``kill`` and ``cut`` take
+    states and candidates away in place: a dead state has an empty range,
+    and a live one never has.
     """
 
     def __init__(self, n: int):
@@ -135,10 +153,15 @@ class _Plan:
         self.term_pl: list[int] = []
         self.term_uw: list[int] = []
         self.zero: list[list[int]] = [[] for _ in range(n)]
+        self.cand_hi: list[int] = []
+        self.term_hi: list[int] = []
+        self.ref: list[int] = []
+        self.span: list[range] = [range(0)] * n
 
     def prune(self, live: bytearray, keep: bytearray,
               names: Sequence[int]) -> None:
-        """Keep the states the root reaches, renumbered in order, in place.
+        """Keep the states the root reaches, renumbered in order, in place;
+        the compile's last step before ``count_reads``.
 
         ``zero``, ``term_ze``, ``term_ch``, ``term_pl`` and ``live`` call
         state s ``names[s]``; afterwards the columns hold the new state ids.
@@ -218,6 +241,102 @@ class _Plan:
             raise AssertionError("a kept candidate reads an entry that went")
         self.zero = [[new[e] for e in zs] for zs in self.zero]
 
+    def count_reads(self) -> None:
+        """Split off the range ends and count each state's readers.
+
+        A state's readers are the terms of live candidates that read it as
+        ``term_ch`` or as a PLUS alternative ``term_pl``, and a pin for the
+        root and for each entry of a ``zero`` list.  A vertex's (v, {}, -)
+        is in its parent's ``zero`` list and keeps the empty Z, so the
+        root reaches all of them, as it does in ``prune``; a state the
+        root reaches thus has a reader.
+        """
+        cand_lo, term_lo, vert = self.cand_lo, self.term_lo, self.vert
+        self.cand_hi = cand_lo[1:]
+        del cand_lo[-1]
+        self.term_hi = term_lo[1:]
+        del term_lo[-1]
+        self.ref = ref = [0] * len(vert)
+        ref[0] = 1
+        for zs in self.zero:
+            for e in zs:
+                ref[e] += 1
+        for e in self.term_ch:
+            ref[e] += 1
+        for e in self.term_pl:
+            if e >= 0:
+                ref[e] += 1
+        lo = 0
+        for s in range(1, len(vert) + 1):
+            if s == len(vert) or vert[s] != vert[lo]:
+                self.span[vert[lo]] = range(lo, s)
+                lo = s
+
+    def _unread(self, cands: Iterable[int], dead: list[int]) -> None:
+        """Take the reads of candidates ``cands`` off the counts; push the
+        states that are left with no reader onto ``dead``."""
+        ref, term_ch, term_pl = self.ref, self.term_ch, self.term_pl
+        term_lo, term_hi = self.term_lo, self.term_hi
+        for c in cands:
+            a, b = term_lo[c], term_hi[c]
+            for e in term_ch[a:b]:
+                ref[e] -= 1
+                if not ref[e]:
+                    dead.append(e)
+            for e in term_pl[a:b]:
+                if e >= 0:
+                    ref[e] -= 1
+                    if not ref[e]:
+                        dead.append(e)
+
+    def kill(self, dead: list[int]) -> int:
+        """Kill the states on ``dead`` and, through the counts, every state
+        left with no reader; return how many died.  A state that is dead
+        already is skipped.  The cascade runs on ``dead`` as a stack."""
+        cand_lo, cand_hi = self.cand_lo, self.cand_hi
+        died = 0
+        while dead:
+            s = dead.pop()
+            lo, hi = cand_lo[s], cand_hi[s]
+            if lo == hi:
+                continue
+            cand_hi[s] = lo
+            died += 1
+            self._unread(range(lo, hi), dead)
+        return died
+
+    def cut(self, v: int, gone: int, dead_pl: set[int]) -> int:
+        """At vertex v, set to -1 the PLUS alternatives into the states of
+        ``dead_pl`` and kill the candidates whose Z meets mask ``gone``,
+        then cascade; return how many states died.  A candidate is killed
+        by moving it past its state's live end; its terms stay put.
+        """
+        cand_lo, cand_hi, cand_z = self.cand_lo, self.cand_hi, self.cand_z
+        term_lo, term_hi, term_pl = self.term_lo, self.term_hi, self.term_pl
+        cols = (self.cand_w, cand_z, term_lo, term_hi)
+        nst = len(cand_lo)
+        dead: list[int] = []
+        for s in self.span[v]:
+            lo, hi = cand_lo[s], cand_hi[s]
+            if lo == hi:
+                continue
+            # the terms of the state's candidate slots, dead ones included,
+            # are one block
+            end = cand_lo[s + 1] if s + 1 < nst else len(cand_z)
+            a, b = min(term_lo[lo:end]), max(term_hi[lo:end])
+            for t in compress(range(a, b), map(dead_pl.__contains__, term_pl[a:b])):
+                term_pl[t] = -1
+            hits = [c for c in range(lo, hi) if cand_z[c] & gone]
+            if len(hits) == hi - lo:
+                raise AssertionError("a live state lost its last candidate")
+            for c in reversed(hits):  # later hits are past the end already
+                hi -= 1
+                for col in cols:
+                    col[c], col[hi] = col[hi], col[c]
+            self._unread(range(hi, cand_hi[s]), dead)
+            cand_hi[s] = hi
+        return self.kill(dead)
+
 
 class _Sweep:
     """One probe: every state's value at rho = p/q, link sets on demand.
@@ -225,7 +344,11 @@ class _Sweep:
     ``val[s]`` is state s's slack * q and ``pick[s]`` its best candidate,
     found in one pass from the plan's end, so every state comes after the
     states it reads.  Link sets are needed only to break ties and to
-    answer, so ``mask`` composes them from the picks when asked.
+    answer, so ``mask`` composes them from the picks when asked.  Only
+    live candidates are in a state's range, in any order: ``_preferred``
+    is a strict order on the distinct Z, hence masks, of one state's
+    candidates, so the pick does not depend on it.  A dead state's range
+    is empty, and no live state reads it.
     """
 
     def __init__(self, plan: _Plan, p: int, q: int):
@@ -235,8 +358,9 @@ class _Sweep:
         self.val = val = [0] * nst
         self.pick = pick = [0] * nst
         self.msk: list[int | None] = [None] * nst
-        cand_lo, cand_w = plan.cand_lo, plan.cand_w
-        term_lo, term_ze, term_ch = plan.term_lo, plan.term_ze, plan.term_ch
+        cand_lo, cand_hi, cand_w = plan.cand_lo, plan.cand_hi, plan.cand_w
+        term_lo, term_hi = plan.term_lo, plan.term_hi
+        term_ze, term_ch = plan.term_ze, plan.term_ch
         term_pl, term_uw, zero = plan.term_pl, plan.term_uw, plan.zero
         vert = plan.vert
         at = -1
@@ -251,9 +375,9 @@ class _Sweep:
             best = 0
             best_c = -1
             best_m = None
-            for c in range(cand_lo[s], cand_lo[s + 1]):
+            for c in range(cand_lo[s], cand_hi[s]):
                 sl = zs - q * cand_w[c]
-                for t in range(term_lo[c], term_lo[c + 1]):
+                for t in range(term_lo[c], term_hi[c]):
                     a = val[term_ch[t]]
                     pl = term_pl[t]
                     if pl >= 0:
@@ -286,7 +410,7 @@ class _Sweep:
         """The states whose sets candidate c of state s combines."""
         plan, val, p = self.plan, self.val, self.p
         out = list(plan.zero[plan.vert[s]])
-        for t in range(plan.term_lo[c], plan.term_lo[c + 1]):
+        for t in range(plan.term_lo[c], plan.term_hi[c]):
             pick = plan.term_ch[t]
             pl = plan.term_pl[t]
             if pl >= 0 and val[pl] + p * plan.term_uw[t] >= val[pick]:
@@ -309,7 +433,7 @@ class _Sweep:
         m = plan.cand_z[c]
         for e in parts[:nzero]:
             m |= msk[e]
-        for t, e in zip(range(plan.term_lo[c], plan.term_lo[c + 1]), parts[nzero:]):
+        for t, e in zip(range(plan.term_lo[c], plan.term_hi[c]), parts[nzero:]):
             m = (m & ~msk[plan.term_ze[t]]) | msk[e]
         return m
 
@@ -339,7 +463,7 @@ class ComponentSearch:
     the ratio search reads them from it.  The per-link structures
     (``apex_ids``, ``legs``) and the plan's masks number links by their
     position in the alphabet the search was built with, the only numbering
-    it keeps.
+    it keeps.  ``states`` counts the plan's live states.
     """
 
     def __init__(self, instance: Instance, uplinks: Sequence[UpPath],
@@ -365,6 +489,7 @@ class ComponentSearch:
 
         self._index_uplinks(uplinks)
         self._plan = self._compile()
+        self.states = len(self._plan.vert)
         self._fresh()
 
     def _index_uplinks(self, uplinks: Sequence[UpPath]) -> None:
@@ -382,8 +507,7 @@ class ComponentSearch:
                 v = parent[v]
 
     def _fresh(self) -> None:
-        """Count the plan's states and forget the last probe."""
-        self.states = len(self._plan.vert)
+        """Forget the last probe."""
         self._p = 0
         self._q = 1
         self._last: _Sweep | None = None
@@ -429,35 +553,65 @@ class ComponentSearch:
         place, keeping the order of the others.  Afterwards the object
         answers every query, ``entries`` included, as
         ``ComponentSearch(instance, U', k, alphabet')`` would, with the same
-        states and candidates; the states of one vertex may come in another
-        order.  Only ``crossing`` is rebuilt; ``_restrict`` prunes the plan
-        in place by the removed links' built positions, and ends with the
-        pass the compile ends with, ``_Plan.prune``.
+        states in the same order and the same candidates.
+
+        Only ``crossing`` is rebuilt.  The plan is cut in place: for each
+        removed up-link, the PLUS states at the vertices of its path below
+        its top die; at the top, the PLUS alternatives into them become -1
+        and the candidates whose Z holds the removed search link die.  A
+        candidate's death takes its reads off the counts, and a state left
+        with no reader dies with its candidates, so the cascade reaches
+        exactly what ``_Plan.prune`` would no longer reach.  A state of a
+        surviving up-link keeps a candidate, Z minus the removed links.
+
+        Counting PLUS alternatives keeps the counts exact, though leaving
+        them out would kill the same states: a PLUS state (c, ends, +) is
+        read only as an alternative, at the top of the up-link u through
+        c's parent edge, and its ends lie at links that go down that edge.
+        No other up-link's path holds that edge, so while u stays, each of
+        its readers that dies leaves one with the same ends, Z minus the
+        removed links; it loses its last reader only when u goes, and then
+        it is killed as a state of u's path.
         """
         gone = set(indices)
         if not gone <= set(range(len(self.uplinks))):
             raise IndexError(f"no up-links {sorted(gone)} among {len(self.uplinks)}")
-        cut_links = set(uplink_search_links([self.uplinks[i] for i in gone]))
+        dropped = [self.uplinks[i] for i in sorted(gone)]
+        cut_links = set(uplink_search_links(dropped))
         cut = 0
         for i, sl in enumerate(self._alphabet):
             if sl in cut_links:
                 cut |= 1 << i
         self.links[:] = [sl for sl in self.links if sl not in cut_links]
-        self._last = None  # free the last sweep before the passes
+        self._last = None
+        plan, parent = self._plan, self.idx.parent
+        key = plan.key
+        doomed = []
+        for up in dropped:
+            v = up.bottom
+            while v != up.top:
+                doomed.extend(s for s in plan.span[v] if key[s][1] == PLUS)
+                v = parent[v]
+        died = plan.kill(list(doomed))
+        doomed = set(doomed)
+        for top in dict.fromkeys(up.top for up in dropped):
+            died += plan.cut(top, cut, doomed)
+        self.states -= died
         self._index_uplinks([p for i, p in enumerate(self.uplinks) if i not in gone])
-        self._restrict(cut)
         self._fresh()
 
     def entries(self) -> Iterator[tuple]:
-        """Every compiled state as (v, endpoints below v of its boundary
-        links, x, slack * q, C's links) at the last rho.  No key comes
-        twice, so sorting the entries never compares link tuples."""
+        """Every live state, in plan order, as (v, endpoints below v of its
+        boundary links, x, slack * q, C's links) at the last rho.  No key
+        comes twice, so sorting the entries never compares link tuples."""
         sw = self._last
         if sw is None:
             raise RuntimeError("no probe yet: call max_slack first")
         plan = self._plan
         return ((v, ends, x, sw.val[s], self._links(sw.mask(s)))
-                for s, (v, (ends, x)) in enumerate(zip(plan.vert, plan.key)))
+                for s, (v, (ends, x), lo, hi)
+                in enumerate(zip(plan.vert, plan.key, plan.cand_lo, plan.cand_hi))
+                if lo < hi)
 
     # ------------------------------------------------------------------
     def _zsets(self, v: int) -> Iterator[tuple[int, int, int, tuple]]:
@@ -542,7 +696,11 @@ class ComponentSearch:
            entry left with no candidate (a MINUS state reads only MINUS
            entries, which all keep the empty Z); then ``_Plan.prune`` keeps
            what the root reaches and renumbers names to states.
+
+        Listing more than ``PLAN_CANDIDATE_BUDGET`` candidates raises
+        ``PlanTooLargeError``.
         """
+        budget = PLAN_CANDIDATE_BUDGET
         n, children = self.instance.n, self.idx.children
         plan = _Plan(n)
         cand_lo, cand_w, cand_z = plan.cand_lo, plan.cand_w, plan.cand_z
@@ -565,6 +723,10 @@ class ComponentSearch:
                 plan.key.append(key)
                 for zweight, zmask, terms in self._candidates(v, *key):
                     cand_w.append(zweight)
+                    if len(cand_w) > budget:
+                        raise PlanTooLargeError(
+                            f"component-DP plan lists more than the budget "
+                            f"of {budget} candidates")
                     cand_z.append(zmask)
                     for child, ck, pk, uw in terms:
                         got = asked[child]
@@ -589,33 +751,5 @@ class ComponentSearch:
                 if all(live[e] for e in term_ch[term_lo[c]:term_lo[c + 1]]):
                     keep[c] = live[names[s]] = 1
         plan.prune(live, keep, names)
+        plan.count_reads()
         return plan
-
-    def _restrict(self, gone: int) -> None:
-        """Prune the plan to the current up-links, in place; ``gone`` masks
-        the removed search links.
-
-        A candidate goes when its Z holds a removed link, and a PLUS state
-        when the up-link crossing its vertex was removed; then
-        ``_Plan.prune``.  As up-links are disjoint, every other state keeps
-        a candidate, and the state each term of a kept candidate reads is
-        kept: a MINUS state keeps the empty Z, and a PLUS state on a
-        surviving up-link keeps, for each candidate Z, Z minus the removed
-        links, which go down no edge of that up-link.  A term's PLUS
-        alternative goes when its state went, as it does when the up-link
-        hanging into that child was removed.
-        """
-        plan = self._plan
-        vert, key, cand_lo, cand_z = plan.vert, plan.key, plan.cand_lo, plan.cand_z
-        crossing = self.crossing
-        nst = len(vert)
-        live = bytearray(nst)
-        keep = bytearray(len(cand_z))
-        for s in range(nst):
-            if key[s][1] == PLUS and crossing[vert[s]] < 0:
-                continue
-            live[s] = 1
-            for c in range(cand_lo[s], cand_lo[s + 1]):
-                if not cand_z[c] & gone:
-                    keep[c] = 1
-        plan.prune(live, keep, range(nst))

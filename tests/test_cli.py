@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import wtap
-from wtap import model
+from wtap import component_dp, model
 from wtap.bench import bench
 from wtap.cli import main
 
@@ -237,6 +237,19 @@ def test_table_size_budget_exit_code(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_plan_size_budget_exit_code(tmp_path, capsys, monkeypatch):
+    # a component-DP plan listing more candidates than the budget: exit 3
+    # and an error line
+    inst_path = tmp_path / "inst.json"
+    run_cli(["gen", "fig2", "--d", "4", "--M", "10", "--out", str(inst_path)], capsys)
+    monkeypatch.setattr(component_dp, "PLAN_CANDIDATE_BUDGET", 5)
+    for cmd in (["solve", "--algorithm", "relgreedy"], ["ratio", "--k", "2"]):
+        code, out, err = run_cli(cmd + [str(inst_path)], capsys)
+        assert code == 3
+        assert out == "" and err.startswith("error: component-DP plan lists more")
+        assert "Traceback" not in err
+
+
 def test_weight_overflow_exit_code(tmp_path, capsys):
     # weights near 2**62 overflow the int64 tables of uplink2: exit 2, an
     # error line and no traceback; the exact oracle still answers exactly
@@ -396,6 +409,14 @@ def test_empty_bench_config(tmp_path, capsys):
     {"instances": [], "oracle": {"max_links": "many"}},
     {"instances": [], "oracle": 18},
     {"instances": [{"kind": "random_batch", "count": -1, "n_max": 5}]},
+    {"instances": [{"kind": "random_batch", "count": 2.5, "n_max": 4}]},
+    {"instances": [{"kind": "random_batch", "count": True, "n_max": 4}]},
+    {"instances": [{"kind": "random_batch", "count": 2, "n_max": "4"}]},
+    {"instances": [{"kind": "random_batch", "count": 2, "n_max": 4, "links": 3.0}]},
+    {"instances": [{"kind": "random", "n": 5.7, "seed": 1.9}]},
+    {"instances": [{"kind": "random", "n": 5, "seed": False}]},
+    {"instances": [{"kind": "fig2", "d": 3, "M": "5"}]},
+    {"instances": [{"kind": "fig3", "m": 1.0}]},
 ])
 def test_bench_rejects_bad_config(tmp_path, capsys, config):
     # a malformed config is a validation error: exit 2 and one error line

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import wtap
-from wtap import Instance, Link
+from wtap import Instance, Link, component_dp
 from wtap.baseline import UpPath
 from wtap.component_dp import (MINUS, PLUS, ComponentSearch, SearchLink,
                                lex_less, original_search_links,
@@ -257,16 +257,59 @@ def test_drop_uplinks_matches_fresh_compile():
     assert drops > 300
 
 
+def _live_states(plan):
+    return [s for s in range(len(plan.vert)) if plan.cand_lo[s] < plan.cand_hi[s]]
+
+
 def test_plan_keys_are_unique():
-    # a state is keyed by (vertex, boundary endpoints, x): no key twice in a
-    # plan, as built and after every drop
+    # a state is keyed by (vertex, boundary endpoints, x): no key twice among
+    # a plan's live states, as built and after every drop
     plans = 0
     for _, _, cs, _, _, _ in _chained_drops(60, 6300):
         plan = cs._plan
-        keys = list(zip(plan.vert, plan.key))
+        keys = [(plan.vert[s], plan.key[s]) for s in _live_states(plan)]
         assert len(set(keys)) == len(keys) == cs.states
         plans += 1
     assert plans > 150
+
+
+def test_drops_keep_reach_and_tombstones_consistent():
+    # after every drop: the states reached from the root over zero lists,
+    # live candidates' terms and their active PLUS alternatives are exactly
+    # the live ones, no live term reads a dead state, and every dead state
+    # has an empty candidate range; a state read as a PLUS alternative is
+    # read no other way (drop_uplinks' docstring rests on it)
+    steps = 0
+    for _, _, cs, _, _, _ in _chained_drops(60, 6500):
+        plan = cs._plan
+        live = set(_live_states(plan))
+        reach = {0}
+        stack = [0]
+        as_ch, as_pl = set(), set()
+        while stack:
+            s = stack.pop()
+            reads = list(plan.zero[plan.vert[s]])
+            as_ch.update(reads)
+            for c in range(plan.cand_lo[s], plan.cand_hi[s]):
+                for t in range(plan.term_lo[c], plan.term_hi[c]):
+                    reads.append(plan.term_ch[t])
+                    as_ch.add(plan.term_ch[t])
+                    if plan.term_pl[t] >= 0:
+                        reads.append(plan.term_pl[t])
+                        as_pl.add(plan.term_pl[t])
+            for e in reads:
+                assert e in live, "a live state reads a dead one"
+                if e not in reach:
+                    reach.add(e)
+                    stack.append(e)
+        assert len(reach) == cs.states
+        assert reach == live
+        assert not as_ch & as_pl
+        for s in range(len(plan.vert)):
+            if s not in live:
+                assert plan.cand_lo[s] == plan.cand_hi[s]
+        steps += 1
+    assert steps > 150
 
 
 @pytest.mark.parametrize("eps, n, seed, k, weight, probes, states", [
@@ -340,6 +383,22 @@ def test_deterministic_tables():
     a = ComponentSearch(inst, uplinks, 2, search).max_slack(1, 2)
     b = ComponentSearch(inst, uplinks, 2, search).max_slack(1, 2)
     assert a == b
+
+
+def test_plan_candidate_budget(monkeypatch):
+    # the compile counts candidates as it lists them and stops past the
+    # budget; the plan keeps no more candidates than it listed
+    inst = wtap.gen_fig2(4, 10)
+    uplinks = fig2_reference_cover(inst)
+    search = _search_for(inst, uplinks)
+    kept = len(ComponentSearch(inst, uplinks, 2, search)._plan.cand_w)
+    monkeypatch.setattr(component_dp, "PLAN_CANDIDATE_BUDGET", kept - 1)
+    with pytest.raises(wtap.PlanTooLargeError, match=f"budget of {kept - 1} "):
+        ComponentSearch(inst, uplinks, 2, search)
+    with pytest.raises(wtap.PlanTooLargeError):
+        wtap.greedy.solve(inst, Fraction(1))
+    monkeypatch.setattr(component_dp, "PLAN_CANDIDATE_BUDGET", 4 * kept)
+    assert ComponentSearch(inst, uplinks, 2, search).states > 0
 
 
 def test_up_links_must_be_disjoint():
@@ -442,8 +501,9 @@ def test_runtime_envelope_n30_k2():
 
 
 def test_long_path_leaves_recursion_limit_alone():
-    # 3000-vertex path: the plan is compiled and swept without recursion,
-    # and the library must not raise the interpreter's recursion limit
+    # 3000-vertex path: the plan is compiled, swept and cut without
+    # recursion, and the library must not raise the interpreter's
+    # recursion limit
     n = 3000
     rng = random.Random(3)
     links = [Link(i - 1, i, 20) for i in range(1, n)]
@@ -452,14 +512,26 @@ def test_long_path_leaves_recursion_limit_alone():
     inst = Instance(n, 0, [(i - 1, i) for i in range(1, n)], links)
     uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
     search = _search_for(inst, uplinks)
+    # one up-link of 1500 edges on the same path
+    long_up = UpPath(0, 1500, 20, 0)
+    long_fresh = ComponentSearch(inst, [], 1, _search_for(inst, []))
     old = sys.getrecursionlimit()
     try:
         sys.setrecursionlimit(1000)
-        res = ComponentSearch(inst, uplinks, 2, search).max_slack(1, 2)
+        cs = ComponentSearch(inst, uplinks, 2, search)
+        res = cs.max_slack(1, 2)
+        while len(cs.uplinks) > 1:  # a chain of drops of every other up-link
+            cs.drop_uplinks(range(0, len(cs.uplinks), 2))
+            cs.max_slack(1, 2)
+        long_cs = ComponentSearch(inst, [long_up], 1, _search_for(inst, [long_up]))
+        long_cs.drop_uplinks([0])
+        long_res = long_cs.max_slack(1, 2)
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(old)
     assert res.slack >= 0
+    assert long_cs.states == long_fresh.states
+    assert long_res == long_fresh.max_slack(1, 2)
 
 
 def test_lex_less_rules():
