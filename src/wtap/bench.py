@@ -125,7 +125,7 @@ def bench(config: dict, timings: bool = False) -> dict:
         instances = _materialize_instances(config)
     except KeyError as exc:
         raise ConfigError(f"missing key {exc}") from exc
-    except (TypeError, ValueError, OSError) as exc:
+    except (TypeError, ValueError, OSError, RecursionError) as exc:
         raise ConfigError(str(exc)) from exc
     rows: list[dict[str, Any]] = []
     for name, params, inst in instances:

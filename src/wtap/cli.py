@@ -58,7 +58,8 @@ def _emit(payload, out: str | None) -> None:
 def _load_validated(path: str) -> Instance:
     try:
         inst = wio.load(path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError) as exc:
+        # RecursionError: JSON nested deeper than the interpreter's limit
         raise _CliError(f"cannot parse instance {path}: {exc}", EXIT_VALIDATION)
     issues = validate(inst)
     if issues:
@@ -247,7 +248,7 @@ def _cmd_decompose(args) -> None:
 def _cmd_bench(args) -> None:
     try:
         config = json.loads(Path(args.config).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise _CliError(f"cannot parse config: {exc}", EXIT_VALIDATION)
     try:
         report = bench_mod.bench(config, timings=args.timings)

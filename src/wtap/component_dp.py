@@ -21,6 +21,9 @@ one vertex contiguous, so every state precedes the states it reads; each
 probe is then one integer sweep over the plan from its end.  ``_candidates``
 is the one place that says what a state reads: the compile lists each
 requested state's candidates through it once, then prunes the infeasible.
+What the states of one vertex share (its apex links, the up-links hanging
+from it, the child toward each boundary end) is resolved once per vertex,
+and each state lists only the Z its free budget k - |ends| allows.
 
 Removing up-links from U, together with their search links, only takes
 candidates, states and PLUS alternatives away, and no key names a link;
@@ -36,7 +39,8 @@ Inside the plan, a link set is a bitmask over the positions of the links in
 the alphabet the search was built with; an answer is a tuple of links.
 Ties between equal-slack candidates prefer a nonempty set, then the
 lexicographically smallest sorted position tuple, so tables are
-deterministic.
+deterministic.  A sweep breaks a tie by composing each tied candidate's set
+from the picks below it, in one loop over an explicit stack.
 """
 
 from __future__ import annotations
@@ -59,6 +63,9 @@ _EMPTY_KEY = ((), MINUS)  # state key of (v, {}, -)
 # Candidates the compile may list before it gives up.  At k = 7,
 # gen_random(30, 30, 20, 3) lists 781 330 of them, and n = 40 passes it.
 PLAN_CANDIDATE_BUDGET = 1 << 20
+
+# Slots ``_Plan.prune`` copies per step, so that it copies no whole column.
+_CHUNK = 1 << 12
 
 
 class PlanTooLargeError(RuntimeError):
@@ -114,6 +121,43 @@ class SlackResult:
     drop_indices: tuple[int, ...]
     drop_weight: int
     weight: int
+
+
+def _zsets(apex: Sequence[tuple[int, int, tuple]],
+           most: int) -> Iterator[tuple[int, int, tuple]]:
+    """Yield every candidate Z of at most ``most`` of a vertex's apex links
+    ``apex``, each ``(bit, weight, legs)``, as ``(w(Z), Z mask, down)``.
+
+    By size, then in ``combinations`` order; ``down`` pairs each child the
+    links of Z go down into with the endpoints of those links below it.
+    They are made afresh for each state, as at k = 4 a vertex can have over
+    10^5 of them.
+    """
+    yield 0, 0, ()
+    for zsize in range(1, min(most, len(apex)) + 1):
+        for zcombo in combinations(apex, zsize):
+            zmask = 0
+            zweight = 0
+            down: dict[int, tuple[int, ...]] = {}
+            for bit, weight, lg in zcombo:
+                zmask |= bit
+                zweight += weight
+                for child, e in lg:
+                    down[child] = down.get(child, ()) + (e,)
+            yield zweight, zmask, tuple(down.items())
+
+
+def _squeeze(col: list, keep: bytearray, f=None) -> None:
+    """Keep ``col[i]`` where ``keep[i]`` is set, in order and in place,
+    mapped through ``f`` if given.  Works in chunks of ``_CHUNK``, so no
+    copy of the whole column is made: every write trails its read."""
+    n = 0
+    for lo in range(0, len(col), _CHUNK):
+        part = compress(col[lo:lo + _CHUNK], keep[lo:lo + _CHUNK])
+        part = list(part if f is None else map(f, part))
+        col[n:n + len(part)] = part
+        n += len(part)
+    del col[n:]
 
 
 class _Plan:
@@ -228,14 +272,10 @@ class _Plan:
             nt += term_lo[c + 1] - term_lo[c]
             term_lo[i + 1] = nt
         for col in (term_ze, term_ch, term_pl):
-            for i, e in enumerate(compress(col, tkeep)):
-                col[i] = new[e]
-        for i, w in enumerate(compress(term_uw, tkeep)):
-            term_uw[i] = w
+            _squeeze(col, tkeep, new.__getitem__)
+        _squeeze(term_uw, tkeep)
         for col, size in ((vert, ns), (key, ns), (cand_lo, ns + 1),
-                          (cand_w, nc), (cand_z, nc), (term_lo, nc + 1),
-                          (term_ze, nt), (term_ch, nt), (term_pl, nt),
-                          (term_uw, nt)):
+                          (cand_w, nc), (cand_z, nc), (term_lo, nc + 1)):
             del col[size:]
         if -1 in term_ch:
             raise AssertionError("a kept candidate reads an entry that went")
@@ -344,9 +384,12 @@ class _Sweep:
     ``val[s]`` is state s's slack * q and ``pick[s]`` its best candidate,
     found in one pass from the plan's end, so every state comes after the
     states it reads.  Link sets are needed only to break ties and to
-    answer, so ``mask`` composes them from the picks when asked.  Only
-    live candidates are in a state's range, in any order: ``_preferred``
-    is a strict order on the distinct Z, hence masks, of one state's
+    answer, so ``_fill`` composes them from the picks when asked, with an
+    explicit stack and no call per state.  A tie at state s compares
+    candidate masks, each composed as if it were s's pick; the states
+    below s are swept already, and no state composed so far reads s.  Only
+    live candidates are in a state's range, in any order: ``_preferred`` is
+    a strict order on the distinct Z, hence masks, of one state's
     candidates, so the pick does not depend on it.  A dead state's range
     is empty, and no live state reads it.
     """
@@ -357,7 +400,8 @@ class _Sweep:
         nst = len(plan.vert)
         self.val = val = [0] * nst
         self.pick = pick = [0] * nst
-        self.msk: list[int | None] = [None] * nst
+        self.msk = msk = [None] * nst
+        cand_mask = self._cand_mask
         cand_lo, cand_hi, cand_w = plan.cand_lo, plan.cand_hi, plan.cand_w
         term_lo, term_hi = plan.term_lo, plan.term_hi
         term_ze, term_ch = plan.term_ze, plan.term_ch
@@ -389,70 +433,68 @@ class _Sweep:
                     best, best_c, best_m = sl, c, None
                 elif sl == best:
                     if best_m is None:
-                        best_m = self._cand_mask(s, best_c)
-                    m = self._cand_mask(s, c)
+                        best_m = cand_mask(s, best_c)
+                    m = cand_mask(s, c)
                     if _preferred(m, best_m):
                         best_c, best_m = c, m
             val[s] = best
             pick[s] = best_c
-            self.msk[s] = best_m
+            msk[s] = best_m
 
     def mask(self, s: int) -> int:
         """The link set of state s, as a mask over the plan's alphabet."""
-        self._fill([s])
+        self._fill(s)
         return self.msk[s]
 
     def root(self) -> tuple[int, int]:
         """The plan root's slack * q and link-set mask."""
         return self.val[0], self.mask(0)
 
-    def _parts(self, s: int, c: int) -> list[int]:
-        """The states whose sets candidate c of state s combines."""
-        plan, val, p = self.plan, self.val, self.p
-        out = list(plan.zero[plan.vert[s]])
-        for t in range(plan.term_lo[c], plan.term_hi[c]):
-            pick = plan.term_ch[t]
-            pl = plan.term_pl[t]
-            if pl >= 0 and val[pl] + p * plan.term_uw[t] >= val[pick]:
-                pick = pl
-            out.append(pick)
-        return out
-
     def _cand_mask(self, s: int, c: int) -> int:
-        """The link set of candidate c of state s."""
-        parts = self._parts(s, c)
-        self._fill(parts)
-        return self._combine(s, c, parts)
-
-    def _combine(self, s: int, c: int, parts: list[int]) -> int:
-        """Candidate c's apex links, each child's empty-boundary set, and the
-        chosen entry's set in place of that for every child a term names;
-        the sets of ``parts`` must be known."""
-        plan, msk = self.plan, self.msk
-        nzero = len(plan.zero[plan.vert[s]])
-        m = plan.cand_z[c]
-        for e in parts[:nzero]:
-            m |= msk[e]
-        for t, e in zip(range(plan.term_lo[c], plan.term_hi[c]), parts[nzero:]):
-            m = (m & ~msk[plan.term_ze[t]]) | msk[e]
+        """The link set of candidate c of state s, which the sweep is at."""
+        self.pick[s] = c
+        self._fill(s)
+        m, self.msk[s] = self.msk[s], None
         return m
 
-    def _fill(self, states: list[int]) -> None:
-        """Compose the sets of ``states`` and of everything they rest on."""
-        msk, pick = self.msk, self.pick
-        stack = list(states)
+    def _fill(self, s: int) -> None:
+        """Compose the set of state s and of everything it rests on: its
+        pick's apex links, each child's empty-boundary set, and the chosen
+        entry's set in place of that for every child a term names."""
+        plan, val, msk, pick, p = self.plan, self.val, self.msk, self.pick, self.p
+        cand_z, zero, vert = plan.cand_z, plan.zero, plan.vert
+        term_lo, term_hi, term_ze = plan.term_lo, plan.term_hi, plan.term_ze
+        term_ch, term_pl, term_uw = plan.term_ch, plan.term_pl, plan.term_uw
+        stack = [s]
         while stack:
             s = stack[-1]
             if msk[s] is not None:
                 stack.pop()
                 continue
-            parts = self._parts(s, pick[s])
-            todo = [e for e in parts if msk[e] is None]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            msk[s] = self._combine(s, pick[s], parts)
+            miss = False
+            c = pick[s]
+            m = cand_z[c]
+            for e in zero[vert[s]]:
+                got = msk[e]
+                if got is None:
+                    stack.append(e)
+                    miss = True
+                else:
+                    m |= got
+            for t in range(term_lo[c], term_hi[c]):
+                e = term_ch[t]
+                pl = term_pl[t]
+                if pl >= 0 and val[pl] + p * term_uw[t] >= val[e]:
+                    e = pl
+                got = msk[e]
+                if got is None:
+                    stack.append(e)
+                    miss = True
+                elif not miss:  # then the zero sets are known
+                    m = (m & ~msk[term_ze[t]]) | got
+            if not miss:
+                stack.pop()
+                msk[s] = m
 
 
 class ComponentSearch:
@@ -614,82 +656,84 @@ class ComponentSearch:
                 if lo < hi)
 
     # ------------------------------------------------------------------
-    def _zsets(self, v: int) -> Iterator[tuple[int, int, int, tuple]]:
-        """Yield every candidate Z of vertex v as ``(|Z|, w(Z), Z mask, down)``.
-
-        Z is a set of at most k links with apex v, by size, then in
-        ``combinations`` order; ``down`` pairs each child the links of Z go
-        down into with the endpoints of those links below it.  They are made
-        afresh for each state, as at k = 4 a vertex can have over 10^5 of them.
-        """
-        alphabet, legs = self._alphabet, self.legs
-        apex_list = self.apex_ids[v]
-        for zsize in range(0, min(self.k, len(apex_list)) + 1):
-            for zcombo in combinations(apex_list, zsize):
-                zmask = 0
-                zweight = 0
-                down: dict[int, tuple[int, ...]] = {}
-                for lid in zcombo:
-                    zmask |= 1 << lid
-                    zweight += alphabet[lid].weight
-                    for child, e in legs[lid]:
-                        down[child] = down.get(child, ()) + (e,)
-                yield zsize, zweight, zmask, tuple(down.items())
-
     def _candidates(self, v: int, ends: tuple[int, ...], x: int):
         """Yield the candidate specs ``(w(Z), Z mask, terms)`` of state (v, ends, x).
 
-        This is the one place that says what a state reads.  A candidate
-        adds at most k - |ends| apex links Z of v.  When x is PLUS an up-link
-        must enter v (else there is no candidate), and when it goes on into
-        a child, cstar, some boundary or Z link must go down into cstar too.
-        A term ``(child, key, plus_key, up_weight)`` reads the child's entry
-        with key ``key`` (as in ``_Plan.key``): the endpoints below v in that
-        child's subtree, and PLUS for cstar, else MINUS.  When an up-link
-        hangs from v into that child (it crosses the child's edge and its
-        top is v), its PLUS entry ``plus_key`` may be taken instead with the
-        up-link's weight as bonus (otherwise ``plus_key`` is None).  Children
-        no link goes down into have no term.
+        This is the one place that says what a state reads; its body is
+        ``_lister(v)``, which the compile calls once per vertex.  A
+        candidate adds at most k - |ends| apex links Z of v.  When x is PLUS
+        an up-link must enter v (else there is no candidate), and when it
+        goes on into a child, cstar, some boundary or Z link must go down
+        into cstar too.  A term ``(child, key, plus_key, up_weight)`` reads
+        the child's entry with key ``key`` (as in ``_Plan.key``): the
+        endpoints below v in that child's subtree, and PLUS for cstar, else
+        MINUS.  When an up-link hangs from v into that child (it crosses the
+        child's edge and its top is v), its PLUS entry ``plus_key`` may be
+        taken instead with the up-link's weight as bonus (otherwise
+        ``plus_key`` is None).  Children no link goes down into have no term.
         """
-        crossing, uplinks = self.crossing, self.uplinks
+        return self._lister(v)(ends, x)
+
+    def _lister(self, v: int):
+        """``_candidates`` for the states of vertex v, with what they share
+        resolved once: v's apex links, the children an up-link hangs from v
+        into, cstar, and the child toward each boundary end, as it is asked.
+        """
+        k, crossing, uplinks = self.k, self.crossing, self.uplinks
         toward = self.idx.child_toward
+        alphabet, legs = self._alphabet, self.legs
+        apex = [(1 << i, alphabet[i].weight, legs[i]) for i in self.apex_ids[v]]
+        hang: dict[int, int] = {}  # child -> weight of the up-link hanging into it
+        for c in self.idx.children[v]:
+            u = crossing[c]
+            if u >= 0 and uplinks[u].top == v:
+                hang[c] = uplinks[u].weight
+        u = crossing[v]
         cstar = -1
-        if x == PLUS:
-            u = crossing[v]
-            if u < 0:
-                return
-            if uplinks[u].bottom != v:
-                cstar = toward(v, uplinks[u].bottom)
-        ybase: dict[int, tuple[int, ...]] = {}
-        for e in ends:
-            if e != v:
-                c = toward(v, e)
-                ybase[c] = ybase.get(c, ()) + (e,)
-        avail = self.k - len(ends)
-        for zsize, zweight, zmask, down in self._zsets(v):
-            if zsize > avail:
-                break
-            ydict = dict(ybase)
-            for child, ze in down:
-                ydict[child] = tuple(sorted(ydict.get(child, ()) + ze))
-            if cstar >= 0 and cstar not in ydict:
-                continue  # the entering up-link's inside edges would stay uncovered
-            terms = []
-            for child, ce in ydict.items():
-                u = crossing[child]
-                if u >= 0 and uplinks[u].top == v:
-                    terms.append((child, (ce, MINUS), (ce, PLUS), uplinks[u].weight))
-                else:
-                    want = PLUS if child == cstar else MINUS
-                    terms.append((child, (ce, want), None, 0))
-            yield zweight, zmask, terms
+        if u >= 0 and uplinks[u].bottom != v:
+            cstar = toward(v, uplinks[u].bottom)
+        side: dict[int, int] = {}  # boundary end -> the child of v it is under
+
+        def candidates(ends: tuple[int, ...], x: int):
+            want = -1
+            if x == PLUS:
+                if u < 0:
+                    return
+                want = cstar
+            ybase: dict[int, tuple[int, ...]] = {}
+            for e in ends:
+                if e != v:
+                    c = side.get(e)
+                    if c is None:
+                        c = side[e] = toward(v, e)
+                    ybase[c] = ybase.get(c, ()) + (e,)
+            for zweight, zmask, down in _zsets(apex, k - len(ends)):
+                ydict = ybase
+                if down:
+                    ydict = dict(ybase)
+                    for child, ze in down:
+                        ydict[child] = tuple(sorted(ydict.get(child, ()) + ze))
+                if want >= 0 and want not in ydict:
+                    continue  # the entering up-link's inside edges would stay uncovered
+                terms = []
+                for child, ce in ydict.items():
+                    uw = hang.get(child)
+                    if uw is None:
+                        terms.append((child, (ce, PLUS if child == want else MINUS),
+                                      None, 0))
+                    else:
+                        terms.append((child, (ce, MINUS), (ce, PLUS), uw))
+                yield zweight, zmask, terms
+
+        return candidates
 
     def _compile(self) -> _Plan:
         """Plan for the states reachable from (root, {}, -), in two steps.
 
         1. List: visit the vertices in BFS order.  Each state requested at
            a vertex is appended with every candidate ``_candidates`` lists
-           for it, and requests the child entries their terms name (and,
+           for it (through the vertex's one ``_lister``), and requests the
+           child entries their terms name (and,
            before any, the children's empty-boundary entries).  Entries
            are named by the order of their first request.
         2. Prune: bottom-up, a PLUS state drops the candidates that read an
@@ -712,16 +756,19 @@ class ComponentSearch:
         asked[self.instance.root] = {_EMPTY_KEY: 0}
         fresh = count(1).__next__
 
+        add_ze, add_ch = term_ze.append, term_ch.append
+        add_pl, add_uw = term_pl.append, term_uw.append
         for v in self.idx.bfs_order:
             for c in children[v]:
                 asked[c] = defaultdict(fresh)
             ze = {c: asked[c][_EMPTY_KEY] for c in children[v]}
             plan.zero[v] = list(ze.values())
+            candidates = self._lister(v)
             for key, e in asked[v].items():
                 names.append(e)
                 plan.vert.append(v)
                 plan.key.append(key)
-                for zweight, zmask, terms in self._candidates(v, *key):
+                for zweight, zmask, terms in candidates(*key):
                     cand_w.append(zweight)
                     if len(cand_w) > budget:
                         raise PlanTooLargeError(
@@ -730,10 +777,10 @@ class ComponentSearch:
                     cand_z.append(zmask)
                     for child, ck, pk, uw in terms:
                         got = asked[child]
-                        term_ze.append(ze[child])
-                        term_ch.append(got[ck])
-                        term_pl.append(-1 if pk is None else got[pk])
-                        term_uw.append(uw)
+                        add_ze(ze[child])
+                        add_ch(got[ck])
+                        add_pl(-1 if pk is None else got[pk])
+                        add_uw(uw)
                     term_lo.append(len(term_ze))
                 cand_lo.append(len(cand_w))
             asked[v] = None  # only v's parent requests v's states
@@ -748,7 +795,7 @@ class ComponentSearch:
                 live[names[s]] = hi > lo
                 continue
             for c in range(lo, hi):
-                if all(live[e] for e in term_ch[term_lo[c]:term_lo[c + 1]]):
+                if all(map(live.__getitem__, term_ch[term_lo[c]:term_lo[c + 1]])):
                     keep[c] = live[names[s]] = 1
         plan.prune(live, keep, names)
         plan.count_reads()

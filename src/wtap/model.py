@@ -187,14 +187,16 @@ class RootedTreeIndex:
         return self.kth_ancestor(v, self.depth[v] - d)
 
     def lca(self, a: int, b: int) -> int:
-        if self.is_ancestor(a, b):
+        tin, tout = self.tin, self.tout
+        ta, tb = tin[a], tin[b]
+        if ta <= tb <= tout[a]:
             return a
-        if self.is_ancestor(b, a):
+        if tb <= ta <= tout[b]:
             return b
         v = a
-        for j in range(len(self.up) - 1, -1, -1):
-            w = self.up[j][v]
-            if not self.is_ancestor(w, b):
+        for row in reversed(self.up):
+            w = row[v]
+            if not tin[w] <= tb <= tout[w]:
                 v = w
         return self.up[0][v]
 

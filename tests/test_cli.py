@@ -157,6 +157,25 @@ def test_malformed_json_header_exit_code(tmp_path, capsys, header):
     assert "Traceback" not in err
 
 
+def test_deeply_nested_json_exit_code(tmp_path, capsys):
+    # JSON nested past the interpreter's recursion limit, as an instance, a
+    # bench config or a file a config names: exit 2, one error line
+    deep = "[" * 5000 + "]" * 5000
+    inst = tmp_path / "deep.json"
+    inst.write_text('{"n": ' + deep + '}')
+    code, out, err = run_cli(["solve", "--algorithm", "uplink2", str(inst)], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error: cannot parse instance")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(deep)
+    code, out, err = run_cli(["bench", "--config", str(cfg)], capsys)
+    assert code == 2 and err.startswith("error: cannot parse config")
+    cfg.write_text(json.dumps({"instances": [{"kind": "file", "path": str(inst)}]}))
+    code, out, err = run_cli(["bench", "--config", str(cfg)], capsys)
+    assert code == 2 and err.startswith(f"error: invalid config {cfg}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_malformed_text_exit_code(tmp_path, capsys):
     # A truncated file and a link line without a weight: an error line, no traceback.
     for i, doc in enumerate(["3 0\n0 1\n", "3 0\n0 1\n1 2\n1\n0 2\n"]):

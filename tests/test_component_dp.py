@@ -1,5 +1,6 @@
 """Slack-maximization DP: table-entry examples, oracle equivalence, timing."""
 
+import hashlib
 import random
 import sys
 import time
@@ -351,6 +352,44 @@ def test_drop_chain_states_pinned(k, n, seed, states):
         cs.drop_uplinks(range(0, len(cs.uplinks), 2))
         got.append(cs.states)
     assert got == states
+
+
+def _plan_columns(plan):
+    return (plan.vert, plan.key, plan.cand_lo, plan.cand_hi, plan.cand_w,
+            plan.cand_z, plan.term_lo, plan.term_hi, plan.term_ze,
+            plan.term_ch, plan.term_pl, plan.term_uw, plan.zero, plan.ref,
+            [(r.start, r.stop) for r in plan.span])
+
+
+@pytest.mark.parametrize("k, n, seeds, digest", [
+    (2, 24, (1, 2, 10, 20), "de44bfd5fe0fa36b"),
+    (4, 12, (1, 2, 3, 27), "927e65906c277b83"),
+])
+def test_plan_columns_pinned(k, n, seeds, digest):
+    # pinned: every plan column, dead slots included, as built and after
+    # each drop of a chain, and entries() after each probe of a Dinkelbach
+    # search (from rho = 1, then at each witness's own ratio, where the
+    # witness ties with the empty set at the root); each drop removes the
+    # last witness's up-links.  Seeds 10, 20 and 27 have a term whose PLUS
+    # alternative ties with its entry in a set that is composed
+    h = hashlib.sha256()
+    for seed in seeds:
+        inst = wtap.gen_random(n, n, 20, seed)
+        uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
+        cs = ComponentSearch(inst, uplinks, k, _search_for(inst, uplinks))
+        h.update(repr(_plan_columns(cs._plan)).encode())
+        while cs.uplinks:
+            rho = Fraction(1)
+            witness = res = cs.max_slack(1, 1)
+            h.update(repr(list(cs.entries())).encode())
+            while res.slack > 0:
+                witness = res
+                rho = Fraction(res.weight, res.drop_weight)
+                res = cs.max_slack(rho.numerator, rho.denominator)
+                h.update(repr(list(cs.entries())).encode())
+            cs.drop_uplinks(witness.drop_indices)
+            h.update(repr(_plan_columns(cs._plan)).encode())
+    assert h.hexdigest()[:16] == digest
 
 
 def test_drop_uplinks_rejects_unknown_index():
