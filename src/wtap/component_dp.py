@@ -23,7 +23,10 @@ is the one place that says what a state reads: the compile lists each
 requested state's candidates through it once, then prunes the infeasible.
 What the states of one vertex share (its apex links, the up-links hanging
 from it, the child toward each boundary end) is resolved once per vertex,
-and each state lists only the Z its free budget k - |ends| allows.
+and each state lists only the Z its free budget k - |ends| allows.  A term
+(one child entry a candidate reads) is stored once per vertex, and a
+candidate holds the ids of its terms, so a probe values each of a vertex's
+distinct terms once and a candidate only adds up the values of its terms.
 
 Removing up-links from U, together with their search links, only takes
 candidates, states and PLUS alternatives away, and no key names a link;
@@ -40,7 +43,8 @@ the alphabet the search was built with; an answer is a tuple of links.
 Ties between equal-slack candidates prefer a nonempty set, then the
 lexicographically smallest sorted position tuple, so tables are
 deterministic.  A sweep breaks a tie by composing each tied candidate's set
-from the picks below it, in one loop over an explicit stack.
+from the picks below it and the entries its terms chose, in one loop over an
+explicit stack.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress, count
+from itertools import chain, combinations, compress, count
 from typing import Iterable, Iterator, Sequence
 
 from ._kernels import lex_less
@@ -147,42 +151,44 @@ def _zsets(apex: Sequence[tuple[int, int, tuple]],
             yield zweight, zmask, tuple(down.items())
 
 
-def _squeeze(col: list, keep: bytearray, f=None) -> None:
-    """Keep ``col[i]`` where ``keep[i]`` is set, in order and in place,
-    mapped through ``f`` if given.  Works in chunks of ``_CHUNK``, so no
-    copy of the whole column is made: every write trails its read."""
+def _squeeze(col: list, keep: bytearray) -> None:
+    """Keep ``col[i]`` where ``keep[i]`` is set, in order and in place.
+    Works in chunks of ``_CHUNK``, so no copy of the whole column is made:
+    every write trails its read."""
     n = 0
     for lo in range(0, len(col), _CHUNK):
-        part = compress(col[lo:lo + _CHUNK], keep[lo:lo + _CHUNK])
-        part = list(part if f is None else map(f, part))
+        part = list(compress(col[lo:lo + _CHUNK], keep[lo:lo + _CHUNK]))
         col[n:n + len(part)] = part
         n += len(part)
     del col[n:]
 
 
 class _Plan:
-    """The compiled table: flat per-state, per-candidate and per-term lists.
+    """The compiled table: flat per-state and per-candidate lists, and the
+    distinct terms of each vertex.
 
     State ``s`` sits at vertex ``vert[s]`` with key ``key[s] = (ends, x)``:
     the sorted endpoints below that vertex of its boundary links, and its
     flag.  Its candidates are ``cand_lo[s]:cand_hi[s]``.  Candidate ``c``
     has weight ``cand_w[c]``, apex-link mask ``cand_z[c]`` (over the
-    alphabet the search was built with) and terms ``term_lo[c]:term_hi[c]``.
-    Term ``t`` replaces, for one child, the child's empty-boundary entry
-    ``term_ze[t]`` by entry ``term_ch[t]``, or by entry ``term_pl[t]`` plus
-    rho * ``term_uw[t]`` when that is at least as large (``term_pl[t]`` is
-    -1 when there is no such choice, and ``term_uw[t]`` then means nothing).
-    ``zero[v]`` lists the empty-boundary entries (c, {}, -) of v's children.
-    States come top-down, their vertices in BFS order, so each precedes the
-    entries it reads, and those of one vertex, ``span[v]``, are contiguous.
-    State 0 is the root's (root, {}, -).
+    alphabet the search was built with) and terms ``cand_ids[c]``, a tuple
+    of ids into ``terms[v]`` for its state's vertex v.  Term ``(ze, ch, pl,
+    uw)`` replaces, for one child of v, the child's empty-boundary entry
+    ``ze`` by entry ``ch``, or by entry ``pl`` plus rho * ``uw`` when that is
+    at least as large (``pl`` is -1 when there is no such choice, and ``uw``
+    then means nothing).  The terms of one vertex are pairwise distinct, and
+    as compiled each is read by a candidate there.  ``zero[v]`` lists the
+    empty-boundary entries (c, {}, -) of v's children.  States come
+    top-down, their vertices in BFS order, so each precedes the entries it
+    reads, and those of one vertex, ``span[v]``, are contiguous.  State 0 is
+    the root's (root, {}, -).
 
     While the compile lists and prunes, ranges are ``cand_lo[s]:cand_lo[s+1]``
-    and ``term_lo[c]:term_lo[c+1]``; ``count_reads`` then splits off the
-    ends, so that a candidate can move within its state's range, and counts
-    in ``ref[s]`` the readers of each state.  ``kill`` and ``cut`` take
-    states and candidates away in place: a dead state has an empty range,
-    and a live one never has.
+    and ids name the terms in the order they were first listed;
+    ``count_reads`` then splits off the ends, so that a candidate can move
+    within its state's range, and counts in ``ref[s]`` the readers of each
+    state.  ``kill`` and ``cut`` take states and candidates away in place: a
+    dead state has an empty range, and a live one never has.
     """
 
     def __init__(self, n: int):
@@ -191,24 +197,21 @@ class _Plan:
         self.cand_lo = [0]
         self.cand_w: list[int] = []
         self.cand_z: list[int] = []
-        self.term_lo = [0]
-        self.term_ze: list[int] = []
-        self.term_ch: list[int] = []
-        self.term_pl: list[int] = []
-        self.term_uw: list[int] = []
+        self.cand_ids: list[tuple[int, ...]] = []
+        self.terms: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
         self.zero: list[list[int]] = [[] for _ in range(n)]
         self.cand_hi: list[int] = []
-        self.term_hi: list[int] = []
         self.ref: list[int] = []
         self.span: list[range] = [range(0)] * n
 
     def prune(self, live: bytearray, keep: bytearray,
               names: Sequence[int]) -> None:
-        """Keep the states the root reaches, renumbered in order, in place;
+        """Keep the states the root reaches, renumbered in order, and the
+        terms their kept candidates read, renumbered per vertex, in place;
         the compile's last step before ``count_reads``.
 
-        ``zero``, ``term_ze``, ``term_ch``, ``term_pl`` and ``live`` call
-        state s ``names[s]``; afterwards the columns hold the new state ids.
+        ``zero``, ``terms`` and ``live`` call state s ``names[s]``;
+        afterwards they hold the new state ids, and ``span`` is renewed.
         ``keep`` marks the candidates that stay; each reads only states that
         have one.  ``live`` marks the states that may still be taken as a
         PLUS alternative.  Top-down from the root, a state is reached through
@@ -216,31 +219,45 @@ class _Plan:
         whose PLUS alternative counts only if its state is live; one that
         went becomes -1.
         """
-        vert, key = self.vert, self.key
-        cand_lo, cand_w, cand_z = self.cand_lo, self.cand_w, self.cand_z
-        term_lo, term_ze, term_ch = self.term_lo, self.term_ze, self.term_ch
-        term_pl, term_uw = self.term_pl, self.term_uw
+        vert, key, cand_lo = self.vert, self.key, self.cand_lo
+        cand_ids, terms = self.cand_ids, self.terms
 
         nst = len(vert)
         reach = bytearray(nst)  # by name
         reach[names[0]] = 1
-        for s in range(nst):
-            if not reach[names[s]]:
+        s = 0
+        while s < nst:  # vertex by vertex: v's states read only its children's
+            v = vert[s]
+            states = self.span[v]
+            s = states.stop
+            hit = False
+            for t in states:
+                if reach[names[t]]:
+                    hit = True
+                else:
+                    lo, hi = cand_lo[t], cand_lo[t + 1]
+                    keep[lo:hi] = bytes(hi - lo)
+            if not hit:
+                terms[v] = []
                 continue
-            for e in self.zero[vert[s]]:
+            for e in self.zero[v]:
                 reach[e] = 1
-            lo, hi = cand_lo[s], cand_lo[s + 1]
-            if keep.find(0, lo, hi) < 0:  # all kept: one span of terms
-                spans = [(term_lo[lo], term_lo[hi])]
-            else:
-                spans = [(term_lo[c], term_lo[c + 1])
-                         for c in compress(range(lo, hi), keep[lo:hi])]
-            for a, b in spans:
-                for e in term_ch[a:b]:
-                    reach[e] = 1
-                for e in term_pl[a:b]:
-                    if e >= 0 and live[e]:
-                        reach[e] = 1
+            a, b = cand_lo[states.start], cand_lo[s]
+            ids = set(chain.from_iterable(compress(cand_ids[a:b], keep[a:b])))
+            vterms = terms[v]
+            for i in ids:
+                _, ch, pl, _ = vterms[i]
+                reach[ch] = 1
+                if pl >= 0 and live[pl]:
+                    reach[pl] = 1
+            if len(ids) < len(vterms):  # keep the terms read, in order
+                order = sorted(ids)
+                ren = [-1] * len(vterms)
+                for j, i in enumerate(order):
+                    ren[i] = j
+                for c in compress(range(a, b), keep[a:b]):
+                    cand_ids[c] = tuple(map(ren.__getitem__, cand_ids[c]))
+                terms[v] = [vterms[i] for i in order]
 
         # Renumber in order, in place: every write index trails its read
         # index, and a bound is read before the slot that holds it is
@@ -251,89 +268,80 @@ class _Plan:
         hi = cand_lo[0]
         for s in range(nst):
             lo, hi = hi, cand_lo[s + 1]
-            if not reach[names[s]]:
-                keep[lo:hi] = bytes(hi - lo)
-                continue
-            new[names[s]] = ns
-            vert[ns] = vert[s]
-            key[ns] = key[s]
-            nc += keep.count(1, lo, hi)
-            ns += 1
-            cand_lo[ns] = nc
-        tkeep = bytearray(b"\x01") * len(term_ch)
-        c = keep.find(0)
-        while c >= 0:
-            tkeep[term_lo[c]:term_lo[c + 1]] = bytes(term_lo[c + 1] - term_lo[c])
-            c = keep.find(0, c + 1)
-        nt = 0
-        for i, c in enumerate(compress(range(len(cand_w)), keep)):
-            cand_w[i] = cand_w[c]
-            cand_z[i] = cand_z[c]
-            nt += term_lo[c + 1] - term_lo[c]
-            term_lo[i + 1] = nt
-        for col in (term_ze, term_ch, term_pl):
-            _squeeze(col, tkeep, new.__getitem__)
-        _squeeze(term_uw, tkeep)
-        for col, size in ((vert, ns), (key, ns), (cand_lo, ns + 1),
-                          (cand_w, nc), (cand_z, nc), (term_lo, nc + 1)):
+            if reach[names[s]]:
+                new[names[s]] = ns
+                vert[ns] = vert[s]
+                key[ns] = key[s]
+                nc += keep.count(1, lo, hi)
+                ns += 1
+                cand_lo[ns] = nc
+        for col in (self.cand_w, self.cand_z, cand_ids):
+            _squeeze(col, keep)
+        for col, size in ((vert, ns), (key, ns), (cand_lo, ns + 1)):
             del col[size:]
-        if -1 in term_ch:
+        self.terms = [[(new[ze], new[ch], new[pl], uw) for ze, ch, pl, uw in vterms]
+                      for vterms in terms]
+        if any(t[1] < 0 for vterms in self.terms for t in vterms):
             raise AssertionError("a kept candidate reads an entry that went")
         self.zero = [[new[e] for e in zs] for zs in self.zero]
+        self.span = [range(0)] * len(self.span)
+        lo = 0
+        for s in range(1, ns + 1):
+            if s == ns or vert[s] != vert[lo]:
+                self.span[vert[lo]] = range(lo, s)
+                lo = s
 
     def count_reads(self) -> None:
         """Split off the range ends and count each state's readers.
 
-        A state's readers are the terms of live candidates that read it as
-        ``term_ch`` or as a PLUS alternative ``term_pl``, and a pin for the
-        root and for each entry of a ``zero`` list.  A vertex's (v, {}, -)
-        is in its parent's ``zero`` list and keeps the empty Z, so the
-        root reaches all of them, as it does in ``prune``; a state the
-        root reaches thus has a reader.
+        A state's readers are the term ids of live candidates whose term
+        reads it as ``ch`` or as a PLUS alternative ``pl``, and a pin for
+        the root and for each entry of a ``zero`` list.  A vertex's
+        (v, {}, -) is in its parent's ``zero`` list and keeps the empty Z,
+        so the root reaches all of them, as it does in ``prune``; a state
+        the root reaches thus has a reader.
         """
-        cand_lo, term_lo, vert = self.cand_lo, self.term_lo, self.vert
-        self.cand_hi = cand_lo[1:]
+        cand_lo = self.cand_lo
+        self.cand_hi = cand_hi = cand_lo[1:]
         del cand_lo[-1]
-        self.term_hi = term_lo[1:]
-        del term_lo[-1]
-        self.ref = ref = [0] * len(vert)
+        self.ref = ref = [0] * len(self.vert)
         ref[0] = 1
         for zs in self.zero:
             for e in zs:
                 ref[e] += 1
-        for e in self.term_ch:
-            ref[e] += 1
-        for e in self.term_pl:
-            if e >= 0:
-                ref[e] += 1
-        lo = 0
-        for s in range(1, len(vert) + 1):
-            if s == len(vert) or vert[s] != vert[lo]:
-                self.span[vert[lo]] = range(lo, s)
-                lo = s
+        cand_ids = self.cand_ids
+        for v, states in enumerate(self.span):
+            if states:
+                vterms = self.terms[v]
+                uses = [0] * len(vterms)
+                lo, hi = cand_lo[states[0]], cand_hi[states[-1]]
+                for i in chain.from_iterable(cand_ids[lo:hi]):
+                    uses[i] += 1
+                for (_, ch, pl, _), m in zip(vterms, uses):
+                    ref[ch] += m
+                    if pl >= 0:
+                        ref[pl] += m
 
-    def _unread(self, cands: Iterable[int], dead: list[int]) -> None:
-        """Take the reads of candidates ``cands`` off the counts; push the
-        states that are left with no reader onto ``dead``."""
-        ref, term_ch, term_pl = self.ref, self.term_ch, self.term_pl
-        term_lo, term_hi = self.term_lo, self.term_hi
-        for c in cands:
-            a, b = term_lo[c], term_hi[c]
-            for e in term_ch[a:b]:
-                ref[e] -= 1
-                if not ref[e]:
-                    dead.append(e)
-            for e in term_pl[a:b]:
-                if e >= 0:
-                    ref[e] -= 1
-                    if not ref[e]:
-                        dead.append(e)
+    def _unread(self, v: int, lo: int, hi: int, dead: list[int]) -> None:
+        """Take the reads of candidates ``lo:hi``, at vertex v, off the
+        counts; push the states that are left with no reader onto ``dead``."""
+        ref, vterms = self.ref, self.terms[v]
+        for ids in self.cand_ids[lo:hi]:
+            for i in ids:
+                _, ch, pl, _ = vterms[i]
+                ref[ch] -= 1
+                if not ref[ch]:
+                    dead.append(ch)
+                if pl >= 0:
+                    ref[pl] -= 1
+                    if not ref[pl]:
+                        dead.append(pl)
 
     def kill(self, dead: list[int]) -> int:
         """Kill the states on ``dead`` and, through the counts, every state
         left with no reader; return how many died.  A state that is dead
         already is skipped.  The cascade runs on ``dead`` as a stack."""
-        cand_lo, cand_hi = self.cand_lo, self.cand_hi
+        cand_lo, cand_hi, vert = self.cand_lo, self.cand_hi, self.vert
         died = 0
         while dead:
             s = dead.pop()
@@ -342,38 +350,34 @@ class _Plan:
                 continue
             cand_hi[s] = lo
             died += 1
-            self._unread(range(lo, hi), dead)
+            self._unread(vert[s], lo, hi, dead)
         return died
 
     def cut(self, v: int, gone: int, dead_pl: set[int]) -> int:
         """At vertex v, set to -1 the PLUS alternatives into the states of
         ``dead_pl`` and kill the candidates whose Z meets mask ``gone``,
         then cascade; return how many states died.  A candidate is killed
-        by moving it past its state's live end; its terms stay put.
+        by moving it past its state's live end.
         """
         cand_lo, cand_hi, cand_z = self.cand_lo, self.cand_hi, self.cand_z
-        term_lo, term_hi, term_pl = self.term_lo, self.term_hi, self.term_pl
-        cols = (self.cand_w, cand_z, term_lo, term_hi)
-        nst = len(cand_lo)
+        cols = (self.cand_w, cand_z, self.cand_ids)
+        vterms = self.terms[v]
+        for i, (ze, ch, pl, uw) in enumerate(vterms):
+            if pl in dead_pl:
+                vterms[i] = (ze, ch, -1, uw)
         dead: list[int] = []
         for s in self.span[v]:
             lo, hi = cand_lo[s], cand_hi[s]
             if lo == hi:
                 continue
-            # the terms of the state's candidate slots, dead ones included,
-            # are one block
-            end = cand_lo[s + 1] if s + 1 < nst else len(cand_z)
-            a, b = min(term_lo[lo:end]), max(term_hi[lo:end])
-            for t in compress(range(a, b), map(dead_pl.__contains__, term_pl[a:b])):
-                term_pl[t] = -1
-            hits = [c for c in range(lo, hi) if cand_z[c] & gone]
+            hits = list(compress(range(lo, hi), map(gone.__and__, cand_z[lo:hi])))
             if len(hits) == hi - lo:
                 raise AssertionError("a live state lost its last candidate")
             for c in reversed(hits):  # later hits are past the end already
                 hi -= 1
                 for col in cols:
                     col[c], col[hi] = col[hi], col[c]
-            self._unread(range(hi, cand_hi[s]), dead)
+            self._unread(v, hi, cand_hi[s], dead)
             cand_hi[s] = hi
         return self.kill(dead)
 
@@ -383,8 +387,12 @@ class _Sweep:
 
     ``val[s]`` is state s's slack * q and ``pick[s]`` its best candidate,
     found in one pass from the plan's end, so every state comes after the
-    states it reads.  Link sets are needed only to break ties and to
-    answer, so ``_fill`` composes them from the picks when asked, with an
+    states it reads.  On reaching a vertex v, the pass values each of v's
+    distinct terms once, as its best gain over the child's empty-boundary
+    entry, and records in ``took[v]`` the entry each term chose; a
+    candidate's slack is then its Z's share plus the sum of its terms'
+    values.  Link sets are needed only to break ties and to answer, so
+    ``_fill`` composes them from the picks and ``took`` when asked, with an
     explicit stack and no call per state.  A tie at state s compares
     candidate masks, each composed as if it were s's pick; the states
     below s are swept already, and no state composed so far reads s.  Only
@@ -396,50 +404,63 @@ class _Sweep:
 
     def __init__(self, plan: _Plan, p: int, q: int):
         self.plan = plan
-        self.p = p
         nst = len(plan.vert)
         self.val = val = [0] * nst
         self.pick = pick = [0] * nst
         self.msk = msk = [None] * nst
+        self.took = took = [None] * len(plan.terms)
         cand_mask = self._cand_mask
-        cand_lo, cand_hi, cand_w = plan.cand_lo, plan.cand_hi, plan.cand_w
-        term_lo, term_hi = plan.term_lo, plan.term_hi
-        term_ze, term_ch = plan.term_ze, plan.term_ch
-        term_pl, term_uw, zero = plan.term_pl, plan.term_uw, plan.zero
-        vert = plan.vert
+        cand_lo, cand_hi = plan.cand_lo, plan.cand_hi
+        cand_w, cand_ids = plan.cand_w, plan.cand_ids
+        terms, zero, vert = plan.terms, plan.zero, plan.vert
         at = -1
-        zs = 0
         for s in range(nst - 1, -1, -1):
+            lo, hi = cand_lo[s], cand_hi[s]
+            if lo == hi:
+                continue  # dead
             v = vert[s]
             if v != at:  # a vertex's states are contiguous
                 at = v
                 zs = 0
                 for e in zero[v]:
                     zs += val[e]
-            best = 0
-            best_c = -1
-            best_m = None
-            for c in range(cand_lo[s], cand_hi[s]):
-                sl = zs - q * cand_w[c]
-                for t in range(term_lo[c], term_hi[c]):
-                    a = val[term_ch[t]]
-                    pl = term_pl[t]
+                tv = []  # each term's gain over its child's empty-boundary entry
+                took[v] = tk = []
+                for ze, ch, pl, uw in terms[v]:
+                    a = val[ch]
                     if pl >= 0:
-                        b = val[pl] + p * term_uw[t]
+                        b = val[pl] + p * uw
                         if b >= a:
-                            a = b
-                    sl += a - val[term_ze[t]]
-                if best_c < 0 or sl > best:
-                    best, best_c, best_m = sl, c, None
+                            a, ch = b, pl
+                    tv.append(a - val[ze])
+                    tk.append(ch)
+            if hi - lo == 1:
+                sl = zs - q * cand_w[lo]
+                for i in cand_ids[lo]:
+                    sl += tv[i]
+                val[s] = sl
+                pick[s] = lo
+                continue
+            best = best_c = ties = None
+            for c in range(lo, hi):
+                sl = zs - q * cand_w[c]
+                for i in cand_ids[c]:
+                    sl += tv[i]
+                if best is None or sl > best:
+                    best, best_c, ties = sl, c, None
                 elif sl == best:
-                    if best_m is None:
-                        best_m = cand_mask(s, best_c)
-                    m = cand_mask(s, c)
-                    if _preferred(m, best_m):
-                        best_c, best_m = c, m
+                    if ties is None:
+                        ties = [best_c]
+                    ties.append(c)
+            if ties is not None:
+                m = cand_mask(s, best_c)
+                for c in ties[1:]:
+                    mc = cand_mask(s, c)
+                    if _preferred(mc, m):
+                        best_c, m = c, mc
+                msk[s] = m
             val[s] = best
             pick[s] = best_c
-            msk[s] = best_m
 
     def mask(self, s: int) -> int:
         """The link set of state s, as a mask over the plan's alphabet."""
@@ -459,12 +480,11 @@ class _Sweep:
 
     def _fill(self, s: int) -> None:
         """Compose the set of state s and of everything it rests on: its
-        pick's apex links, each child's empty-boundary set, and the chosen
-        entry's set in place of that for every child a term names."""
-        plan, val, msk, pick, p = self.plan, self.val, self.msk, self.pick, self.p
-        cand_z, zero, vert = plan.cand_z, plan.zero, plan.vert
-        term_lo, term_hi, term_ze = plan.term_lo, plan.term_hi, plan.term_ze
-        term_ch, term_pl, term_uw = plan.term_ch, plan.term_pl, plan.term_uw
+        pick's apex links, each child's empty-boundary set, and the set of
+        the entry each of its terms chose in place of that child's."""
+        plan, msk, pick, took = self.plan, self.msk, self.pick, self.took
+        cand_z, cand_ids = plan.cand_z, plan.cand_ids
+        terms, zero, vert = plan.terms, plan.zero, plan.vert
         stack = [s]
         while stack:
             s = stack[-1]
@@ -473,25 +493,24 @@ class _Sweep:
                 continue
             miss = False
             c = pick[s]
+            v = vert[s]
             m = cand_z[c]
-            for e in zero[vert[s]]:
+            for e in zero[v]:
                 got = msk[e]
                 if got is None:
                     stack.append(e)
                     miss = True
                 else:
                     m |= got
-            for t in range(term_lo[c], term_hi[c]):
-                e = term_ch[t]
-                pl = term_pl[t]
-                if pl >= 0 and val[pl] + p * term_uw[t] >= val[e]:
-                    e = pl
+            tk, vterms = took[v], terms[v]
+            for i in cand_ids[c]:
+                e = tk[i]
                 got = msk[e]
                 if got is None:
                     stack.append(e)
                     miss = True
                 elif not miss:  # then the zero sets are known
-                    m = (m & ~msk[term_ze[t]]) | got
+                    m = (m & ~msk[vterms[i][0]]) | got
             if not miss:
                 stack.pop()
                 msk[s] = m
@@ -732,10 +751,12 @@ class ComponentSearch:
 
         1. List: visit the vertices in BFS order.  Each state requested at
            a vertex is appended with every candidate ``_candidates`` lists
-           for it (through the vertex's one ``_lister``), and requests the
-           child entries their terms name (and,
-           before any, the children's empty-boundary entries).  Entries
-           are named by the order of their first request.
+           for it (through the vertex's one ``_lister``).  A term is
+           resolved once per vertex, on its first listing: it becomes the
+           next of the vertex's distinct terms and requests the child
+           entries it names (and, before any, the children's
+           empty-boundary entries).  Entries are named by the order of
+           their first request.
         2. Prune: bottom-up, a PLUS state drops the candidates that read an
            entry left with no candidate (a MINUS state reads only MINUS
            entries, which all keep the empty Z); then ``_Plan.prune`` keeps
@@ -748,22 +769,22 @@ class ComponentSearch:
         n, children = self.instance.n, self.idx.children
         plan = _Plan(n)
         cand_lo, cand_w, cand_z = plan.cand_lo, plan.cand_w, plan.cand_z
-        term_lo, term_ze, term_ch = plan.term_lo, plan.term_ze, plan.term_ch
-        term_pl, term_uw = plan.term_pl, plan.term_uw
+        cand_ids = plan.cand_ids
         names: list[int] = []  # state -> the name of its entry
         # per vertex: requested key -> entry name, a fresh one on first request
         asked: list[dict | None] = [None] * n
         asked[self.instance.root] = {_EMPTY_KEY: 0}
         fresh = count(1).__next__
 
-        add_ze, add_ch = term_ze.append, term_ch.append
-        add_pl, add_uw = term_pl.append, term_uw.append
         for v in self.idx.bfs_order:
             for c in children[v]:
                 asked[c] = defaultdict(fresh)
             ze = {c: asked[c][_EMPTY_KEY] for c in children[v]}
             plan.zero[v] = list(ze.values())
+            vterms = plan.terms[v]
+            tid: dict[tuple, int] = {}  # term -> its id in vterms
             candidates = self._lister(v)
+            first = len(names)
             for key, e in asked[v].items():
                 names.append(e)
                 plan.vert.append(v)
@@ -775,27 +796,37 @@ class ComponentSearch:
                             f"component-DP plan lists more than the budget "
                             f"of {budget} candidates")
                     cand_z.append(zmask)
-                    for child, ck, pk, uw in terms:
-                        got = asked[child]
-                        add_ze(ze[child])
-                        add_ch(got[ck])
-                        add_pl(-1 if pk is None else got[pk])
-                        add_uw(uw)
-                    term_lo.append(len(term_ze))
+                    ids = []
+                    for term in terms:
+                        i = tid.get(term)
+                        if i is None:
+                            i = tid[term] = len(tid)
+                            child, ck, pk, uw = term
+                            got = asked[child]
+                            vterms.append((ze[child], got[ck],
+                                           -1 if pk is None else got[pk], uw))
+                        ids.append(i)
+                    cand_ids.append(tuple(ids))
                 cand_lo.append(len(cand_w))
+            plan.span[v] = range(first, len(names))
             asked[v] = None  # only v's parent requests v's states
 
         nst = len(names)
         live = bytearray(nst)  # by name
         keep = bytearray(len(cand_w))
+        at = -1
         for s in range(nst - 1, -1, -1):
             lo, hi = cand_lo[s], cand_lo[s + 1]
             if plan.key[s][1] == MINUS:
                 keep[lo:hi] = b"\x01" * (hi - lo)
                 live[names[s]] = hi > lo
                 continue
+            v = plan.vert[s]
+            if v != at:  # the states v's terms read are settled
+                at = v
+                ok = bytes([live[ch] for _, ch, _, _ in plan.terms[v]])
             for c in range(lo, hi):
-                if all(map(live.__getitem__, term_ch[term_lo[c]:term_lo[c + 1]])):
+                if all(map(ok.__getitem__, cand_ids[c])):
                     keep[c] = live[names[s]] = 1
         plan.prune(live, keep, names)
         plan.count_reads()

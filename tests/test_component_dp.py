@@ -202,7 +202,7 @@ def test_plan_reads_every_state():
         for k in (1, 2, 3):
             cs = ComponentSearch(inst, uplinks, k, _search_for(inst, uplinks))
             plan = cs._plan
-            read = set(plan.term_ch) | set(plan.term_pl) | set(plan.term_ze)
+            read = {e for vterms in plan.terms for t in vterms for e in t[:3]}
             for zs in plan.zero:
                 read.update(zs or ())
             unread = set(range(len(plan.vert))) - read - {0}
@@ -262,6 +262,12 @@ def _live_states(plan):
     return [s for s in range(len(plan.vert)) if plan.cand_lo[s] < plan.cand_hi[s]]
 
 
+def _cand_terms(plan, s, c):
+    # the terms (ze, ch, pl, uw) of candidate c of state s, in its order
+    terms = plan.terms[plan.vert[s]]
+    return tuple(terms[i] for i in plan.cand_ids[c])
+
+
 def test_plan_keys_are_unique():
     # a state is keyed by (vertex, boundary endpoints, x): no key twice among
     # a plan's live states, as built and after every drop
@@ -292,12 +298,12 @@ def test_drops_keep_reach_and_tombstones_consistent():
             reads = list(plan.zero[plan.vert[s]])
             as_ch.update(reads)
             for c in range(plan.cand_lo[s], plan.cand_hi[s]):
-                for t in range(plan.term_lo[c], plan.term_hi[c]):
-                    reads.append(plan.term_ch[t])
-                    as_ch.add(plan.term_ch[t])
-                    if plan.term_pl[t] >= 0:
-                        reads.append(plan.term_pl[t])
-                        as_pl.add(plan.term_pl[t])
+                for _, ch, pl, _ in _cand_terms(plan, s, c):
+                    reads.append(ch)
+                    as_ch.add(ch)
+                    if pl >= 0:
+                        reads.append(pl)
+                        as_pl.add(pl)
             for e in reads:
                 assert e in live, "a live state reads a dead one"
                 if e not in reach:
@@ -309,6 +315,30 @@ def test_drops_keep_reach_and_tombstones_consistent():
         for s in range(len(plan.vert)):
             if s not in live:
                 assert plan.cand_lo[s] == plan.cand_hi[s]
+        steps += 1
+    assert steps > 150
+
+
+def test_vertex_terms_are_distinct_and_ids_in_range():
+    # within each vertex the terms are pairwise distinct, and every id a
+    # candidate slot holds, dead ones included, lies in its own vertex's
+    # terms; as built, each term is read by some candidate there.  As built
+    # and after every drop
+    steps = 0
+    for _, _, cs, _, _, dropped in _chained_drops(60, 6700):
+        plan = cs._plan
+        read = [set() for _ in plan.terms]
+        for vterms in plan.terms:
+            assert len(set(vterms)) == len(vterms)
+        nst = len(plan.vert)
+        for s in range(nst):
+            v = plan.vert[s]
+            end = plan.cand_lo[s + 1] if s + 1 < nst else len(plan.cand_ids)
+            for c in range(plan.cand_lo[s], end):
+                assert all(0 <= i < len(plan.terms[v]) for i in plan.cand_ids[c])
+                read[v].update(plan.cand_ids[c])
+        if not dropped:
+            assert read == [set(range(len(vterms))) for vterms in plan.terms]
         steps += 1
     assert steps > 150
 
@@ -355,18 +385,30 @@ def test_drop_chain_states_pinned(k, n, seed, states):
 
 
 def _plan_columns(plan):
-    return (plan.vert, plan.key, plan.cand_lo, plan.cand_hi, plan.cand_w,
-            plan.cand_z, plan.term_lo, plan.term_hi, plan.term_ze,
-            plan.term_ch, plan.term_pl, plan.term_uw, plan.zero, plan.ref,
-            [(r.start, r.stop) for r in plan.span])
+    # the plan in a form that does not depend on its layout: every live
+    # state with its vertex, key, candidate range and whole slot block, dead
+    # candidate slots included, each candidate as (w, z, its terms); every
+    # dead state as (vertex, key, None)
+    nst = len(plan.vert)
+    states = []
+    for s in range(nst):
+        lo, hi = plan.cand_lo[s], plan.cand_hi[s]
+        if lo == hi:
+            states.append((plan.vert[s], plan.key[s], None))
+            continue
+        end = plan.cand_lo[s + 1] if s + 1 < nst else len(plan.cand_w)
+        states.append((plan.vert[s], plan.key[s], lo, hi,
+                       [(plan.cand_w[c], plan.cand_z[c], _cand_terms(plan, s, c))
+                        for c in range(lo, end)]))
+    return states, plan.zero, plan.ref, [(r.start, r.stop) for r in plan.span]
 
 
 @pytest.mark.parametrize("k, n, seeds, digest", [
-    (2, 24, (1, 2, 10, 20), "de44bfd5fe0fa36b"),
-    (4, 12, (1, 2, 3, 27), "927e65906c277b83"),
+    (2, 24, (1, 2, 10, 20), "edcbd99f736122e0"),
+    (4, 12, (1, 2, 3, 27), "82a6e99d3a0f3a7f"),
 ])
 def test_plan_columns_pinned(k, n, seeds, digest):
-    # pinned: every plan column, dead slots included, as built and after
+    # pinned: the whole plan, dead slots included, as built and after
     # each drop of a chain, and entries() after each probe of a Dinkelbach
     # search (from rho = 1, then at each witness's own ratio, where the
     # witness ties with the empty set at the root); each drop removes the
