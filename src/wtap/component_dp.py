@@ -20,13 +20,16 @@ once into a flat plan, listed top-down: vertices in BFS order, the states of
 one vertex contiguous, so every state precedes the states it reads; each
 probe is then one integer sweep over the plan from its end.  ``_candidates``
 is the one place that says what a state reads: the compile lists each
-requested state's candidates through it once, then prunes the infeasible.
-What the states of one vertex share (its apex links, the up-links hanging
-from it, the child toward each boundary end) is resolved once per vertex,
-and each state lists only the Z its free budget k - |ends| allows.  A term
-(one child entry a candidate reads) is stored once per vertex, and a
-candidate holds the ids of its terms, so a probe values each of a vertex's
-distinct terms once and a candidate only adds up the values of its terms.
+requested state's candidates once through the same per-vertex lister, then
+prunes the infeasible.  What the states of one vertex share (its apex
+links, the up-links hanging from it, the child toward each boundary end,
+each term) is resolved once per vertex, and each state lists only the Z
+its free budget k - |ends| allows: one with no free budget lists Z = {}
+alone, and the Z of fewer than k links that states with a boundary list are
+made once per vertex and reused.  A term (one child entry a candidate
+reads) is stored once per vertex, and a candidate holds the ids of its
+terms, so a probe values each of a vertex's distinct terms once and a
+candidate only adds up the values of its terms.
 
 Removing up-links from U, together with their search links, only takes
 candidates, states and PLUS alternatives away, and no key names a link;
@@ -52,8 +55,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, compress, count
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, combinations, compress, count, islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._kernels import lex_less
 from .baseline import UpPath
@@ -63,6 +66,7 @@ MINUS = 0
 PLUS = 1
 
 _EMPTY_KEY = ((), MINUS)  # state key of (v, {}, -)
+_NO_Z = ((0, 0, ()),)  # Z = {} as (w(Z), Z mask, down)
 
 # Candidates the compile may list before it gives up.  At k = 7,
 # gen_random(30, 30, 20, 3) lists 781 330 of them, and n = 40 passes it.
@@ -127,28 +131,41 @@ class SlackResult:
     weight: int
 
 
-def _zsets(apex: Sequence[tuple[int, int, tuple]],
+def _zsets(apex: Sequence[tuple[int, int, tuple]], least: int,
            most: int) -> Iterator[tuple[int, int, tuple]]:
-    """Yield every candidate Z of at most ``most`` of a vertex's apex links
-    ``apex``, each ``(bit, weight, legs)``, as ``(w(Z), Z mask, down)``.
+    """Yield every nonempty Z of ``least`` to ``most`` of a vertex's apex
+    links ``apex``, each ``(bit, weight, legs)``, as ``(w(Z), Z mask, down)``.
 
     By size, then in ``combinations`` order; ``down`` pairs each child the
-    links of Z go down into with the endpoints of those links below it.
-    They are made afresh for each state, as at k = 4 a vertex can have over
-    10^5 of them.
+    links of Z go down into with the sorted endpoints of those links below
+    it.
     """
-    yield 0, 0, ()
-    for zsize in range(1, min(most, len(apex)) + 1):
+    for zsize in range(least, min(most, len(apex)) + 1):
         for zcombo in combinations(apex, zsize):
             zmask = 0
             zweight = 0
             down: dict[int, tuple[int, ...]] = {}
+            clash = False  # two links of Z go down into one child: sort once
             for bit, weight, lg in zcombo:
                 zmask |= bit
                 zweight += weight
                 for child, e in lg:
-                    down[child] = down.get(child, ()) + (e,)
+                    es = down.get(child)
+                    if es is None:
+                        down[child] = (e,)
+                    else:
+                        down[child] = es + (e,)
+                        clash = True
+            if clash:
+                for child, es in down.items():
+                    down[child] = tuple(sorted(es))
             yield zweight, zmask, tuple(down.items())
+
+
+def _spec(child: int, key: tuple, plus_key: tuple | None,
+          up_weight: int) -> tuple:
+    """A term as ``_candidates`` yields it."""
+    return child, key, plus_key, up_weight
 
 
 def _squeeze(col: list, keep: bytearray) -> None:
@@ -678,11 +695,12 @@ class ComponentSearch:
     def _candidates(self, v: int, ends: tuple[int, ...], x: int):
         """Yield the candidate specs ``(w(Z), Z mask, terms)`` of state (v, ends, x).
 
-        This is the one place that says what a state reads; its body is
-        ``_lister(v)``, which the compile calls once per vertex.  A
-        candidate adds at most k - |ends| apex links Z of v.  When x is PLUS
-        an up-link must enter v (else there is no candidate), and when it
-        goes on into a child, cstar, some boundary or Z link must go down
+        This is the one place that says what a state reads: it is
+        ``_lister(v, resolve)`` with a ``resolve`` that returns each term's
+        spec as it is, and the compile lists through the same ``_lister``.
+        A candidate adds at most k - |ends| apex links Z of v.  When x is
+        PLUS an up-link must enter v (else there is no candidate), and when
+        it goes on into a child, cstar, some boundary or Z link must go down
         into cstar too.  A term ``(child, key, plus_key, up_weight)`` reads
         the child's entry with key ``key`` (as in ``_Plan.key``): the
         endpoints below v in that child's subtree, and PLUS for cstar, else
@@ -691,12 +709,27 @@ class ComponentSearch:
         taken instead with the up-link's weight as bonus (otherwise
         ``plus_key`` is None).  Children no link goes down into have no term.
         """
-        return self._lister(v)(ends, x)
+        return self._lister(v, _spec)(ends, x)
 
-    def _lister(self, v: int):
-        """``_candidates`` for the states of vertex v, with what they share
-        resolved once: v's apex links, the children an up-link hangs from v
-        into, cstar, and the child toward each boundary end, as it is asked.
+    def _lister(self, v: int, resolve: Callable[..., object]):
+        """``_candidates`` for the states of vertex v, with each term
+        ``(child, key, plus_key, up_weight)`` replaced by
+        ``resolve(child, key, plus_key, up_weight)``.
+
+        What the states share is resolved once: v's apex links, the
+        children an up-link hangs from v into, cstar, the child toward each
+        boundary end as it is asked, and each term.  A term is named by its
+        child, the ends below that child and whether that child is cstar in
+        a PLUS state; ``resolve`` is called on its first listing only, and
+        later listings give the value it returned.  A state with no free
+        budget (|ends| = k), or at a vertex with no apex link, lists its one
+        candidate, Z = {}, directly.  The first state with a nonempty
+        boundary that needs the Z of some size makes them and keeps them,
+        each with its ends below each child sorted, and v's other states
+        reuse them; they have fewer than k links, as a boundary takes up
+        budget, and go with the lister.  The empty-boundary states make the
+        Z they list afresh: at k = 4 a vertex can have over 10^5 Z of k
+        links, too many to keep.
         """
         k, crossing, uplinks = self.k, self.crossing, self.uplinks
         toward = self.idx.child_toward
@@ -712,6 +745,20 @@ class ComponentSearch:
         if u >= 0 and uplinks[u].bottom != v:
             cstar = toward(v, uplinks[u].bottom)
         side: dict[int, int] = {}  # boundary end -> the child of v it is under
+        # (child, ends below it, child is cstar in a PLUS state) -> resolved term
+        tid: dict[tuple[int, tuple[int, ...], bool], object] = {}
+        kept = list(_NO_Z)  # by size, the Z the states with a boundary asked for
+        upto = [1]  # kept[:upto[s]] are the Z of at most s links
+
+        def miss(key: tuple[int, tuple[int, ...], bool]) -> object:
+            child, ce, plus = key
+            uw = hang.get(child)
+            if uw is None:
+                got = resolve(child, (ce, PLUS if plus else MINUS), None, 0)
+            else:
+                got = resolve(child, (ce, MINUS), (ce, PLUS), uw)
+            tid[key] = got
+            return got
 
         def candidates(ends: tuple[int, ...], x: int):
             want = -1
@@ -726,23 +773,31 @@ class ComponentSearch:
                     if c is None:
                         c = side[e] = toward(v, e)
                     ybase[c] = ybase.get(c, ()) + (e,)
-            for zweight, zmask, down in _zsets(apex, k - len(ends)):
+            free = k - len(ends) if apex else 0
+            if not free:  # the direct path
+                zs = _NO_Z
+            elif ends:
+                while len(upto) <= free:
+                    kept.extend(_zsets(apex, len(upto), len(upto)))
+                    upto.append(len(kept))
+                zs = islice(kept, upto[free])
+            else:
+                zs = chain(_NO_Z, _zsets(apex, 1, free))
+            for zweight, zmask, down in zs:
                 ydict = ybase
                 if down:
                     ydict = dict(ybase)
                     for child, ze in down:
-                        ydict[child] = tuple(sorted(ydict.get(child, ()) + ze))
+                        ce = ydict.get(child)
+                        ydict[child] = ze if ce is None else tuple(sorted(ce + ze))
                 if want >= 0 and want not in ydict:
                     continue  # the entering up-link's inside edges would stay uncovered
-                terms = []
+                ids = []
                 for child, ce in ydict.items():
-                    uw = hang.get(child)
-                    if uw is None:
-                        terms.append((child, (ce, PLUS if child == want else MINUS),
-                                      None, 0))
-                    else:
-                        terms.append((child, (ce, MINUS), (ce, PLUS), uw))
-                yield zweight, zmask, terms
+                    key = (child, ce, child == want)
+                    i = tid.get(key)
+                    ids.append(miss(key) if i is None else i)
+                yield zweight, zmask, ids
 
         return candidates
 
@@ -751,12 +806,13 @@ class ComponentSearch:
 
         1. List: visit the vertices in BFS order.  Each state requested at
            a vertex is appended with every candidate ``_candidates`` lists
-           for it (through the vertex's one ``_lister``).  A term is
-           resolved once per vertex, on its first listing: it becomes the
-           next of the vertex's distinct terms and requests the child
+           for it, through the vertex's one ``_lister``, whose resolver
+           turns a term into its id: on its first listing the term becomes
+           the next of the vertex's distinct terms and requests the child
            entries it names (and, before any, the children's
            empty-boundary entries).  Entries are named by the order of
-           their first request.
+           their first request.  The budget is checked at each candidate
+           listed, so one state cannot list far past it.
         2. Prune: bottom-up, a PLUS state drops the candidates that read an
            entry left with no candidate (a MINUS state reads only MINUS
            entries, which all keep the empty Z); then ``_Plan.prune`` keeps
@@ -776,39 +832,34 @@ class ComponentSearch:
         asked[self.instance.root] = {_EMPTY_KEY: 0}
         fresh = count(1).__next__
 
+        def resolve(child: int, ck: tuple, pk: tuple | None, uw: int) -> int:
+            # the next of v's distinct terms; requests the entries it names
+            got = asked[child]
+            vterms.append((ze[child], got[ck], -1 if pk is None else got[pk], uw))
+            return len(vterms) - 1
+
         for v in self.idx.bfs_order:
             for c in children[v]:
                 asked[c] = defaultdict(fresh)
             ze = {c: asked[c][_EMPTY_KEY] for c in children[v]}
             plan.zero[v] = list(ze.values())
             vterms = plan.terms[v]
-            tid: dict[tuple, int] = {}  # term -> its id in vterms
-            candidates = self._lister(v)
-            first = len(names)
-            for key, e in asked[v].items():
-                names.append(e)
-                plan.vert.append(v)
-                plan.key.append(key)
-                for zweight, zmask, terms in candidates(*key):
+            candidates = self._lister(v, resolve)
+            states = asked[v]
+            plan.span[v] = range(len(names), len(names) + len(states))
+            names.extend(states.values())
+            plan.vert.extend([v] * len(states))
+            plan.key.extend(states)
+            for key in states:
+                for zweight, zmask, ids in candidates(*key):
                     cand_w.append(zweight)
                     if len(cand_w) > budget:
                         raise PlanTooLargeError(
                             f"component-DP plan lists more than the budget "
                             f"of {budget} candidates")
                     cand_z.append(zmask)
-                    ids = []
-                    for term in terms:
-                        i = tid.get(term)
-                        if i is None:
-                            i = tid[term] = len(tid)
-                            child, ck, pk, uw = term
-                            got = asked[child]
-                            vterms.append((ze[child], got[ck],
-                                           -1 if pk is None else got[pk], uw))
-                        ids.append(i)
                     cand_ids.append(tuple(ids))
                 cand_lo.append(len(cand_w))
-            plan.span[v] = range(first, len(names))
             asked[v] = None  # only v's parent requests v's states
 
         nst = len(names)

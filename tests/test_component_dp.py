@@ -434,6 +434,65 @@ def test_plan_columns_pinned(k, n, seeds, digest):
     assert h.hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize("k, n, seeds, digest", [
+    (2, 24, (1, 2, 10, 20), "81cca20939887f5c"),
+    (3, 16, (4, 5, 6), "bb2e09bcee0fa5df"),
+    (4, 12, (1, 2, 3, 27), "857e6b02314eaf4e"),
+])
+def test_raw_listing_pinned(monkeypatch, k, n, seeds, digest):
+    # pinned: the plan as listed, before the prune hides what no kept state
+    # reads: every state's name, vertex and key, every candidate's range,
+    # weight, Z mask and term ids, and each vertex's terms and zero list;
+    # for the full up-link cover and for every other up-link of it
+    h = hashlib.sha256()
+    prune = component_dp._Plan.prune
+
+    def pin(plan, live, keep, names):
+        h.update(repr((names, plan.vert, plan.key, plan.cand_lo, plan.cand_w,
+                       plan.cand_z, plan.cand_ids, plan.terms,
+                       plan.zero)).encode())
+        prune(plan, live, keep, names)
+
+    monkeypatch.setattr(component_dp._Plan, "prune", pin)
+    for seed in seeds:
+        inst = wtap.gen_random(n, n, 20, seed)
+        uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
+        for ups in (uplinks, uplinks[::2]):
+            ComponentSearch(inst, ups, k, _search_for(inst, ups))
+    assert h.hexdigest()[:16] == digest
+
+
+def test_budget_stops_listing_within_a_state(monkeypatch):
+    # the budget is checked per listed candidate, so a state that alone
+    # lists more than the budget stops at budget + 1 candidates
+    inst = wtap.gen_random(12, 12, 20, 3)
+    uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
+    search = _search_for(inst, uplinks)
+    plans, listed = [], []
+
+    class Kept(component_dp._Plan):
+        def __init__(self, n):
+            super().__init__(n)
+            plans.append(self)
+
+        def prune(self, live, keep, names):
+            listed.append(list(self.cand_lo))
+            super().prune(live, keep, names)
+
+    monkeypatch.setattr(component_dp, "_Plan", Kept)
+    ComponentSearch(inst, uplinks, 3, search)
+    lo = listed[0]
+    s = max(range(1, len(lo) - 1), key=lambda t: lo[t + 1] - lo[t])
+    assert lo[s + 1] - lo[s] >= 3
+    budget = lo[s] + 1
+    monkeypatch.setattr(component_dp, "PLAN_CANDIDATE_BUDGET", budget)
+    with pytest.raises(wtap.PlanTooLargeError, match=f"budget of {budget} "):
+        ComponentSearch(inst, uplinks, 3, search)
+    plan = plans[-1]
+    assert len(plan.cand_w) == budget + 1
+    assert len(plan.cand_lo) == s + 1
+
+
 def test_drop_uplinks_rejects_unknown_index():
     inst = wtap.gen_fig2(3, 5)
     uplinks = fig2_reference_cover(inst)
