@@ -2,8 +2,8 @@
 
 Subcommands: gen, solve, exact, ratio, component, decompose, bench.
 Exit codes: 0 success, 2 validation error (an unreadable input or an
-unwritable ``--out`` included), 3 enumeration budget or table size budget
-exceeded.
+unwritable ``--out`` included), 3 enumeration budget, table size budget or
+component-DP plan size budget (``PlanTooLargeError``) exceeded.
 """
 
 from __future__ import annotations

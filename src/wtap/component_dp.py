@@ -20,25 +20,29 @@ once into a flat plan, listed top-down: vertices in BFS order, the states of
 one vertex contiguous, so every state precedes the states it reads; each
 probe is then one integer sweep over the plan from its end.  ``_candidates``
 is the one place that says what a state reads: the compile lists each
-requested state's candidates once through the same per-vertex lister, then
-prunes the infeasible.  What the states of one vertex share (its apex
-links, the up-links hanging from it, the child toward each boundary end,
-each term) is resolved once per vertex, and each state lists only the Z
-its free budget k - |ends| allows: one with no free budget lists Z = {}
-alone, and the Z of fewer than k links that states with a boundary list are
-made once per vertex and reused.  A term (one child entry a candidate
-reads) is stored once per vertex, and a candidate holds the ids of its
-terms, so a probe values each of a vertex's distinct terms once and a
-candidate only adds up the values of its terms.
+requested state's candidates once through the same per-vertex lister.
+What the states of one vertex share (its apex links, the up-links hanging
+from it, the child toward each boundary end, each term) is resolved once
+per vertex, and each state lists only the Z its free budget k - |ends|
+allows: one with no free budget lists Z = {} alone, and the Z of fewer
+than k links that states with a boundary list are made once per vertex and
+reused.  A term (one child entry a candidate reads) is stored once per
+vertex, and a candidate holds the ids of its terms, so a probe values each
+of a vertex's distinct terms once and a candidate only adds up the values
+of its terms.
 
-Removing up-links from U, together with their search links, only takes
-candidates, states and PLUS alternatives away, and no key names a link;
-all of them sit at the vertices of the removed paths, or are read only
-from there.  The compile therefore ends by counting each state's readers,
-and ``drop_uplinks`` kills what a drop removes where it stands and
-cascades through the counts, so the relative greedy compiles one plan per
-solve and no drop walks the whole plan.  Dead states keep their places
-with an empty candidate range; nothing is compacted.
+States leave the plan one way, in the compile and in drops alike: each
+state counts its readers, ``_Plan.cut`` kills at one vertex the candidates
+that read a dead state or hold a removed link, and ``_Plan.kill`` cascades
+through the counts to every state left with no reader.  The compile ends by
+cutting every vertex bottom-up, which kills the infeasible PLUS states and
+whatever only they read.  Removing up-links from U, together with their
+search links, only takes candidates, states and PLUS alternatives away, and
+no key names a link; all of them sit at the vertices of the removed paths,
+or are read only from there.  So ``drop_uplinks`` cuts only there, the
+relative greedy compiles one plan per solve, and no drop walks the whole
+plan.  Dead states keep their places with an empty candidate range;
+nothing is compacted.
 
 All slack values are integers in units of 1/q: slack * q = p*w(drop) - q*w(C).
 Inside the plan, a link set is a bitmask over the positions of the links in
@@ -55,7 +59,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, compress, count, islice
+from itertools import chain, combinations, count, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ._kernels import lex_less
@@ -71,9 +75,6 @@ _NO_Z = ((0, 0, ()),)  # Z = {} as (w(Z), Z mask, down)
 # Candidates the compile may list before it gives up.  At k = 7,
 # gen_random(30, 30, 20, 3) lists 781 330 of them, and n = 40 passes it.
 PLAN_CANDIDATE_BUDGET = 1 << 20
-
-# Slots ``_Plan.prune`` copies per step, so that it copies no whole column.
-_CHUNK = 1 << 12
 
 
 class PlanTooLargeError(RuntimeError):
@@ -168,18 +169,6 @@ def _spec(child: int, key: tuple, plus_key: tuple | None,
     return child, key, plus_key, up_weight
 
 
-def _squeeze(col: list, keep: bytearray) -> None:
-    """Keep ``col[i]`` where ``keep[i]`` is set, in order and in place.
-    Works in chunks of ``_CHUNK``, so no copy of the whole column is made:
-    every write trails its read."""
-    n = 0
-    for lo in range(0, len(col), _CHUNK):
-        part = list(compress(col[lo:lo + _CHUNK], keep[lo:lo + _CHUNK]))
-        col[n:n + len(part)] = part
-        n += len(part)
-    del col[n:]
-
-
 class _Plan:
     """The compiled table: flat per-state and per-candidate lists, and the
     distinct terms of each vertex.
@@ -194,18 +183,20 @@ class _Plan:
     ``ze`` by entry ``ch``, or by entry ``pl`` plus rho * ``uw`` when that is
     at least as large (``pl`` is -1 when there is no such choice, and ``uw``
     then means nothing).  The terms of one vertex are pairwise distinct, and
-    as compiled each is read by a candidate there.  ``zero[v]`` lists the
+    as listed each is read by a candidate there.  ``zero[v]`` lists the
     empty-boundary entries (c, {}, -) of v's children.  States come
     top-down, their vertices in BFS order, so each precedes the entries it
     reads, and those of one vertex, ``span[v]``, are contiguous.  State 0 is
     the root's (root, {}, -).
 
-    While the compile lists and prunes, ranges are ``cand_lo[s]:cand_lo[s+1]``
-    and ids name the terms in the order they were first listed;
-    ``count_reads`` then splits off the ends, so that a candidate can move
-    within its state's range, and counts in ``ref[s]`` the readers of each
-    state.  ``kill`` and ``cut`` take states and candidates away in place: a
-    dead state has an empty range, and a live one never has.
+    While the compile lists, ranges are ``cand_lo[s]:cand_lo[s+1]`` and
+    ``terms`` and ``zero`` name entries in the order they were first
+    requested; ``count_reads`` then names them by their states, splits off
+    the ends, so that a candidate can move within its state's range, and
+    counts in ``ref[s]`` the readers of each state.  ``cut`` and ``kill``
+    take states and candidates away in place, for the compile and for
+    drops alike: a dead state has an empty range, and a live one never
+    has.  A state listed with no candidate is dead from the start.
     """
 
     def __init__(self, n: int):
@@ -221,103 +212,25 @@ class _Plan:
         self.ref: list[int] = []
         self.span: list[range] = [range(0)] * n
 
-    def prune(self, live: bytearray, keep: bytearray,
-              names: Sequence[int]) -> None:
-        """Keep the states the root reaches, renumbered in order, and the
-        terms their kept candidates read, renumbered per vertex, in place;
-        the compile's last step before ``count_reads``.
+    def count_reads(self, names: Sequence[int]) -> None:
+        """Name each entry by its state, split off the range ends and count
+        each state's readers; the compile's step after listing.
 
-        ``zero``, ``terms`` and ``live`` call state s ``names[s]``;
-        afterwards they hold the new state ids, and ``span`` is renewed.
-        ``keep`` marks the candidates that stay; each reads only states that
-        have one.  ``live`` marks the states that may still be taken as a
-        PLUS alternative.  Top-down from the root, a state is reached through
-        its vertex's empty-boundary entries and the kept candidates' terms,
-        whose PLUS alternative counts only if its state is live; one that
-        went becomes -1.
+        ``names[s]`` is the name ``terms`` and ``zero`` give state s while
+        the compile lists.  A state's readers are the term ids of live
+        candidates whose term reads it as ``ch`` or as a PLUS alternative
+        ``pl``, and a pin for the root and for each entry of a ``zero``
+        list.  Every listed state but the root is requested by a term or a
+        ``zero`` list, so it starts with a reader.  A vertex's (v, {}, -)
+        is in its parent's ``zero`` list and keeps the empty Z, so the root
+        reaches all of them and their pins never go.
         """
-        vert, key, cand_lo = self.vert, self.key, self.cand_lo
-        cand_ids, terms = self.cand_ids, self.terms
-
-        nst = len(vert)
-        reach = bytearray(nst)  # by name
-        reach[names[0]] = 1
-        s = 0
-        while s < nst:  # vertex by vertex: v's states read only its children's
-            v = vert[s]
-            states = self.span[v]
-            s = states.stop
-            hit = False
-            for t in states:
-                if reach[names[t]]:
-                    hit = True
-                else:
-                    lo, hi = cand_lo[t], cand_lo[t + 1]
-                    keep[lo:hi] = bytes(hi - lo)
-            if not hit:
-                terms[v] = []
-                continue
-            for e in self.zero[v]:
-                reach[e] = 1
-            a, b = cand_lo[states.start], cand_lo[s]
-            ids = set(chain.from_iterable(compress(cand_ids[a:b], keep[a:b])))
-            vterms = terms[v]
-            for i in ids:
-                _, ch, pl, _ = vterms[i]
-                reach[ch] = 1
-                if pl >= 0 and live[pl]:
-                    reach[pl] = 1
-            if len(ids) < len(vterms):  # keep the terms read, in order
-                order = sorted(ids)
-                ren = [-1] * len(vterms)
-                for j, i in enumerate(order):
-                    ren[i] = j
-                for c in compress(range(a, b), keep[a:b]):
-                    cand_ids[c] = tuple(map(ren.__getitem__, cand_ids[c]))
-                terms[v] = [vterms[i] for i in order]
-
-        # Renumber in order, in place: every write index trails its read
-        # index, and a bound is read before the slot that holds it is
-        # written.  new[-1] stays -1, so a PLUS alternative that went maps
-        # to -1.
-        new = [-1] * (nst + 1)
-        ns = nc = 0
-        hi = cand_lo[0]
-        for s in range(nst):
-            lo, hi = hi, cand_lo[s + 1]
-            if reach[names[s]]:
-                new[names[s]] = ns
-                vert[ns] = vert[s]
-                key[ns] = key[s]
-                nc += keep.count(1, lo, hi)
-                ns += 1
-                cand_lo[ns] = nc
-        for col in (self.cand_w, self.cand_z, cand_ids):
-            _squeeze(col, keep)
-        for col, size in ((vert, ns), (key, ns), (cand_lo, ns + 1)):
-            del col[size:]
+        new = [-1] * (len(names) + 1)  # new[-1] stays -1: no PLUS alternative
+        for s, e in enumerate(names):
+            new[e] = s
         self.terms = [[(new[ze], new[ch], new[pl], uw) for ze, ch, pl, uw in vterms]
-                      for vterms in terms]
-        if any(t[1] < 0 for vterms in self.terms for t in vterms):
-            raise AssertionError("a kept candidate reads an entry that went")
+                      for vterms in self.terms]
         self.zero = [[new[e] for e in zs] for zs in self.zero]
-        self.span = [range(0)] * len(self.span)
-        lo = 0
-        for s in range(1, ns + 1):
-            if s == ns or vert[s] != vert[lo]:
-                self.span[vert[lo]] = range(lo, s)
-                lo = s
-
-    def count_reads(self) -> None:
-        """Split off the range ends and count each state's readers.
-
-        A state's readers are the term ids of live candidates whose term
-        reads it as ``ch`` or as a PLUS alternative ``pl``, and a pin for
-        the root and for each entry of a ``zero`` list.  A vertex's
-        (v, {}, -) is in its parent's ``zero`` list and keeps the empty Z,
-        so the root reaches all of them, as it does in ``prune``; a state
-        the root reaches thus has a reader.
-        """
         cand_lo = self.cand_lo
         self.cand_hi = cand_hi = cand_lo[1:]
         del cand_lo[-1]
@@ -370,33 +283,50 @@ class _Plan:
             self._unread(vert[s], lo, hi, dead)
         return died
 
-    def cut(self, v: int, gone: int, dead_pl: set[int]) -> int:
-        """At vertex v, set to -1 the PLUS alternatives into the states of
-        ``dead_pl`` and kill the candidates whose Z meets mask ``gone``,
-        then cascade; return how many states died.  A candidate is killed
-        by moving it past its state's live end.
+    def cut(self, v: int, gone: int) -> int:
+        """At vertex v, set to -1 the PLUS alternatives into dead states and
+        kill the candidates whose Z meets mask ``gone`` or whose term reads
+        a dead state, then cascade; return how many states died.  A
+        candidate is killed by moving it past its state's live end.  A
+        state whose every candidate reads a dead state dies: it is
+        infeasible, which only the compile finds.  Removing links never
+        takes a state's last candidate, as Z minus them is another
+        (``drop_uplinks``).  A dead state with no reader left is read by no
+        live candidate, so only the others are looked for.
         """
-        cand_lo, cand_hi, cand_z = self.cand_lo, self.cand_hi, self.cand_z
-        cols = (self.cand_w, cand_z, self.cand_ids)
+        cand_lo, cand_hi, cand_z, cand_ids = (self.cand_lo, self.cand_hi,
+                                              self.cand_z, self.cand_ids)
+        cols = (self.cand_w, cand_z, cand_ids)
         vterms = self.terms[v]
+        ref = self.ref
+        stale = set()  # the terms whose child entry is dead but still read
         for i, (ze, ch, pl, uw) in enumerate(vterms):
-            if pl in dead_pl:
+            if pl >= 0 and cand_lo[pl] == cand_hi[pl]:
                 vterms[i] = (ze, ch, -1, uw)
+            if cand_lo[ch] == cand_hi[ch] and ref[ch]:
+                stale.add(i)
+        if not (gone or stale):
+            return 0
+        fresh = stale.isdisjoint
         dead: list[int] = []
+        died = 0
         for s in self.span[v]:
             lo, hi = cand_lo[s], cand_hi[s]
             if lo == hi:
                 continue
-            hits = list(compress(range(lo, hi), map(gone.__and__, cand_z[lo:hi])))
+            hits = [c for c in range(lo, hi)
+                    if cand_z[c] & gone or stale and not fresh(cand_ids[c])]
             if len(hits) == hi - lo:
-                raise AssertionError("a live state lost its last candidate")
+                if gone:
+                    raise AssertionError("a live state lost its last candidate")
+                died += 1
             for c in reversed(hits):  # later hits are past the end already
                 hi -= 1
                 for col in cols:
                     col[c], col[hi] = col[hi], col[c]
             self._unread(v, hi, cand_hi[s], dead)
             cand_hi[s] = hi
-        return self.kill(dead)
+        return died + self.kill(dead)
 
 
 class _Sweep:
@@ -567,7 +497,7 @@ class ComponentSearch:
 
         self._index_uplinks(uplinks)
         self._plan = self._compile()
-        self.states = len(self._plan.vert)
+        self.states = sum(map(int.__lt__, self._plan.cand_lo, self._plan.cand_hi))
         self._fresh()
 
     def _index_uplinks(self, uplinks: Sequence[UpPath]) -> None:
@@ -633,14 +563,15 @@ class ComponentSearch:
         ``ComponentSearch(instance, U', k, alphabet')`` would, with the same
         states in the same order and the same candidates.
 
-        Only ``crossing`` is rebuilt.  The plan is cut in place: for each
-        removed up-link, the PLUS states at the vertices of its path below
-        its top die; at the top, the PLUS alternatives into them become -1
-        and the candidates whose Z holds the removed search link die.  A
-        candidate's death takes its reads off the counts, and a state left
-        with no reader dies with its candidates, so the cascade reaches
-        exactly what ``_Plan.prune`` would no longer reach.  A state of a
-        surviving up-link keeps a candidate, Z minus the removed links.
+        Only ``crossing`` is rebuilt.  The plan is cut in place, as the
+        compile cuts it: for each removed up-link, the PLUS states at the
+        vertices of its path below its top die first; then ``_Plan.cut`` at
+        the top sets the PLUS alternatives into them to -1 and kills the
+        candidates whose Z holds the removed search link.  A candidate's
+        death takes its reads off the counts, and a state left with no
+        reader dies with its candidates, so the live states are again
+        exactly those the root reaches.  A state of a surviving up-link
+        keeps a candidate, Z minus the removed links.
 
         Counting PLUS alternatives keeps the counts exact, though leaving
         them out would kill the same states: a PLUS state (c, ends, +) is
@@ -670,10 +601,9 @@ class ComponentSearch:
             while v != up.top:
                 doomed.extend(s for s in plan.span[v] if key[s][1] == PLUS)
                 v = parent[v]
-        died = plan.kill(list(doomed))
-        doomed = set(doomed)
+        died = plan.kill(doomed)
         for top in dict.fromkeys(up.top for up in dropped):
-            died += plan.cut(top, cut, doomed)
+            died += plan.cut(top, cut)
         self.states -= died
         self._index_uplinks([p for i, p in enumerate(self.uplinks) if i not in gone])
         self._fresh()
@@ -813,10 +743,13 @@ class ComponentSearch:
            empty-boundary entries).  Entries are named by the order of
            their first request.  The budget is checked at each candidate
            listed, so one state cannot list far past it.
-        2. Prune: bottom-up, a PLUS state drops the candidates that read an
-           entry left with no candidate (a MINUS state reads only MINUS
-           entries, which all keep the empty Z); then ``_Plan.prune`` keeps
-           what the root reaches and renumbers names to states.
+        2. Cut: ``count_reads`` names entries by their states and counts
+           their readers, and ``_Plan.cut`` runs at each vertex bottom-up,
+           killing the candidates that read a dead entry.  A PLUS state
+           left with none dies, and so, through the counts, does whatever
+           only dead states read.  (A MINUS state reads only MINUS entries,
+           which all keep the empty Z.)  The dead stay in place as
+           tombstones, as after a drop.
 
         Listing more than ``PLAN_CANDIDATE_BUDGET`` candidates raises
         ``PlanTooLargeError``.
@@ -862,23 +795,7 @@ class ComponentSearch:
                 cand_lo.append(len(cand_w))
             asked[v] = None  # only v's parent requests v's states
 
-        nst = len(names)
-        live = bytearray(nst)  # by name
-        keep = bytearray(len(cand_w))
-        at = -1
-        for s in range(nst - 1, -1, -1):
-            lo, hi = cand_lo[s], cand_lo[s + 1]
-            if plan.key[s][1] == MINUS:
-                keep[lo:hi] = b"\x01" * (hi - lo)
-                live[names[s]] = hi > lo
-                continue
-            v = plan.vert[s]
-            if v != at:  # the states v's terms read are settled
-                at = v
-                ok = bytes([live[ch] for _, ch, _, _ in plan.terms[v]])
-            for c in range(lo, hi):
-                if all(map(ok.__getitem__, cand_ids[c])):
-                    keep[c] = live[names[s]] = 1
-        plan.prune(live, keep, names)
-        plan.count_reads()
+        plan.count_reads(names)
+        for v in reversed(self.idx.bfs_order):
+            plan.cut(v, 0)
         return plan

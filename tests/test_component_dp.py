@@ -190,8 +190,9 @@ def test_table_entry_invariants_hold():
 
 
 def test_plan_reads_every_state():
-    # the build keeps only what the root reaches: every compiled state but
-    # the root (state 0) is read
+    # the build leaves live only what the root reaches: every live state
+    # but the root (state 0) is read by a live candidate's term, as its
+    # child entry or as a PLUS alternative, or by a zero list
     for seed in range(40):
         n = 3 + seed % 12
         inst = wtap.gen_random(n=n, link_count=n + seed % 5, weight_max=6,
@@ -202,10 +203,13 @@ def test_plan_reads_every_state():
         for k in (1, 2, 3):
             cs = ComponentSearch(inst, uplinks, k, _search_for(inst, uplinks))
             plan = cs._plan
-            read = {e for vterms in plan.terms for t in vterms for e in t[:3]}
-            for zs in plan.zero:
-                read.update(zs or ())
-            unread = set(range(len(plan.vert))) - read - {0}
+            live = _live_states(plan)
+            read = {e for zs in plan.zero for e in zs}
+            for s in live:
+                for c in range(plan.cand_lo[s], plan.cand_hi[s]):
+                    for _, ch, pl, _ in _cand_terms(plan, s, c):
+                        read.update((ch, pl))
+            unread = set(live) - read - {0}
             assert not unread, f"seed {seed} k={k}: {len(unread)} unread"
 
 
@@ -281,11 +285,12 @@ def test_plan_keys_are_unique():
 
 
 def test_drops_keep_reach_and_tombstones_consistent():
-    # after every drop: the states reached from the root over zero lists,
-    # live candidates' terms and their active PLUS alternatives are exactly
-    # the live ones, no live term reads a dead state, and every dead state
-    # has an empty candidate range; a state read as a PLUS alternative is
-    # read no other way (drop_uplinks' docstring rests on it)
+    # as built, which checks the compile's cut and cascade, and after every
+    # drop: the states reached from the root over zero lists, live
+    # candidates' terms and their active PLUS alternatives are exactly the
+    # live ones, no live term reads a dead state, and every dead state has
+    # an empty candidate range; a state read as a PLUS alternative is read
+    # no other way (drop_uplinks' docstring rests on it)
     steps = 0
     for _, _, cs, _, _, _ in _chained_drops(60, 6500):
         plan = cs._plan
@@ -366,13 +371,13 @@ def test_greedy_counts_pinned(eps, n, seed, k, weight, probes, states):
 ])
 def test_drop_chain_states_pinned(k, n, seed, states):
     # pinned: states as built and after each drop of every other up-link;
-    # each build also prunes states that kept states request (infeasible
+    # each build also kills states that live states request (infeasible
     # PLUS ones)
     inst = wtap.gen_random(n, n, 20, seed)
     uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
     cs = ComponentSearch(inst, uplinks, k, _search_for(inst, uplinks))
     plan = cs._plan
-    kept = set(zip(plan.vert, plan.key))
+    kept = {(plan.vert[s], plan.key[s]) for s in _live_states(plan)}
     asked = {(c, key) for v, vkey in kept
              for _, _, terms in cs._candidates(v, *vkey)
              for c, ck, pk, _ in terms for key in (ck, pk) if key is not None}
@@ -403,33 +408,54 @@ def _plan_columns(plan):
     return states, plan.zero, plan.ref, [(r.start, r.stop) for r in plan.span]
 
 
-@pytest.mark.parametrize("k, n, seeds, digest", [
-    (2, 24, (1, 2, 10, 20), "edcbd99f736122e0"),
-    (4, 12, (1, 2, 3, 27), "82a6e99d3a0f3a7f"),
-])
-def test_plan_columns_pinned(k, n, seeds, digest):
-    # pinned: the whole plan, dead slots included, as built and after
-    # each drop of a chain, and entries() after each probe of a Dinkelbach
-    # search (from rho = 1, then at each witness's own ratio, where the
-    # witness ties with the empty set at the root); each drop removes the
-    # last witness's up-links.  Seeds 10, 20 and 27 have a term whose PLUS
-    # alternative ties with its entry in a set that is composed
-    h = hashlib.sha256()
+def _witness_chains(k, n, seeds):
+    # per seed, a search as built and after each drop of a chain, each drop
+    # removing the last witness's up-links, as (cs, None); and after each
+    # probe of a Dinkelbach search (from rho = 1, then at each witness's own
+    # ratio, where the witness ties with the empty set at the root), as
+    # (cs, answer).  Seeds 10, 20 and 27 have a term whose PLUS alternative
+    # ties with its entry in a set that is composed
     for seed in seeds:
         inst = wtap.gen_random(n, n, 20, seed)
         uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
         cs = ComponentSearch(inst, uplinks, k, _search_for(inst, uplinks))
-        h.update(repr(_plan_columns(cs._plan)).encode())
+        yield cs, None
         while cs.uplinks:
-            rho = Fraction(1)
             witness = res = cs.max_slack(1, 1)
-            h.update(repr(list(cs.entries())).encode())
+            yield cs, res
             while res.slack > 0:
                 witness = res
                 rho = Fraction(res.weight, res.drop_weight)
                 res = cs.max_slack(rho.numerator, rho.denominator)
-                h.update(repr(list(cs.entries())).encode())
+                yield cs, res
             cs.drop_uplinks(witness.drop_indices)
+            yield cs, None
+
+
+@pytest.mark.parametrize("k, n, seeds, digest", [
+    (2, 24, (1, 2, 10, 20), "cb9a28ba260fb502"),
+    (4, 12, (1, 2, 3, 27), "ed092063b3a14fc4"),
+])
+def test_entries_pinned(k, n, seeds, digest):
+    # pinned: the live state count, the answer and entries() after each
+    # probe of the witness chains, which do not depend on the plan's layout
+    h = hashlib.sha256()
+    for cs, res in _witness_chains(k, n, seeds):
+        if res is not None:
+            h.update(repr((cs.states, res, list(cs.entries()))).encode())
+    assert h.hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("k, n, seeds, digest", [
+    (2, 24, (1, 2, 10, 20), "5962efb681a85dac"),
+    (4, 12, (1, 2, 3, 27), "e0e05d2e21a89b6b"),
+])
+def test_plan_columns_pinned(k, n, seeds, digest):
+    # pinned: the whole plan, dead slots and tombstones included, as built
+    # and after each drop of the witness chains
+    h = hashlib.sha256()
+    for cs, res in _witness_chains(k, n, seeds):
+        if res is None:
             h.update(repr(_plan_columns(cs._plan)).encode())
     assert h.hexdigest()[:16] == digest
 
@@ -440,20 +466,20 @@ def test_plan_columns_pinned(k, n, seeds, digest):
     (4, 12, (1, 2, 3, 27), "857e6b02314eaf4e"),
 ])
 def test_raw_listing_pinned(monkeypatch, k, n, seeds, digest):
-    # pinned: the plan as listed, before the prune hides what no kept state
-    # reads: every state's name, vertex and key, every candidate's range,
-    # weight, Z mask and term ids, and each vertex's terms and zero list;
-    # for the full up-link cover and for every other up-link of it
+    # pinned: the plan as listed, before the cut kills what is infeasible:
+    # every state's name, vertex and key, every candidate's range, weight,
+    # Z mask and term ids, and each vertex's terms and zero list; for the
+    # full up-link cover and for every other up-link of it
     h = hashlib.sha256()
-    prune = component_dp._Plan.prune
+    count_reads = component_dp._Plan.count_reads
 
-    def pin(plan, live, keep, names):
+    def pin(plan, names):
         h.update(repr((names, plan.vert, plan.key, plan.cand_lo, plan.cand_w,
                        plan.cand_z, plan.cand_ids, plan.terms,
                        plan.zero)).encode())
-        prune(plan, live, keep, names)
+        count_reads(plan, names)
 
-    monkeypatch.setattr(component_dp._Plan, "prune", pin)
+    monkeypatch.setattr(component_dp._Plan, "count_reads", pin)
     for seed in seeds:
         inst = wtap.gen_random(n, n, 20, seed)
         uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
@@ -475,9 +501,9 @@ def test_budget_stops_listing_within_a_state(monkeypatch):
             super().__init__(n)
             plans.append(self)
 
-        def prune(self, live, keep, names):
+        def count_reads(self, names):
             listed.append(list(self.cand_lo))
-            super().prune(live, keep, names)
+            super().count_reads(names)
 
     monkeypatch.setattr(component_dp, "_Plan", Kept)
     ComponentSearch(inst, uplinks, 3, search)
