@@ -22,7 +22,7 @@ from .greedy import (GreedyTrace, InvalidEpsilonError, Solution, epsilon_to_k,
 from .io import dump, dumps, load, loads
 from .model import (Instance, Link, RootedTreeIndex, TableTooLargeError,
                     ValidationIssue, VerticalCostTable, WeightOverflowError,
-                    apex, is_k_thin, link_path, validate, vertical_cost_table)
+                    apex, is_k_thin, validate, vertical_cost_table)
 from .oracle import (BudgetExceededError, KThinTable, OracleBudget,
                      brute_best_kthin, brute_uplink_cover, exact_opt)
 from .ratio import EmptyUError, RatioResult, best_ratio_component, decide

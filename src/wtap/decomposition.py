@@ -13,12 +13,14 @@ solver's guarantee rests on executable and testable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .baseline import UpPath
-from .model import Instance, cover_mask, is_k_thin, link_vertices, mask_bits
+from .model import (Instance, is_k_thin, link_vertices, mask_bits,
+                    uncovered_edges)
 
 
 class NotABranchingError(AssertionError):
@@ -61,52 +63,61 @@ def compute_cover_witness(instance: Instance, f_ids: Sequence[int],
     F with apex below it still cover the path; the witness is pruned from
     that candidate set by repeatedly removing the removable link of smallest
     id.
+
+    On depths: with x <= h the depths of lca(a, bottom) and lca(b, bottom),
+    link (a, b) covers the path edges whose child depth lies in
+    (max(x, t), h], t = depth[top], and has its apex below the ancestor of
+    top at depth d exactly when d <= min(x, t).
     """
     idx = instance.index
-    f_ids = sorted(set(f_ids))
-    pu = idx.vertical_edge_mask(up.top, up.bottom)
-    apexes = {lid: idx.lca(instance.link(lid).u, instance.link(lid).v)
-              for lid in f_ids}
+    top, bottom = up.top, up.bottom
+    if top == bottom or not idx.is_ancestor(top, bottom):
+        raise ValueError(f"up-link {top}..{bottom}: {top} is not a strict "
+                         f"ancestor of {bottom}")
+    depth, tin, tout = idx.depth, idx.tin, idx.tout
+    t = depth[top]
+    # path[i] is the child vertex of the path edge at depth t + 1 + i.
+    path = [idx.ancestor_at_depth(bottom, d)
+            for d in range(t + 1, depth[bottom] + 1)]
+    lo_in, hi_in = tin[path[0]], tout[path[0]]
+    spans = []  # (link id, first edge, end edge, apex-depth threshold)
+    for lid in sorted(set(f_ids)):
+        lk = instance.link(lid)
+        if not (lo_in <= tin[lk.u] <= hi_in or lo_in <= tin[lk.v] <= hi_in):
+            continue
+        x, h = sorted((depth[idx.lca(lk.u, bottom)],
+                       depth[idx.lca(lk.v, bottom)]))
+        if h > t and h > x:
+            spans.append((lid, max(x, t) - t, h - t, min(x, t)))
 
-    chain = [up.top]
-    v = up.top
-    while v != instance.root:
-        v = idx.parent[v]
-        chain.append(v)
-    v_u = None
-    candidates: list[int] = []
-    for v in reversed(chain):  # root first, descending toward top
-        b_v = [lid for lid in f_ids if idx.is_ancestor(v, apexes[lid])]
-        if pu & ~cover_mask(instance, b_v) == 0:
-            v_u = v
-            candidates = b_v
-        else:
-            break
-    if v_u is None:
+    best = [-1] * len(path)
+    for _, i, j, thr in spans:
+        for e in range(i, j):
+            best[e] = max(best[e], thr)
+    d_u = min(best)
+    if d_u < 0:
         raise ValueError("F does not cover the up-link path")
+    v_u = idx.ancestor_at_depth(top, d_u)
 
-    current = sorted(candidates)
-    while True:
-        removable = None
-        for lid in current:
-            rest = [x for x in current if x != lid]
-            if pu & ~cover_mask(instance, rest) == 0:
-                removable = lid
-                break
-        if removable is None:
-            break
-        current.remove(removable)
-
-    own = {}
-    for lid in current:
-        rest_cover = cover_mask(instance, (x for x in current if x != lid))
-        own[lid] = pu & ~rest_cover
+    # A link that is not removable never becomes removable as others go,
+    # so one pass in id order equals repeatedly removing the smallest.
+    spans = [s for s in spans if s[3] >= d_u]
+    count = [0] * len(path)
+    for _, i, j, _ in spans:
+        for e in range(i, j):
+            count[e] += 1
+    kept = []
+    for lid, i, j, _ in spans:
+        if all(count[e] >= 2 for e in range(i, j)):
+            for e in range(i, j):
+                count[e] -= 1
+        else:
+            kept.append((lid, i, j))
+    alone = {lid: [e for e in range(i, j) if count[e] == 1]
+             for lid, i, j in kept}
+    own = {lid: sum(1 << path[e] for e in es) for lid, es in alone.items()}
     # Order by where each link's own edges sit on the top-to-bottom walk.
-    def pos(lid: int) -> int:
-        mask = own[lid]
-        return min(idx.depth[e] for e in mask_bits(mask))
-
-    ordered = tuple(sorted(current, key=pos))
+    ordered = tuple(sorted(alone, key=lambda lid: alone[lid][0]))
     return CoverWitness(uplink=up, v_u=v_u, links=ordered, own_edges=own)
 
 
@@ -116,17 +127,14 @@ def build_dependency_graph(instance: Instance, f_ids: Sequence[int],
     f_ids = sorted(set(f_ids))
     witnesses = tuple(compute_cover_witness(instance, f_ids, up)
                       for up in uplinks)
-    arcs = []
-    for ui, wit in enumerate(witnesses):
-        for a, b in wit.arcs():
-            arcs.append((a, b, ui))
-    indeg: dict[int, int] = {}
-    for _, b, _ in arcs:
-        indeg[b] = indeg.get(b, 0) + 1
-        if indeg[b] > 1:
+    arcs = [(a, b, ui) for ui, wit in enumerate(witnesses)
+            for a, b in wit.arcs()]
+    parents: dict[int, int] = {}
+    for a, b, _ in arcs:
+        if b in parents:
             raise NotABranchingError(f"link {b} has two incoming arcs")
+        parents[b] = a
     # Acyclicity: follow unique in-arcs upward; a repeat means a cycle.
-    parents = {b: a for a, b, _ in arcs}
     for start in parents:
         seen = {start}
         v = start
@@ -141,24 +149,25 @@ def build_dependency_graph(instance: Instance, f_ids: Sequence[int],
 
 def _chain_labels(graph: DependencyGraph) -> dict[int, int]:
     """Label each witness chain by the number of chains above its start."""
-    in_arc: dict[int, tuple[int, int, int]] = {}
-    for arc in graph.arcs:
-        in_arc[arc[1]] = arc
+    in_arc = {arc[1]: arc for arc in graph.arcs}
     labels: dict[int, int] = {}
-
-    def label_of(ui: int) -> int:
-        got = labels.get(ui)
-        if got is not None:
-            return got
-        start = graph.witnesses[ui].links[0]
-        arc = in_arc.get(start)
-        value = 0 if arc is None else label_of(arc[2]) + 1
-        labels[ui] = value
-        return value
-
     for ui, wit in enumerate(graph.witnesses):
-        if len(wit.links) >= 2:
-            label_of(ui)
+        if len(wit.links) < 2:
+            continue
+        # Walk up to a labelled chain or a root chain, then label downward.
+        pending: list[int] = []
+        while ui not in labels:
+            if len(pending) == len(graph.witnesses):
+                raise NotABranchingError("the witness chains form a cycle")
+            pending.append(ui)
+            arc = in_arc.get(graph.witnesses[ui].links[0])
+            if arc is None:
+                break
+            ui = arc[2]
+        value = labels.get(ui, -1)
+        for ui in reversed(pending):
+            value += 1
+            labels[ui] = value
     return labels
 
 
@@ -221,17 +230,24 @@ def check_decomposition(instance: Instance, f_ids: Sequence[int],
     for part in dec.parts:
         if not is_k_thin(instance, part, dec.k):
             issues.append(f"part {part} is not {dec.k}-thin")
-    part_cover = [cover_mask(instance, part) for part in dec.parts]
-    removed_set = set(dec.removed)
+    # A part drops an up-link unless an edge it leaves uncovered lies on
+    # it: marks[v] counts those edges on the root..v path.
+    covered = bytearray(len(uplinks))
     drop_total = 0
-    for pc in part_cover:
-        drop_total += sum(p.weight for p in uplinks
-                          if idx.vertical_edge_mask(p.top, p.bottom) & ~pc == 0)
-    for ui, up in enumerate(uplinks):
-        if ui in removed_set:
-            continue
-        pu = idx.vertical_edge_mask(up.top, up.bottom)
-        if not any(pu & ~pc == 0 for pc in part_cover):
+    for part in dec.parts:
+        marks = [0] * instance.n
+        for v in uncovered_edges(instance, (instance.link(lid).endpoints()
+                                            for lid in part)):
+            marks[v] = 1
+        for v in idx.bfs_order[1:]:
+            marks[v] += marks[idx.parent[v]]
+        for ui, up in enumerate(uplinks):
+            if marks[up.bottom] == marks[up.top]:
+                covered[ui] = 1
+                drop_total += up.weight
+    removed_set = set(dec.removed)
+    for ui in range(len(uplinks)):
+        if ui not in removed_set and not covered[ui]:
             issues.append(f"surviving up-link {ui} covered by no part")
     if drop_total < w_u - w_r:
         issues.append(f"parts drop only {drop_total} < {w_u} - {w_r}")
@@ -248,26 +264,19 @@ def verify_cover_structure(instance: Instance, f_ids: Sequence[int],
     per component, and (informationally) distinct apexes per component.
     """
     idx = instance.index
+    depth = idx.depth
     f_ids = sorted(set(f_ids))
     graph = build_dependency_graph(instance, f_ids, uplinks)
     apexes = {lid: idx.lca(instance.link(lid).u, instance.link(lid).v)
               for lid in f_ids}
     vert_sets = {lid: set(link_vertices(instance, lid)) for lid in f_ids}
-    checks: dict[str, list] = {
-        "witness_2_thin": [],
-        "arc_target_edge_covered": [],
-        "arc_apex_order": [],
-        "shared_vertex_ancestry": [],
-        "path_count_thinness": [],
-        "distinct_apexes": [],
-        "own_edges_nonempty_contiguous": [],
-    }
+    checks: dict[str, list] = {name: [] for name in (
+        "witness_2_thin", "arc_target_edge_covered", "arc_apex_order",
+        "shared_vertex_ancestry", "path_count_thinness", "distinct_apexes",
+        "own_edges_nonempty_contiguous")}
 
     for ui, wit in enumerate(graph.witnesses):
-        counts: dict[int, int] = {}
-        for lid in wit.links:
-            for v in vert_sets[lid]:
-                counts[v] = counts.get(v, 0) + 1
+        counts = Counter(v for lid in wit.links for v in vert_sets[lid])
         bad = [v for v, c in counts.items() if c > 2]
         if bad:
             checks["witness_2_thin"].append((ui, bad))
@@ -281,48 +290,53 @@ def verify_cover_structure(instance: Instance, f_ids: Sequence[int],
             depths = sorted(idx.depth[c] for c in mask_bits(own))
             if depths[-1] - depths[0] + 1 != len(depths):
                 checks["own_edges_nonempty_contiguous"].append((ui, lid, "not a path"))
-        pu = idx.vertical_edge_mask(wit.uplink.top, wit.uplink.bottom)
+        top, bottom = wit.uplink.top, wit.uplink.bottom
         for a, b in wit.arcs():
             apx_b = apexes[b]
-            if apx_b == instance.root or not (pu >> apx_b) & 1:
+            if depth[apx_b] <= depth[top] or not idx.is_ancestor(apx_b, bottom):
                 checks["arc_target_edge_covered"].append((ui, a, b))
             apx_a = apexes[a]
             if apx_a == apx_b or not idx.is_ancestor(apx_a, apx_b):
                 checks["arc_apex_order"].append((ui, a, b, "apex not strict ancestor"))
-            else:
-                span = idx.path_edge_mask(apx_a, apx_b)
-                if wit.own_edges[a] & ~span:
-                    checks["arc_apex_order"].append((ui, a, b, "own edges off the apex span"))
+            elif any(depth[c] <= depth[apx_a] or not idx.is_ancestor(c, apx_b)
+                     for c in mask_bits(wit.own_edges[a])):
+                checks["arc_apex_order"].append((ui, a, b, "own edges off the apex span"))
 
-    # Per-component structure.
-    comp_parent = {b: a for a, b, _ in graph.arcs}
-    arc_tag = {(a, b): ui for a, b, ui in graph.arcs}
-
-    def root_path(lid: int) -> list[int]:
-        path = [lid]
-        while path[-1] in comp_parent:
-            path.append(comp_parent[path[-1]])
-        return path[::-1]
-
-    comp_of: dict[int, int] = {}
-    for lid in f_ids:
-        comp_of[lid] = root_path(lid)[0]
+    # Per-component structure, from one walk down each tree of the
+    # branching: preorder intervals for ancestry, and the number of
+    # chains on each link's root path (a chain's arcs on a root path are
+    # consecutive, so count where the in-arc's chain changes).
+    in_tag = {b: ui for _, b, ui in graph.arcs}
+    kids: dict[int, list[int]] = {}
+    for a, b, _ in graph.arcs:
+        kids.setdefault(a, []).append(b)
+    enter, leave, chains = {}, {}, {}
     components: dict[int, list[int]] = {}
-    for lid in f_ids:
-        components.setdefault(comp_of[lid], []).append(lid)
+    for croot in (lid for lid in f_ids if lid not in in_tag):
+        order, stack = [], [croot]
+        chains[croot] = 0
+        while stack:
+            lid = stack.pop()
+            enter[lid] = len(enter)
+            order.append(lid)
+            for kid in kids.get(lid, ()):
+                chains[kid] = chains[lid] + (in_tag.get(lid) != in_tag[kid])
+                stack.append(kid)
+        for lid in reversed(order):
+            leave[lid] = max([enter[lid]]
+                             + [leave[kid] for kid in kids.get(lid, ())])
+        components[croot] = sorted(order)
+
+    def under(l1: int, l2: int) -> bool:
+        return enter[l1] <= enter[l2] <= leave[l1]
 
     for croot, members in sorted(components.items()):
         for i, l1 in enumerate(members):
             for l2 in members[i + 1:]:
-                if vert_sets[l1] & vert_sets[l2]:
-                    p1, p2 = root_path(l1), root_path(l2)
-                    if not (l1 in p2 or l2 in p1):
-                        checks["shared_vertex_ancestry"].append((croot, l1, l2))
-        kappa = 0
-        for lid in members:
-            path = root_path(lid)
-            tags = {arc_tag[(path[i], path[i + 1])] for i in range(len(path) - 1)}
-            kappa = max(kappa, len(tags))
+                if not (under(l1, l2) or under(l2, l1)
+                        or vert_sets[l1].isdisjoint(vert_sets[l2])):
+                    checks["shared_vertex_ancestry"].append((croot, l1, l2))
+        kappa = max(chains[lid] for lid in members)
         if not is_k_thin(instance, members, kappa + 1):
             checks["path_count_thinness"].append((croot, kappa))
         seen_apex: dict[int, int] = {}

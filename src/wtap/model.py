@@ -5,13 +5,11 @@ the tree edges on the path between its endpoints.  Tree edges are identified
 by their child vertex (the endpoint farther from the root).
 
 Whether a set of links covers the tree is checked in O(n + m) by
-``uncovered_edges``, with no per-link edge sets; the solve path (validation,
-the up-link cover, the component search and the relative greedy) checks
-coverage only this way.  Where set algebra over edges is the algorithm
-itself (the oracles and the decomposition checks), edge sets are plain
-Python ints used as bitsets over the child ids: ``link_path``,
-``cover_mask`` and ``Instance.link_paths``.  Each such mask takes Θ(n) bits,
-so the solve path does not build them.
+``uncovered_edges``, with no per-link edge sets; the solve path and the
+decomposition lab check coverage this way or on the index's depths and
+Euler intervals.  Edge sets as int bitsets over the child ids
+(``Instance.link_paths``, ``full_edge_mask``, ``path_edge_mask``,
+``vertical_edge_mask``) take Θ(n) bits each; only the oracles build them.
 
 Weights are positive integers; rational inputs are scaled at parse time
 (see ``wtap.io``), so all arithmetic here is exact.
@@ -323,23 +321,10 @@ def uncovered_edges(instance: Instance, pairs: Iterable[tuple[int, int]]) -> lis
             if lo[v] == tin[v] and hi[v] == tout[v] and v != root]
 
 
-def link_path(instance: Instance, link: Link | int) -> int:
-    """Edge bitmask of the path covered by the link."""
-    lk = instance.link(link) if isinstance(link, int) else link
-    return instance.index.path_edge_mask(lk.u, lk.v)
-
-
 def apex(instance: Instance, link: Link | int) -> int:
     """Lowest common ancestor of the link's endpoints."""
     lk = instance.link(link) if isinstance(link, int) else link
     return instance.index.lca(lk.u, lk.v)
-
-
-def cover_mask(instance: Instance, link_ids: Iterable[int]) -> int:
-    mask = 0
-    for lid in link_ids:
-        mask |= instance.link_paths[lid]
-    return mask
 
 
 def link_vertices(instance: Instance, link: Link | int) -> list[int]:

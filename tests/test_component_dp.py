@@ -577,7 +577,7 @@ def test_up_links_must_be_disjoint():
 def _caterpillar(n, link_count, wmax, seed):
     # spine-heavy tree: deep ancestries stress the coverage-flag chains
     from wtap.generators import _stream
-    from wtap.model import cover_mask
+    from wtap.model import uncovered_edges
     rng = _stream(seed, 5)
     edges = []
     spine = [0]
@@ -596,12 +596,8 @@ def _caterpillar(n, link_count, wmax, seed):
         if u != v:
             links.append(Link(u, v, int(rng.integers(1, wmax + 1))))
     inst = Instance(n, 0, edges, links)
-    missing = inst.full_edge_mask & ~cover_mask(inst, range(len(links)))
-    while missing:
-        low = missing & (-missing)
-        c = low.bit_length() - 1
+    for c in uncovered_edges(inst, (lk.endpoints() for lk in links)):
         links.append(Link(int(inst.index.parent[c]), c, wmax))
-        missing ^= low
     return Instance(n, 0, edges, links)
 
 

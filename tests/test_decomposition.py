@@ -1,5 +1,6 @@
 """Cover witnesses, dependency graph, labeling, and thin decomposition."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -149,3 +150,115 @@ def test_averaging_inequality():
             total_drop += sum(p.weight for p in uplinks
                               if idx.vertical_edge_mask(p.top, p.bottom) & ~cover == 0)
         assert total_drop >= w_u - w_r
+
+
+def _canon(x):
+    """A text form of the lab's outputs; dicts by sorted key."""
+    if isinstance(x, dict):
+        return "{" + ",".join(f"{_canon(k)}:{_canon(v)}"
+                              for k, v in sorted(x.items())) + "}"
+    if isinstance(x, (list, tuple)):
+        return "[" + ",".join(_canon(v) for v in x) + "]"
+    return repr(x)
+
+
+def _digest_cases():
+    for seed in range(200):
+        inst = wtap.gen_random(n=3 + seed % 18, link_count=2 + (seed * 5) % 19,
+                               weight_max=5, seed=70_000 + seed)
+        uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
+        yield inst, list(range(len(inst.links))), uplinks
+        if len(inst.links) <= 16:
+            yield inst, list(wtap.exact_opt(inst).link_ids), uplinks
+    for m in (1, 3, 8, 20):
+        inst = wtap.gen_fig3(m)
+        yield inst, fig3_solution_ids(inst), fig3_uplinks(inst)
+
+
+def test_lab_outputs_pinned_digest():
+    # every witness, label, residue, part and structure report, as the
+    # edge-bitmask implementation produced them
+    h = hashlib.sha256()
+    runs = 0
+    for inst, f_ids, uplinks in _digest_cases():
+        for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 3)):
+            dec = wtap.decompose(inst, f_ids, uplinks, eps)
+            g = dec.graph
+            wits = [(w.uplink, w.v_u, w.links, w.own_edges)
+                    for w in g.witnesses]
+            h.update(_canon((dec.removed, dec.parts, dec.labels,
+                             dec.chosen_residue, dec.k, g.nodes, g.arcs,
+                             wits)).encode())
+            runs += 1
+        rep = wtap.verify_cover_structure(inst, f_ids, uplinks)
+        h.update(_canon(rep).encode())
+    assert runs == 1095
+    assert h.hexdigest() == \
+        "d4fc9579d59917492ce11e33f62c78211f010a882a1f49cfc1ee90084a607ae2"
+
+
+def test_lab_at_scale_fig3_m400():
+    m = 400
+    inst = wtap.gen_fig3(m)
+    assert inst.n == 1204
+    f_ids = fig3_solution_ids(inst)
+    uplinks = fig3_uplinks(inst)
+    dec = wtap.decompose(inst, f_ids, uplinks, Fraction(1, 2))
+    assert [dec.labels[ui] for ui in range(m)] == list(range(m))
+    for part in dec.parts:
+        assert wtap.is_k_thin(inst, part, 2)
+    rep = wtap.verify_cover_structure(inst, f_ids, uplinks)
+    assert rep["ok"], rep["failed"]
+
+
+def test_chain_labels_long_chain_from_far_end():
+    # witness i chains link i+1 -> link i, so the in-arc of each chain's
+    # start comes from the next witness: labelling witness 0 first walks
+    # all 3 000 chains
+    from wtap.decomposition import _chain_labels
+    length = 3000
+    witnesses = tuple(wtap.CoverWitness(uplink=UpPath(0, 1, 1, 0), v_u=0,
+                                        links=(i + 1, i), own_edges={})
+                      for i in range(length))
+    arcs = tuple((i + 1, i, i) for i in range(length))
+    graph = wtap.DependencyGraph(nodes=tuple(range(length + 1)), arcs=arcs,
+                                 witnesses=witnesses)
+    labels = _chain_labels(graph)
+    assert labels == {ui: length - 1 - ui for ui in range(length)}
+    assert list(labels) == list(range(length - 1, -1, -1))
+
+
+def test_witness_rejects_non_vertical_uplink():
+    inst = _chain_instance()
+    tree = Instance(4, 0, [(0, 1), (0, 2), (2, 3)], [Link(1, 3, 1)])
+    bad = [(inst, UpPath(top=3, bottom=3, weight=1, link_id=0)),
+           (tree, UpPath(top=1, bottom=3, weight=1, link_id=0)),
+           (inst, UpPath(top=5, bottom=2, weight=1, link_id=0))]
+    for instance, up in bad:
+        f_ids = list(range(len(instance.links)))
+        with pytest.raises(ValueError, match="not a strict ancestor"):
+            wtap.compute_cover_witness(instance, f_ids, up)
+        with pytest.raises(ValueError, match="not a strict ancestor"):
+            wtap.decompose(instance, f_ids, [up], Fraction(1, 2))
+        with pytest.raises(ValueError, match="not a strict ancestor"):
+            wtap.verify_cover_structure(instance, f_ids, [up])
+
+
+def test_path_count_thinness_counts_chains_not_arcs(monkeypatch):
+    # one witness chaining all four fig3 links: the root path of link 3
+    # has three arcs but one chain, so the bound is 2-thinness, which the
+    # hub (on every link) breaks
+    inst = wtap.gen_fig3(3)
+    f_ids = fig3_solution_ids(inst)
+    uplinks = fig3_uplinks(inst)
+    wit = wtap.CoverWitness(uplink=uplinks[0], v_u=inst.root,
+                            links=(0, 1, 2, 3),
+                            own_edges=dict.fromkeys((0, 1, 2, 3), 0))
+    graph = wtap.DependencyGraph(nodes=(0, 1, 2, 3),
+                                 arcs=((0, 1, 0), (1, 2, 0), (2, 3, 0)),
+                                 witnesses=(wit,))
+    monkeypatch.setattr(wtap.decomposition, "build_dependency_graph",
+                        lambda *args: graph)
+    rep = wtap.verify_cover_structure(inst, f_ids, uplinks)
+    assert rep["checks"]["path_count_thinness"] == [(0, 1)]
+    assert rep["checks"]["shared_vertex_ancestry"] == []

@@ -48,12 +48,12 @@ def test_self_loop_rejected_at_construction():
 
 
 def test_link_path_parent_child(single_edge):
-    assert wtap.link_path(single_edge, 0) == 0b10
+    assert single_edge.index.path_edge_mask(0, 1) == 0b10
 
 
 def test_link_path_through_root(path3):
     # both edges, children 1 and 2
-    assert wtap.link_path(path3, 0) == 0b110
+    assert path3.index.path_edge_mask(0, 2) == 0b110
 
 
 def test_link_path_length_identity():
@@ -62,7 +62,7 @@ def test_link_path_length_identity():
     for lk in inst.links:
         apx = wtap.apex(inst, lk)
         expect = int(idx.depth[lk.u]) + int(idx.depth[lk.v]) - 2 * int(idx.depth[apx])
-        assert len(mask_bits(wtap.link_path(inst, lk))) == expect
+        assert len(mask_bits(inst.index.path_edge_mask(lk.u, lk.v))) == expect
 
 
 def test_apex_and_uplink(star_ab, single_edge):
@@ -105,7 +105,7 @@ def test_path_is_union_of_vertical_legs():
         for lk in inst.links:
             apx = wtap.apex(inst, lk)
             legs = idx.vertical_edge_mask(apx, lk.u) | idx.vertical_edge_mask(apx, lk.v)
-            assert legs == wtap.link_path(inst, lk)
+            assert legs == inst.index.path_edge_mask(lk.u, lk.v)
             assert idx.vertical_edge_mask(apx, lk.u) & idx.vertical_edge_mask(apx, lk.v) == 0
 
 
@@ -231,4 +231,4 @@ def test_link_vertices_matches_path():
     for lk in inst.links:
         verts = link_vertices(inst, lk)
         assert verts[0] in (lk.u, lk.v) and verts[-1] in (lk.u, lk.v)
-        assert len(verts) == len(mask_bits(wtap.link_path(inst, lk))) + 1
+        assert len(verts) == len(mask_bits(inst.index.path_edge_mask(lk.u, lk.v))) + 1
