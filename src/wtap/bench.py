@@ -121,7 +121,7 @@ def bench(config: dict, timings: bool = False) -> dict:
     if not isinstance(oracle_cfg, dict):
         raise ConfigError('"oracle" must be an object')
     try:
-        budget = OracleBudget(max_links=int(oracle_cfg.get("max_links", 18)))
+        budget = OracleBudget(max_links=_int(oracle_cfg, "max_links", 18))
         instances = _materialize_instances(config)
     except KeyError as exc:
         raise ConfigError(f"missing key {exc}") from exc

@@ -211,7 +211,7 @@ def _cmd_decompose(args) -> None:
     inst = _load_validated(args.instance)
     try:
         data = json.loads(Path(args.solution).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise _CliError(f"cannot parse solution file: {exc}", EXIT_VALIDATION)
     if isinstance(data, dict) and "links" in data:
         f_ids = data["links"]
@@ -231,7 +231,7 @@ def _cmd_decompose(args) -> None:
                         f"({inst.index.parent[v]}, {v}) first", EXIT_VALIDATION)
     uplinks = list(cheapest_disjoint_uplink_cover(inst).paths)
     dec = decompose(inst, f_ids, uplinks, args.eps)
-    report = verify_cover_structure(inst, f_ids, uplinks)
+    report = verify_cover_structure(inst, dec.graph)
     _emit({
         "eps": str(args.eps),
         "k": dec.k,

@@ -18,18 +18,17 @@ apex v), the child states each candidate combines and whether it is
 feasible do not depend on rho.  ``ComponentSearch`` therefore compiles them
 once into a flat plan, listed top-down: vertices in BFS order, the states of
 one vertex contiguous, so every state precedes the states it reads; each
-probe is then one integer sweep over the plan from its end.  ``_candidates``
-is the one place that says what a state reads: the compile lists each
-requested state's candidates once through the same per-vertex lister.
-What the states of one vertex share (its apex links, the up-links hanging
-from it, the child toward each boundary end, each term) is resolved once
-per vertex, and each state lists only the Z its free budget k - |ends|
-allows: one with no free budget lists Z = {} alone, and the Z of fewer
-than k links that states with a boundary list are made once per vertex and
-reused.  A term (one child entry a candidate reads) is stored once per
-vertex, and a candidate holds the ids of its terms, so a probe values each
-of a vertex's distinct terms once and a candidate only adds up the values
-of its terms.
+probe is then one integer sweep over the plan from its end.  The compile's
+listing loop is the one place that says what a state reads, and it lists
+each requested state's candidates once.  What the states of one vertex
+share (its apex links, the up-links hanging from it, the child toward each
+boundary end, each term) is resolved once per vertex, and each state lists
+only the Z its free budget k - |ends| allows: one with no free budget lists
+Z = {} alone, and the Z of fewer than k links that states with a boundary
+list are made once per vertex and reused.  A term (one child entry a
+candidate reads) is stored once per vertex, and a candidate holds the ids of
+its terms, so a probe values each of a vertex's distinct terms once and a
+candidate only adds up the values of its terms.
 
 States leave the plan one way, in the compile and in drops alike: each
 state counts its readers, ``_Plan.cut`` kills at one vertex the candidates
@@ -60,7 +59,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, count, islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._kernels import lex_less
 from .baseline import UpPath
@@ -161,12 +160,6 @@ def _zsets(apex: Sequence[tuple[int, int, tuple]], least: int,
                 for child, es in down.items():
                     down[child] = tuple(sorted(es))
             yield zweight, zmask, tuple(down.items())
-
-
-def _spec(child: int, key: tuple, plus_key: tuple | None,
-          up_weight: int) -> tuple:
-    """A term as ``_candidates`` yields it."""
-    return child, key, plus_key, up_weight
 
 
 class _Plan:
@@ -468,10 +461,9 @@ class ComponentSearch:
     ``drop_uplinks`` narrows it to fewer up-links.
 
     It is the one owner of U (``uplinks``), k and the alphabet (``links``):
-    the ratio search reads them from it.  The per-link structures
-    (``apex_ids``, ``legs``) and the plan's masks number links by their
-    position in the alphabet the search was built with, the only numbering
-    it keeps.  ``states`` counts the plan's live states.
+    the ratio search reads them from it.  The plan's masks number links by
+    their position in the alphabet the search was built with, the only
+    numbering it keeps.  ``states`` counts the plan's live states.
     """
 
     def __init__(self, instance: Instance, uplinks: Sequence[UpPath],
@@ -480,21 +472,9 @@ class ComponentSearch:
             raise ValueError("k must be at least 1")
         self.instance = instance
         self.k = k
-        self.idx = idx = instance.index
+        self.idx = instance.index
         self.links = list(search_links)
         self._alphabet = tuple(search_links)
-
-        # Per-link structure, by position in the alphabet: apex, and legs
-        # (for each endpoint below the apex, the child of the apex it lies
-        # under and the endpoint).
-        self.apex_ids: list[list[int]] = [[] for _ in range(instance.n)]
-        self.legs: list[tuple[tuple[int, int], ...]] = []
-        for i, sl in enumerate(self._alphabet):
-            apx = idx.lca(sl.a, sl.b)
-            self.apex_ids[apx].append(i)
-            self.legs.append(tuple((idx.child_toward(apx, e), e)
-                                   for e in (sl.a, sl.b) if e != apx))
-
         self._index_uplinks(uplinks)
         self._plan = self._compile()
         self.states = sum(map(int.__lt__, self._plan.cand_lo, self._plan.cand_hi))
@@ -622,127 +602,42 @@ class ComponentSearch:
                 if lo < hi)
 
     # ------------------------------------------------------------------
-    def _candidates(self, v: int, ends: tuple[int, ...], x: int):
-        """Yield the candidate specs ``(w(Z), Z mask, terms)`` of state (v, ends, x).
-
-        This is the one place that says what a state reads: it is
-        ``_lister(v, resolve)`` with a ``resolve`` that returns each term's
-        spec as it is, and the compile lists through the same ``_lister``.
-        A candidate adds at most k - |ends| apex links Z of v.  When x is
-        PLUS an up-link must enter v (else there is no candidate), and when
-        it goes on into a child, cstar, some boundary or Z link must go down
-        into cstar too.  A term ``(child, key, plus_key, up_weight)`` reads
-        the child's entry with key ``key`` (as in ``_Plan.key``): the
-        endpoints below v in that child's subtree, and PLUS for cstar, else
-        MINUS.  When an up-link hangs from v into that child (it crosses the
-        child's edge and its top is v), its PLUS entry ``plus_key`` may be
-        taken instead with the up-link's weight as bonus (otherwise
-        ``plus_key`` is None).  Children no link goes down into have no term.
-        """
-        return self._lister(v, _spec)(ends, x)
-
-    def _lister(self, v: int, resolve: Callable[..., object]):
-        """``_candidates`` for the states of vertex v, with each term
-        ``(child, key, plus_key, up_weight)`` replaced by
-        ``resolve(child, key, plus_key, up_weight)``.
-
-        What the states share is resolved once: v's apex links, the
-        children an up-link hangs from v into, cstar, the child toward each
-        boundary end as it is asked, and each term.  A term is named by its
-        child, the ends below that child and whether that child is cstar in
-        a PLUS state; ``resolve`` is called on its first listing only, and
-        later listings give the value it returned.  A state with no free
-        budget (|ends| = k), or at a vertex with no apex link, lists its one
-        candidate, Z = {}, directly.  The first state with a nonempty
-        boundary that needs the Z of some size makes them and keeps them,
-        each with its ends below each child sorted, and v's other states
-        reuse them; they have fewer than k links, as a boundary takes up
-        budget, and go with the lister.  The empty-boundary states make the
-        Z they list afresh: at k = 4 a vertex can have over 10^5 Z of k
-        links, too many to keep.
-        """
-        k, crossing, uplinks = self.k, self.crossing, self.uplinks
-        toward = self.idx.child_toward
-        alphabet, legs = self._alphabet, self.legs
-        apex = [(1 << i, alphabet[i].weight, legs[i]) for i in self.apex_ids[v]]
-        hang: dict[int, int] = {}  # child -> weight of the up-link hanging into it
-        for c in self.idx.children[v]:
-            u = crossing[c]
-            if u >= 0 and uplinks[u].top == v:
-                hang[c] = uplinks[u].weight
-        u = crossing[v]
-        cstar = -1
-        if u >= 0 and uplinks[u].bottom != v:
-            cstar = toward(v, uplinks[u].bottom)
-        side: dict[int, int] = {}  # boundary end -> the child of v it is under
-        # (child, ends below it, child is cstar in a PLUS state) -> resolved term
-        tid: dict[tuple[int, tuple[int, ...], bool], object] = {}
-        kept = list(_NO_Z)  # by size, the Z the states with a boundary asked for
-        upto = [1]  # kept[:upto[s]] are the Z of at most s links
-
-        def miss(key: tuple[int, tuple[int, ...], bool]) -> object:
-            child, ce, plus = key
-            uw = hang.get(child)
-            if uw is None:
-                got = resolve(child, (ce, PLUS if plus else MINUS), None, 0)
-            else:
-                got = resolve(child, (ce, MINUS), (ce, PLUS), uw)
-            tid[key] = got
-            return got
-
-        def candidates(ends: tuple[int, ...], x: int):
-            want = -1
-            if x == PLUS:
-                if u < 0:
-                    return
-                want = cstar
-            ybase: dict[int, tuple[int, ...]] = {}
-            for e in ends:
-                if e != v:
-                    c = side.get(e)
-                    if c is None:
-                        c = side[e] = toward(v, e)
-                    ybase[c] = ybase.get(c, ()) + (e,)
-            free = k - len(ends) if apex else 0
-            if not free:  # the direct path
-                zs = _NO_Z
-            elif ends:
-                while len(upto) <= free:
-                    kept.extend(_zsets(apex, len(upto), len(upto)))
-                    upto.append(len(kept))
-                zs = islice(kept, upto[free])
-            else:
-                zs = chain(_NO_Z, _zsets(apex, 1, free))
-            for zweight, zmask, down in zs:
-                ydict = ybase
-                if down:
-                    ydict = dict(ybase)
-                    for child, ze in down:
-                        ce = ydict.get(child)
-                        ydict[child] = ze if ce is None else tuple(sorted(ce + ze))
-                if want >= 0 and want not in ydict:
-                    continue  # the entering up-link's inside edges would stay uncovered
-                ids = []
-                for child, ce in ydict.items():
-                    key = (child, ce, child == want)
-                    i = tid.get(key)
-                    ids.append(miss(key) if i is None else i)
-                yield zweight, zmask, ids
-
-        return candidates
-
     def _compile(self) -> _Plan:
         """Plan for the states reachable from (root, {}, -), in two steps.
 
         1. List: visit the vertices in BFS order.  Each state requested at
-           a vertex is appended with every candidate ``_candidates`` lists
-           for it, through the vertex's one ``_lister``, whose resolver
-           turns a term into its id: on its first listing the term becomes
-           the next of the vertex's distinct terms and requests the child
-           entries it names (and, before any, the children's
-           empty-boundary entries).  Entries are named by the order of
-           their first request.  The budget is checked at each candidate
-           listed, so one state cannot list far past it.
+           a vertex is appended with every candidate it has.  This loop is
+           the one place that says what a state reads.  A candidate adds at
+           most k - |ends| apex links Z of v.  When x is PLUS an up-link
+           must enter v (else there is no candidate), and when it goes on
+           into a child, cstar, some boundary or Z link must go down into
+           cstar too.  A term reads one child's entry, keyed (as in
+           ``_Plan.key``) by the endpoints below v in that child's subtree
+           and by PLUS for cstar, else MINUS.  When an up-link hangs from v
+           into that child (it crosses the child's edge and its top is v),
+           the child's PLUS entry with the same ends may be taken instead,
+           with the up-link's weight as bonus (the term's ``pl``).
+           Children no link goes down into have no term.  A term is named
+           by its child, the ends below that child and whether that child
+           is cstar in a PLUS state; on its first listing it becomes the
+           next of v's distinct terms and requests the child entries it
+           names (and, before any, the children's empty-boundary entries).
+           Entries are named by the order of their first request.  The
+           budget is checked at each candidate listed, so one state cannot
+           list far past it.
+
+           What v's states share is set up once per vertex: its apex
+           links, the children an up-link hangs from v into, cstar, the
+           child toward each boundary end as it is asked, and the term ids.
+           A state with no free budget (|ends| = k), or at a vertex with no
+           apex link, lists its one candidate, Z = {}, directly.  The first
+           state with a nonempty boundary that needs the Z of some size
+           makes them and keeps them, each with its ends below each child
+           sorted, and v's other states reuse them; they have fewer than k
+           links, as a boundary takes up budget, and are freed at the next
+           vertex.  The empty-boundary states make the Z they list afresh:
+           at k = 4 a vertex can have over 10^5 Z of k links, too many to
+           keep.
         2. Cut: ``count_reads`` names entries by their states and counts
            their readers, and ``_Plan.cut`` runs at each vertex bottom-up,
            killing the candidates that read a dead entry.  A PLUS state
@@ -755,7 +650,17 @@ class ComponentSearch:
         ``PlanTooLargeError``.
         """
         budget = PLAN_CANDIDATE_BUDGET
-        n, children = self.instance.n, self.idx.children
+        k, crossing, uplinks = self.k, self.crossing, self.uplinks
+        idx = self.idx
+        n, children, toward = self.instance.n, idx.children, idx.child_toward
+        # Per vertex, the links it is the apex of, as (bit, weight, legs) in
+        # alphabet order; legs pair each endpoint below the apex with the
+        # child of the apex it lies under.
+        apexes: list[list[tuple[int, int, tuple]]] = [[] for _ in range(n)]
+        for i, sl in enumerate(self._alphabet):
+            apx = idx.lca(sl.a, sl.b)
+            apexes[apx].append((1 << i, sl.weight, tuple(
+                (toward(apx, e), e) for e in (sl.a, sl.b) if e != apx)))
         plan = _Plan(n)
         cand_lo, cand_w, cand_z = plan.cand_lo, plan.cand_w, plan.cand_z
         cand_ids = plan.cand_ids
@@ -765,26 +670,79 @@ class ComponentSearch:
         asked[self.instance.root] = {_EMPTY_KEY: 0}
         fresh = count(1).__next__
 
-        def resolve(child: int, ck: tuple, pk: tuple | None, uw: int) -> int:
-            # the next of v's distinct terms; requests the entries it names
-            got = asked[child]
-            vterms.append((ze[child], got[ck], -1 if pk is None else got[pk], uw))
-            return len(vterms) - 1
-
-        for v in self.idx.bfs_order:
+        for v in idx.bfs_order:
+            hang: dict[int, int] = {}  # child -> weight of the up-link hanging into it
             for c in children[v]:
                 asked[c] = defaultdict(fresh)
-            ze = {c: asked[c][_EMPTY_KEY] for c in children[v]}
-            plan.zero[v] = list(ze.values())
+                u = crossing[c]
+                if u >= 0 and uplinks[u].top == v:
+                    hang[c] = uplinks[u].weight
+            zero = {c: asked[c][_EMPTY_KEY] for c in children[v]}
+            plan.zero[v] = list(zero.values())
             vterms = plan.terms[v]
-            candidates = self._lister(v, resolve)
+            apex = apexes[v]
+            u = crossing[v]
+            cstar = -1
+            if u >= 0 and uplinks[u].bottom != v:
+                cstar = toward(v, uplinks[u].bottom)
+            side: dict[int, int] = {}  # boundary end -> the child of v it is under
+            # (child, ends below it, child is cstar in a PLUS state) -> term id
+            tid: dict[tuple[int, tuple[int, ...], bool], int] = {}
+            kept = list(_NO_Z)  # by size, the Z the states with a boundary asked for
+            upto = [1]  # kept[:upto[s]] are the Z of at most s links
             states = asked[v]
             plan.span[v] = range(len(names), len(names) + len(states))
             names.extend(states.values())
             plan.vert.extend([v] * len(states))
             plan.key.extend(states)
-            for key in states:
-                for zweight, zmask, ids in candidates(*key):
+            for ends, x in states:
+                want = -1
+                if x == PLUS:
+                    if u < 0:  # no up-link enters v: no candidate
+                        cand_lo.append(len(cand_w))
+                        continue
+                    want = cstar
+                ybase: dict[int, tuple[int, ...]] = {}
+                for e in ends:
+                    if e != v:
+                        c = side.get(e)
+                        if c is None:
+                            c = side[e] = toward(v, e)
+                        ybase[c] = ybase.get(c, ()) + (e,)
+                free = k - len(ends) if apex else 0
+                if not free:  # the direct path
+                    zs = _NO_Z
+                elif ends:
+                    while len(upto) <= free:
+                        kept.extend(_zsets(apex, len(upto), len(upto)))
+                        upto.append(len(kept))
+                    zs = islice(kept, upto[free])
+                else:
+                    zs = chain(_NO_Z, _zsets(apex, 1, free))
+                for zweight, zmask, down in zs:
+                    ydict = ybase
+                    if down:
+                        ydict = dict(ybase)
+                        for child, ze in down:
+                            ce = ydict.get(child)
+                            ydict[child] = ze if ce is None else tuple(sorted(ce + ze))
+                    # some link must go down into cstar, or the up-link stays uncovered
+                    if want >= 0 and want not in ydict:
+                        continue
+                    ids = []
+                    for child, ce in ydict.items():
+                        key = (child, ce, child == want)
+                        i = tid.get(key)
+                        if i is None:  # v's next distinct term
+                            got, uw = asked[child], hang.get(child)
+                            if uw is None:
+                                ch = got[ce, PLUS if child == want else MINUS]
+                                vterms.append((zero[child], ch, -1, 0))
+                            else:
+                                ch = got[ce, MINUS]
+                                vterms.append((zero[child], ch, got[ce, PLUS], uw))
+                            i = tid[key] = len(vterms) - 1
+                        ids.append(i)
                     cand_w.append(zweight)
                     if len(cand_w) > budget:
                         raise PlanTooLargeError(
@@ -796,6 +754,6 @@ class ComponentSearch:
             asked[v] = None  # only v's parent requests v's states
 
         plan.count_reads(names)
-        for v in reversed(self.idx.bfs_order):
+        for v in reversed(idx.bfs_order):
             plan.cut(v, 0)
         return plan

@@ -254,19 +254,20 @@ def check_decomposition(instance: Instance, f_ids: Sequence[int],
     return issues
 
 
-def verify_cover_structure(instance: Instance, f_ids: Sequence[int],
-                           uplinks: Sequence[UpPath]) -> dict:
-    """Run every structural check on the constructed dependency graph.
+def verify_cover_structure(instance: Instance, graph: DependencyGraph) -> dict:
+    """Run every structural check on a dependency graph of ``instance``.
 
-    Checks: witness 2-thinness, the covered edge above each arc target's
-    apex, apex ancestry with own-edge placement along consecutive pairs,
-    ancestry of links sharing a path vertex, the path-count thinness bound
-    per component, and (informationally) distinct apexes per component.
+    F is ``graph.nodes`` and U the witnesses' up-links, as
+    ``build_dependency_graph`` made them (``decompose`` keeps its graph as
+    ``Decomposition.graph``).  Checks: witness 2-thinness, the covered edge
+    above each arc target's apex, apex ancestry with own-edge placement
+    along consecutive pairs, ancestry of links sharing a path vertex, the
+    path-count thinness bound per component, and (informationally) distinct
+    apexes per component.
     """
     idx = instance.index
     depth = idx.depth
-    f_ids = sorted(set(f_ids))
-    graph = build_dependency_graph(instance, f_ids, uplinks)
+    f_ids = graph.nodes
     apexes = {lid: idx.lca(instance.link(lid).u, instance.link(lid).v)
               for lid in f_ids}
     vert_sets = {lid: set(link_vertices(instance, lid)) for lid in f_ids}

@@ -158,20 +158,6 @@ class _PCG64:
                 m = draw() * span
         return low + (m >> bits)
 
-    def shuffle(self, items: list) -> None:
-        """Shuffle a list in place, as numpy's ``Generator.shuffle`` does.
-
-        Fisher-Yates with numpy's ``random_interval``: draw under the
-        smallest bit mask covering ``i`` and reject draws above ``i``.
-        """
-        for i in reversed(range(1, len(items))):
-            mask = (1 << i.bit_length()) - 1
-            draw = self._next32 if i <= _MASK32 else self._next64
-            j = draw() & mask
-            while j > i:
-                j = draw() & mask
-            items[i], items[j] = items[j], items[i]
-
 
 def _stream(seed: int, purpose: int) -> _PCG64:
     """numpy's ``Generator(PCG64(SeedSequence(seed, spawn_key=(purpose,))))``.
@@ -185,8 +171,6 @@ def _stream(seed: int, purpose: int) -> _PCG64:
       ``pcg64_next32`` with its buffered half);
     * Lemire's bounded integers (``random_bounded_uint64_fill`` with
       ``cnt=1``), behind ``integers(low, high)`` with the int64 dtype.
-
-    ``shuffle`` of a list mirrors ``Generator.shuffle`` too; the tests use it.
 
     Raises ``TypeError`` for a seed that is not an integer and
     ``ValueError`` for a negative one, as SeedSequence does.

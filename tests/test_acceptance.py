@@ -286,7 +286,8 @@ def test_criterion_6_structural_lemma_suite(decomposition_triples):
     checked = 0
     try:
         for seed, inst, f_ids, uplinks in decomposition_triples:
-            rep = wtap.verify_cover_structure(inst, f_ids, uplinks)
+            graph = wtap.build_dependency_graph(inst, f_ids, uplinks)
+            rep = wtap.verify_cover_structure(inst, graph)
             assert rep["ok"], (seed, rep["failed"])
             checked += 1
     except Exception as exc:

@@ -73,6 +73,26 @@ def test_decompose_command(tmp_path, capsys):
     assert 2 * doc["removed_weight"] <= doc["u_weight"]
 
 
+def test_decompose_builds_each_witness_once(tmp_path, capsys, monkeypatch):
+    # the structure checks read the dependency graph decompose built, so
+    # each up-link's cover witness is computed once
+    inst_path = tmp_path / "inst.json"
+    sol_path = tmp_path / "sol.json"
+    run_cli(["gen", "fig3", "--m", "6", "--out", str(inst_path)], capsys)
+    inst = wtap.load(inst_path)
+    sol_path.write_text(json.dumps(wtap.generators.fig3_solution_ids(inst)))
+    calls = []
+    witness = wtap.decomposition.compute_cover_witness
+    monkeypatch.setattr(wtap.decomposition, "compute_cover_witness",
+                        lambda *args: calls.append(args) or witness(*args))
+    code, out, _ = run_cli(["decompose", "--eps", "1/2", "--solution",
+                            str(sol_path), str(inst_path)], capsys)
+    assert code == 0 and json.loads(out)["structure_checks"]["ok"]
+    uplinks = wtap.cheapest_disjoint_uplink_cover(inst).paths
+    assert len(uplinks) > 1
+    assert [args[2] for args in calls] == list(uplinks)
+
+
 @pytest.mark.parametrize("solution", [
     '{"links": [99]}', '["a"]', '[1.5]', '[true]', '{"links": [-1]}',
     '{"solution": [0]}', '{"links": [0]}',
@@ -173,6 +193,14 @@ def test_deeply_nested_json_exit_code(tmp_path, capsys):
     cfg.write_text(json.dumps({"instances": [{"kind": "file", "path": str(inst)}]}))
     code, out, err = run_cli(["bench", "--config", str(cfg)], capsys)
     assert code == 2 and err.startswith(f"error: invalid config {cfg}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    run_cli(["gen", "fig3", "--m", "1", "--out", str(inst)], capsys)
+    sol = tmp_path / "sol.json"
+    sol.write_text(deep)
+    code, out, err = run_cli(["decompose", "--eps", "1/2", "--solution",
+                              str(sol), str(inst)], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error: cannot parse solution file")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -436,6 +464,9 @@ def test_empty_bench_config(tmp_path, capsys):
     {"instances": [{"kind": "random", "n": 5, "seed": False}]},
     {"instances": [{"kind": "fig2", "d": 3, "M": "5"}]},
     {"instances": [{"kind": "fig3", "m": 1.0}]},
+    {"instances": [], "oracle": {"max_links": True}},
+    {"instances": [], "oracle": {"max_links": 12.9}},
+    {"instances": [], "oracle": {"max_links": "13"}},
 ])
 def test_bench_rejects_bad_config(tmp_path, capsys, config):
     # a malformed config is a validation error: exit 2 and one error line

@@ -113,19 +113,22 @@ def test_decompose_random_triples():
 def test_verify_lemmas_on_families_and_random():
     for m in (1, 3):
         inst = wtap.gen_fig3(m)
-        rep = wtap.verify_cover_structure(inst, fig3_solution_ids(inst),
-                                          fig3_uplinks(inst))
+        graph = wtap.build_dependency_graph(inst, fig3_solution_ids(inst),
+                                            fig3_uplinks(inst))
+        rep = wtap.verify_cover_structure(inst, graph)
         assert rep["ok"], rep["failed"]
     inst = _chain_instance()
-    rep = wtap.verify_cover_structure(inst, [0, 1, 2, 3],
-                                      [wtap.uplink_from_link(inst, 4)])
+    graph = wtap.build_dependency_graph(inst, [0, 1, 2, 3],
+                                        [wtap.uplink_from_link(inst, 4)])
+    rep = wtap.verify_cover_structure(inst, graph)
     assert rep["ok"], rep["failed"]
     for seed in range(50):
         rnd = wtap.gen_random(n=2 + seed % 9, link_count=(seed * 5) % 9,
                               weight_max=4, seed=8300 + seed)
         uplinks = list(wtap.cheapest_disjoint_uplink_cover(rnd).paths)
         f_ids = list(range(len(rnd.links)))
-        rep = wtap.verify_cover_structure(rnd, f_ids, uplinks)
+        graph = wtap.build_dependency_graph(rnd, f_ids, uplinks)
+        rep = wtap.verify_cover_structure(rnd, graph)
         assert rep["ok"], (seed, rep["failed"], rep["checks"])
 
 
@@ -190,7 +193,7 @@ def test_lab_outputs_pinned_digest():
                              dec.chosen_residue, dec.k, g.nodes, g.arcs,
                              wits)).encode())
             runs += 1
-        rep = wtap.verify_cover_structure(inst, f_ids, uplinks)
+        rep = wtap.verify_cover_structure(inst, dec.graph)
         h.update(_canon(rep).encode())
     assert runs == 1095
     assert h.hexdigest() == \
@@ -207,7 +210,7 @@ def test_lab_at_scale_fig3_m400():
     assert [dec.labels[ui] for ui in range(m)] == list(range(m))
     for part in dec.parts:
         assert wtap.is_k_thin(inst, part, 2)
-    rep = wtap.verify_cover_structure(inst, f_ids, uplinks)
+    rep = wtap.verify_cover_structure(inst, dec.graph)
     assert rep["ok"], rep["failed"]
 
 
@@ -241,24 +244,20 @@ def test_witness_rejects_non_vertical_uplink():
         with pytest.raises(ValueError, match="not a strict ancestor"):
             wtap.decompose(instance, f_ids, [up], Fraction(1, 2))
         with pytest.raises(ValueError, match="not a strict ancestor"):
-            wtap.verify_cover_structure(instance, f_ids, [up])
+            wtap.build_dependency_graph(instance, f_ids, [up])
 
 
-def test_path_count_thinness_counts_chains_not_arcs(monkeypatch):
+def test_path_count_thinness_counts_chains_not_arcs():
     # one witness chaining all four fig3 links: the root path of link 3
     # has three arcs but one chain, so the bound is 2-thinness, which the
     # hub (on every link) breaks
     inst = wtap.gen_fig3(3)
-    f_ids = fig3_solution_ids(inst)
-    uplinks = fig3_uplinks(inst)
-    wit = wtap.CoverWitness(uplink=uplinks[0], v_u=inst.root,
+    wit = wtap.CoverWitness(uplink=fig3_uplinks(inst)[0], v_u=inst.root,
                             links=(0, 1, 2, 3),
                             own_edges=dict.fromkeys((0, 1, 2, 3), 0))
     graph = wtap.DependencyGraph(nodes=(0, 1, 2, 3),
                                  arcs=((0, 1, 0), (1, 2, 0), (2, 3, 0)),
                                  witnesses=(wit,))
-    monkeypatch.setattr(wtap.decomposition, "build_dependency_graph",
-                        lambda *args: graph)
-    rep = wtap.verify_cover_structure(inst, f_ids, uplinks)
+    rep = wtap.verify_cover_structure(inst, graph)
     assert rep["checks"]["path_count_thinness"] == [(0, 1)]
     assert rep["checks"]["shared_vertex_ancestry"] == []

@@ -78,13 +78,6 @@ MIXED_DRAWS = {
 }
 
 
-# numpy's Generator.shuffle of list(range(12)) from purpose 6, then one draw.
-PINNED_SHUFFLES = {
-    3: ([8, 11, 5, 3, 1, 7, 6, 4, 2, 9, 10, 0], 3681039853),
-    2**70: ([0, 6, 10, 3, 7, 5, 2, 1, 9, 8, 11, 4], 1761206958),
-}
-
-
 class _NumpyStream:
     """Reference stream: numpy's own generator, with Python int draws."""
 
@@ -95,9 +88,6 @@ class _NumpyStream:
 
     def integers(self, low, high):
         return int(self._gen.integers(low, high))
-
-    def shuffle(self, items):
-        self._gen.shuffle(items)
 
 
 @pytest.mark.parametrize("low, high", sorted(PINNED_DRAWS))
@@ -111,15 +101,6 @@ def test_stream_pinned_mixed_schedule():
     for seed, want in MIXED_DRAWS.items():
         rng = _stream(seed, 2)
         assert [rng.integers(lo, hi) for lo, hi in MIXED_SCHEDULE] == want
-
-
-def test_stream_pinned_shuffles():
-    for seed, (want, next_draw) in PINNED_SHUFFLES.items():
-        rng = _stream(seed, 6)
-        items = list(range(12))
-        rng.shuffle(items)
-        assert items == want
-        assert rng.integers(0, 2**32) == next_draw
 
 
 def test_stream_single_value_range_draws_nothing():
@@ -160,11 +141,6 @@ def test_stream_matches_numpy():
                 for low, high in ranges:
                     assert rng.integers(low, high) == ref.integers(low, high), \
                         (seed, purpose, low, high)
-            for size in (0, 1, 2, 5, 17, 40):
-                ours, theirs = list(range(size)), list(range(size))
-                rng.shuffle(ours)
-                ref.shuffle(theirs)
-                assert ours == theirs, (seed, purpose, size)
 
 
 def test_gen_random_matches_numpy(monkeypatch):
