@@ -121,7 +121,10 @@ def bench(config: dict, timings: bool = False) -> dict:
     if not isinstance(oracle_cfg, dict):
         raise ConfigError('"oracle" must be an object')
     try:
-        budget = OracleBudget(max_links=_int(oracle_cfg, "max_links", 18))
+        max_links = _int(oracle_cfg, "max_links", 18)
+        if max_links < 0:
+            raise ValueError(f"oracle max_links {max_links} is negative")
+        budget = OracleBudget(max_links=max_links)
         instances = _materialize_instances(config)
     except KeyError as exc:
         raise ConfigError(f"missing key {exc}") from exc

@@ -22,10 +22,9 @@ probe is then one integer sweep over the plan from its end.  The compile's
 listing loop is the one place that says what a state reads, and it lists
 each requested state's candidates once.  What the states of one vertex
 share (its apex links, the up-links hanging from it, the child toward each
-boundary end, each term) is resolved once per vertex, and each state lists
-only the Z its free budget k - |ends| allows: one with no free budget lists
-Z = {} alone, and the Z of fewer than k links that states with a boundary
-list are made once per vertex and reused.  A term (one child entry a
+boundary end, each term) is resolved once per vertex.  Each state lists the
+Z its free budget k - |ends| allows in one walk that starts from its own
+boundary and adds one apex link per step.  A term (one child entry a
 candidate reads) is stored once per vertex, and a candidate holds the ids of
 its terms, so a probe values each of a vertex's distinct terms once and a
 candidate only adds up the values of its terms.
@@ -58,7 +57,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, count, islice
+from itertools import chain, count
 from typing import Iterable, Iterator, Sequence
 
 from ._kernels import lex_less
@@ -69,7 +68,6 @@ MINUS = 0
 PLUS = 1
 
 _EMPTY_KEY = ((), MINUS)  # state key of (v, {}, -)
-_NO_Z = ((0, 0, ()),)  # Z = {} as (w(Z), Z mask, down)
 
 # Candidates the compile may list before it gives up.  At k = 7,
 # gen_random(30, 30, 20, 3) lists 781 330 of them, and n = 40 passes it.
@@ -131,35 +129,32 @@ class SlackResult:
     weight: int
 
 
-def _zsets(apex: Sequence[tuple[int, int, tuple]], least: int,
-           most: int) -> Iterator[tuple[int, int, tuple]]:
-    """Yield every nonempty Z of ``least`` to ``most`` of a vertex's apex
-    links ``apex``, each ``(bit, weight, legs)``, as ``(w(Z), Z mask, down)``.
+def _zwalk(apex: Sequence[tuple[int, int, tuple]], i: int, left: int, w: int,
+           m: int, ends: dict[int, tuple[int, ...]]
+           ) -> Iterator[tuple[int, int, dict[int, tuple[int, ...]]]]:
+    """Yield each Z made of the links so far (weight w, mask m) and ``left``
+    more of the apex links ``apex[i:]``, each ``(bit, weight, legs)``, in
+    ``combinations`` order, as ``(w(Z), Z mask, ends)``.
 
-    By size, then in ``combinations`` order; ``down`` pairs each child the
-    links of Z go down into with the sorted endpoints of those links below
-    it.
+    ``ends`` maps each child to the sorted endpoints below it of the links
+    so far, a state's boundary links at the start.  Each step copies it and
+    adds one link's legs, so a child first reached by a later link comes
+    later, and no map is changed once made.  With ``left`` 0 it yields
+    ``(w, m, ends)`` alone.
     """
-    for zsize in range(least, min(most, len(apex)) + 1):
-        for zcombo in combinations(apex, zsize):
-            zmask = 0
-            zweight = 0
-            down: dict[int, tuple[int, ...]] = {}
-            clash = False  # two links of Z go down into one child: sort once
-            for bit, weight, lg in zcombo:
-                zmask |= bit
-                zweight += weight
-                for child, e in lg:
-                    es = down.get(child)
-                    if es is None:
-                        down[child] = (e,)
-                    else:
-                        down[child] = es + (e,)
-                        clash = True
-            if clash:
-                for child, es in down.items():
-                    down[child] = tuple(sorted(es))
-            yield zweight, zmask, tuple(down.items())
+    if not left:
+        yield w, m, ends
+        return
+    for j in range(i, len(apex) - left + 1):
+        bit, weight, legs = apex[j]
+        step = dict(ends)
+        for child, e in legs:
+            es = step.get(child)
+            step[child] = (e,) if es is None else tuple(sorted(es + (e,)))
+        if left == 1:
+            yield w + weight, m | bit, step
+        else:
+            yield from _zwalk(apex, j + 1, left - 1, w + weight, m | bit, step)
 
 
 class _Plan:
@@ -629,15 +624,13 @@ class ComponentSearch:
            What v's states share is set up once per vertex: its apex
            links, the children an up-link hangs from v into, cstar, the
            child toward each boundary end as it is asked, and the term ids.
-           A state with no free budget (|ends| = k), or at a vertex with no
-           apex link, lists its one candidate, Z = {}, directly.  The first
-           state with a nonempty boundary that needs the Z of some size
-           makes them and keeps them, each with its ends below each child
-           sorted, and v's other states reuse them; they have fewer than k
-           links, as a boundary takes up budget, and are freed at the next
-           vertex.  The empty-boundary states make the Z they list afresh:
-           at k = 4 a vertex can have over 10^5 Z of k links, too many to
-           keep.
+           Each state walks its Z (``_zwalk``) from its own boundary map,
+           the sorted ends below each child of its boundary links: sizes 0
+           to min(k - |ends|, |apex|), each in ``combinations`` order, and
+           each step copies its parent's map and adds one link's legs.  So
+           a state with no free budget, or at a vertex with no apex link,
+           lists Z = {} alone, and a child first reached by an earlier link
+           comes earlier in the map, which orders the state's terms.
         2. Cut: ``count_reads`` names entries by their states and counts
            their readers, and ``_Plan.cut`` runs at each vertex bottom-up,
            killing the candidates that read a dead entry.  A PLUS state
@@ -688,8 +681,6 @@ class ComponentSearch:
             side: dict[int, int] = {}  # boundary end -> the child of v it is under
             # (child, ends below it, child is cstar in a PLUS state) -> term id
             tid: dict[tuple[int, tuple[int, ...], bool], int] = {}
-            kept = list(_NO_Z)  # by size, the Z the states with a boundary asked for
-            upto = [1]  # kept[:upto[s]] are the Z of at most s links
             states = asked[v]
             plan.span[v] = range(len(names), len(names) + len(states))
             names.extend(states.values())
@@ -709,47 +700,33 @@ class ComponentSearch:
                         if c is None:
                             c = side[e] = toward(v, e)
                         ybase[c] = ybase.get(c, ()) + (e,)
-                free = k - len(ends) if apex else 0
-                if not free:  # the direct path
-                    zs = _NO_Z
-                elif ends:
-                    while len(upto) <= free:
-                        kept.extend(_zsets(apex, len(upto), len(upto)))
-                        upto.append(len(kept))
-                    zs = islice(kept, upto[free])
-                else:
-                    zs = chain(_NO_Z, _zsets(apex, 1, free))
-                for zweight, zmask, down in zs:
-                    ydict = ybase
-                    if down:
-                        ydict = dict(ybase)
-                        for child, ze in down:
-                            ce = ydict.get(child)
-                            ydict[child] = ze if ce is None else tuple(sorted(ce + ze))
-                    # some link must go down into cstar, or the up-link stays uncovered
-                    if want >= 0 and want not in ydict:
-                        continue
-                    ids = []
-                    for child, ce in ydict.items():
-                        key = (child, ce, child == want)
-                        i = tid.get(key)
-                        if i is None:  # v's next distinct term
-                            got, uw = asked[child], hang.get(child)
-                            if uw is None:
-                                ch = got[ce, PLUS if child == want else MINUS]
-                                vterms.append((zero[child], ch, -1, 0))
-                            else:
-                                ch = got[ce, MINUS]
-                                vterms.append((zero[child], ch, got[ce, PLUS], uw))
-                            i = tid[key] = len(vterms) - 1
-                        ids.append(i)
-                    cand_w.append(zweight)
-                    if len(cand_w) > budget:
-                        raise PlanTooLargeError(
-                            f"component-DP plan lists more than the budget "
-                            f"of {budget} candidates")
-                    cand_z.append(zmask)
-                    cand_ids.append(tuple(ids))
+                most = min(k - len(ends), len(apex))
+                for size in range(most + 1):
+                    for zweight, zmask, ydict in _zwalk(apex, 0, size, 0, 0, ybase):
+                        # cstar must get a link, or its up-link stays uncovered
+                        if want >= 0 and want not in ydict:
+                            continue
+                        ids = []
+                        for child, ce in ydict.items():
+                            key = (child, ce, child == want)
+                            i = tid.get(key)
+                            if i is None:  # v's next distinct term
+                                got, uw = asked[child], hang.get(child)
+                                if uw is None:
+                                    ch = got[ce, PLUS if child == want else MINUS]
+                                    pl, uw = -1, 0
+                                else:
+                                    ch, pl = got[ce, MINUS], got[ce, PLUS]
+                                vterms.append((zero[child], ch, pl, uw))
+                                i = tid[key] = len(vterms) - 1
+                            ids.append(i)
+                        cand_w.append(zweight)
+                        if len(cand_w) > budget:
+                            raise PlanTooLargeError(
+                                f"component-DP plan lists more than the budget "
+                                f"of {budget} candidates")
+                        cand_z.append(zmask)
+                        cand_ids.append(tuple(ids))
                 cand_lo.append(len(cand_w))
             asked[v] = None  # only v's parent requests v's states
 

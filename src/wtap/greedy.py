@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .baseline import UpLinkSolution, UpPath, cheapest_disjoint_uplink_cover
+from .baseline import UpPath, cheapest_disjoint_uplink_cover
 from .component_dp import (ComponentSearch, SearchLink, original_search_links,
                            uplink_search_links)
 from .model import Instance, uncovered_edges
@@ -138,13 +138,11 @@ def solve(instance: Instance,
     return _finish(instance, chosen, search.uplinks), trace
 
 
-def two_approx_only(instance: Instance,
-                    baseline: UpLinkSolution | None = None) -> Solution:
+def two_approx_only(instance: Instance) -> Solution:
     """The 2-approximation alone, with shadows mapped to original links."""
     if instance.n == 1:
         return Solution(link_ids=(), weight=0, deduped_weight=0)
-    if baseline is None:
-        baseline = cheapest_disjoint_uplink_cover(instance)
+    baseline = cheapest_disjoint_uplink_cover(instance)
     ids = sorted({p.link_id for p in baseline.paths})
     deduped = sum(instance.link(l).weight for l in ids)
     return Solution(link_ids=tuple(ids), weight=baseline.weight,

@@ -16,8 +16,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _kernels
+from ._kernels import lex_less
 from .baseline import UpPath
-from .component_dp import SearchLink, lex_less
+from .component_dp import SearchLink
 from .greedy import Solution
 from .model import Instance, link_vertices, mask_bits, vertical_cost_table
 from .ratio import RatioResult

@@ -467,6 +467,7 @@ def test_empty_bench_config(tmp_path, capsys):
     {"instances": [], "oracle": {"max_links": True}},
     {"instances": [], "oracle": {"max_links": 12.9}},
     {"instances": [], "oracle": {"max_links": "13"}},
+    {"instances": [{"kind": "fig2", "d": 4, "M": 10}], "oracle": {"max_links": -1}},
 ])
 def test_bench_rejects_bad_config(tmp_path, capsys, config):
     # a malformed config is a validation error: exit 2 and one error line

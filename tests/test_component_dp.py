@@ -5,15 +5,17 @@ import random
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import wtap
 from wtap import Instance, Link, component_dp
 from wtap.baseline import UpPath
+from wtap._kernels import lex_less
 from wtap.component_dp import (MINUS, PLUS, ComponentSearch, SearchLink,
-                               lex_less, original_search_links,
-                               shadow_closure_search_links, uplink_search_links)
+                               original_search_links, shadow_closure_search_links,
+                               uplink_search_links)
 from wtap.generators import fig2_link_groups, fig2_reference_cover
 from wtap.oracle import KThinTable, OracleBudget
 
@@ -507,6 +509,44 @@ def test_budget_stops_listing_within_a_state(monkeypatch):
     plan = plans[-1]
     assert len(plan.cand_w) == budget + 1
     assert len(plan.cand_lo) == s + 1
+
+
+def _zwalk_reference(apex, most, base):
+    """Every Z of at most ``most`` of the links ``apex``, by size, then in
+    ``combinations`` order, each with its ends merged into ``base``."""
+    for size in range(most + 1):
+        for combo in combinations(apex, size):
+            ends = dict(base)
+            for _, _, legs in combo:
+                for child, e in legs:
+                    ends[child] = tuple(sorted(ends.get(child, ()) + (e,)))
+            mask = 0
+            for bit, _, _ in combo:
+                mask |= bit
+            yield sum(w for _, w, _ in combo), mask, ends
+
+
+def test_zwalk_matches_combinations_reference():
+    # the walk yields what combinations plus a sorted merge give, in the
+    # same order, children in the order first reached, and leaves the
+    # boundary map it starts from as it was
+    rng = random.Random(23)
+    for trial in range(60):
+        apex = []
+        for pos in rng.sample(range(40), rng.randint(2, 7)):
+            kids = rng.sample(range(4), rng.randint(1, 2))
+            apex.append((1 << pos, rng.randint(1, 20),
+                         tuple((c, rng.randint(10, 30)) for c in kids)))
+        apex[1] = (apex[1][0], apex[1][1], ((apex[0][2][0][0], 5),))  # a shared child
+        for base in ({}, {3: (12, 17), rng.randrange(4): (8,)}):
+            frozen = dict(base)
+            most = rng.randint(0, len(apex))
+            got = [(w, m, list(ends.items())) for size in range(most + 1)
+                   for w, m, ends in component_dp._zwalk(apex, 0, size, 0, 0, base)]
+            want = [(w, m, list(ends.items()))
+                    for w, m, ends in _zwalk_reference(apex, most, base)]
+            assert got == want, trial
+            assert list(base.items()) == list(frozen.items())
 
 
 def test_drop_uplinks_rejects_unknown_index():

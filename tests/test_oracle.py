@@ -6,7 +6,7 @@ import pytest
 
 import wtap
 from wtap import _kernels
-from wtap.component_dp import lex_less
+from wtap._kernels import lex_less
 from wtap.generators import fig2_link_groups
 from wtap.model import Instance, Link
 from wtap.oracle import BudgetExceededError, OracleBudget
