@@ -17,8 +17,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import io as wio
 from .baseline import cheapest_disjoint_uplink_cover
-from .component_dp import (ComponentSearch, PlanTooLargeError,
-                           original_search_links, uplink_search_links)
+from .component_dp import ComponentSearch, PlanTooLargeError
 from .decomposition import decompose, verify_cover_structure
 from .generators import gen_fig2, gen_fig3, gen_random
 from .greedy import solve as greedy_solve
@@ -167,16 +166,9 @@ def _cmd_exact(args) -> None:
     _emit({"weight": sol.weight, "links": list(sol.link_ids)}, args.out)
 
 
-def _baseline_search(inst: Instance, k: int) -> ComponentSearch:
-    """The search over the cheapest disjoint up-link cover and the links."""
-    uplinks = cheapest_disjoint_uplink_cover(inst).paths
-    return ComponentSearch(inst, uplinks, k, original_search_links(inst)
-                           + uplink_search_links(uplinks))
-
-
 def _cmd_ratio(args) -> None:
     inst = _load_validated(args.instance)
-    cs = _baseline_search(inst, args.k)
+    cs = ComponentSearch(inst, cheapest_disjoint_uplink_cover(inst).paths, args.k)
     uplinks = cs.uplinks
     if not uplinks:
         _emit({"rho": None, "note": "edgeless instance"}, args.out)
@@ -196,7 +188,7 @@ def _cmd_ratio(args) -> None:
 
 def _cmd_component(args) -> None:
     inst = _load_validated(args.instance)
-    cs = _baseline_search(inst, args.k)
+    cs = ComponentSearch(inst, cheapest_disjoint_uplink_cover(inst).paths, args.k)
     res = cs.max_slack(args.rho.numerator, args.rho.denominator)
     _emit({
         "rho": str(args.rho),

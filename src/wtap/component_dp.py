@@ -1,7 +1,8 @@
 """Maximum-slack k-thin component search.
 
-Given disjoint vertical up-link paths U, a ratio rho = p/q, and a search
-alphabet of links, find a k-thin set C maximizing
+Given disjoint vertical up-link paths U and a ratio rho = p/q, find a
+k-thin set C over the alphabet of the instance's links and the up-links of
+U (each a link of its own weight) maximizing
 
     slack_rho(C) = rho * w(links of U whose path C covers) - w(C).
 
@@ -35,12 +36,12 @@ that read a dead state or hold a removed link, and ``_Plan.kill`` cascades
 through the counts to every state left with no reader.  The compile ends by
 cutting every vertex bottom-up, which kills the infeasible PLUS states and
 whatever only they read.  Removing up-links from U, together with their
-search links, only takes candidates, states and PLUS alternatives away, and
-no key names a link; all of them sit at the vertices of the removed paths,
-or are read only from there.  So ``drop_uplinks`` cuts only there, the
-relative greedy compiles one plan per solve, and no drop walks the whole
-plan.  Dead states keep their places with an empty candidate range;
-nothing is compacted.
+links in the alphabet, only takes candidates, states and PLUS alternatives
+away, and no key names a link; all of them sit at the vertices of the
+removed paths, or are read only from there.  So ``drop_uplinks`` cuts only
+there, by each removed up-link's own bit, the relative greedy compiles one
+plan per solve, and no drop walks the whole plan.  Dead states keep their
+places with an empty candidate range; nothing is compacted.
 
 All slack values are integers in units of 1/q: slack * q = p*w(drop) - q*w(C).
 Inside the plan, a link set is a bitmask over the positions of the links in
@@ -58,6 +59,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from ._kernels import lex_less
@@ -255,32 +257,29 @@ class _Plan:
                     if not ref[pl]:
                         dead.append(pl)
 
-    def kill(self, dead: list[int]) -> int:
+    def kill(self, dead: list[int]) -> None:
         """Kill the states on ``dead`` and, through the counts, every state
-        left with no reader; return how many died.  A state that is dead
-        already is skipped.  The cascade runs on ``dead`` as a stack."""
+        left with no reader.  A state that is dead already is skipped.  The
+        cascade runs on ``dead`` as a stack."""
         cand_lo, cand_hi, vert = self.cand_lo, self.cand_hi, self.vert
-        died = 0
         while dead:
             s = dead.pop()
             lo, hi = cand_lo[s], cand_hi[s]
             if lo == hi:
                 continue
             cand_hi[s] = lo
-            died += 1
             self._unread(vert[s], lo, hi, dead)
-        return died
 
-    def cut(self, v: int, gone: int) -> int:
+    def cut(self, v: int, gone: int) -> None:
         """At vertex v, set to -1 the PLUS alternatives into dead states and
         kill the candidates whose Z meets mask ``gone`` or whose term reads
-        a dead state, then cascade; return how many states died.  A
-        candidate is killed by moving it past its state's live end.  A
-        state whose every candidate reads a dead state dies: it is
-        infeasible, which only the compile finds.  Removing links never
-        takes a state's last candidate, as Z minus them is another
-        (``drop_uplinks``).  A dead state with no reader left is read by no
-        live candidate, so only the others are looked for.
+        a dead state, then cascade.  A candidate is killed by moving it past
+        its state's live end.  A state whose every candidate reads a dead
+        state dies: it is infeasible, which only the compile finds.
+        Removing links never takes a state's last candidate, as Z minus
+        them is another (``drop_uplinks``).  A dead state with no reader
+        left is read by no live candidate, so only the others are looked
+        for.
         """
         cand_lo, cand_hi, cand_z, cand_ids = (self.cand_lo, self.cand_hi,
                                               self.cand_z, self.cand_ids)
@@ -294,27 +293,24 @@ class _Plan:
             if cand_lo[ch] == cand_hi[ch] and ref[ch]:
                 stale.add(i)
         if not (gone or stale):
-            return 0
+            return
         fresh = stale.isdisjoint
         dead: list[int] = []
-        died = 0
         for s in self.span[v]:
             lo, hi = cand_lo[s], cand_hi[s]
             if lo == hi:
                 continue
             hits = [c for c in range(lo, hi)
                     if cand_z[c] & gone or stale and not fresh(cand_ids[c])]
-            if len(hits) == hi - lo:
-                if gone:
-                    raise AssertionError("a live state lost its last candidate")
-                died += 1
+            if gone and len(hits) == hi - lo:
+                raise AssertionError("a live state lost its last candidate")
             for c in reversed(hits):  # later hits are past the end already
                 hi -= 1
                 for col in cols:
                     col[c], col[hi] = col[hi], col[c]
             self._unread(v, hi, cand_hi[s], dead)
             cand_hi[s] = hi
-        return died + self.kill(dead)
+        self.kill(dead)
 
 
 class _Sweep:
@@ -452,63 +448,65 @@ class _Sweep:
 
 
 class ComponentSearch:
-    """Reusable DP context for one (instance, U, k, search alphabet);
-    ``drop_uplinks`` narrows it to fewer up-links.
+    """Reusable DP context for one (instance, U, k); ``drop_uplinks``
+    narrows it to fewer up-links.
 
-    It is the one owner of U (``uplinks``), k and the alphabet (``links``):
-    the ratio search reads them from it.  The plan's masks number links by
-    their position in the alphabet the search was built with, the only
-    numbering it keeps.  ``states`` counts the plan's live states.
+    It is the one owner of U (``uplinks``), k and the alphabet (``links``),
+    and the ratio search reads them from it.  The alphabet is what the
+    relative greedy swaps in: the instance's links, then each up-link of U
+    as a link of its own weight.  The plan's masks number links by their
+    position in the alphabet the search was built with, the only numbering
+    it keeps: link i of the instance at i, up-link i of that U at m + i.
     """
 
-    def __init__(self, instance: Instance, uplinks: Sequence[UpPath],
-                 k: int, search_links: Sequence[SearchLink]):
+    def __init__(self, instance: Instance, uplinks: Sequence[UpPath], k: int):
         if k < 1:
             raise ValueError("k must be at least 1")
         self.instance = instance
         self.k = k
         self.idx = instance.index
-        self.links = list(search_links)
-        self._alphabet = tuple(search_links)
         self._index_uplinks(uplinks)
+        self.links = original_search_links(instance) + uplink_search_links(self.uplinks)
+        self._alphabet = tuple(self.links)
+        m = len(instance.links)
+        self._bits = [1 << (m + i) for i in range(len(self.uplinks))]
         self._plan = self._compile()
-        self.states = sum(map(int.__lt__, self._plan.cand_lo, self._plan.cand_hi))
-        self._fresh()
+        self._last: _Sweep | None = None
 
     def _index_uplinks(self, uplinks: Sequence[UpPath]) -> None:
         """Store U and ``crossing``: for each vertex v, the index of the
         up-link whose path runs through the edge above v, or -1."""
         self.uplinks = list(uplinks)
-        parent = self.idx.parent
+        idx = self.idx
+        parent = idx.parent
         self.crossing = crossing = [-1] * self.instance.n
         for ui, up in enumerate(self.uplinks):
             v = up.bottom
+            if v == up.top or not idx.is_ancestor(up.top, v):
+                raise ValueError(f"{up.top} is not a strict ancestor of {v}")
             while v != up.top:
                 if crossing[v] != -1:
                     raise ValueError("up-link paths are not pairwise disjoint")
                 crossing[v] = ui
                 v = parent[v]
 
-    def _fresh(self) -> None:
-        """Forget the last probe."""
-        self._p = 0
-        self._q = 1
-        self._last: _Sweep | None = None
+    @property
+    def states(self) -> int:
+        """The plan's live states."""
+        plan = self._plan
+        return sum(map(lt, plan.cand_lo, plan.cand_hi))
 
     # ------------------------------------------------------------------
     def max_slack(self, p: int, q: int) -> SlackResult:
-        """Best k-thin component at rho = p/q; empty set is always admissible."""
+        """Best k-thin component at rho = p/q; empty set is always admissible.
+
+        Drop and weight are recomputed from the chosen set and checked
+        against the table's slack.  An up-link drops unless an edge the set
+        leaves uncovered crosses it."""
         if q <= 0 or p < 0:
             raise ValueError("rho must be a nonnegative rational")
-        self._p, self._q = p, q
-        self._last = _Sweep(self._plan, p, q)
-        return self.result_for(*self._last.root())
-
-    def result_for(self, num: int, mask: int) -> SlackResult:
-        """The answer for table slack ``num`` (slack * q at the last probe)
-        and the link set ``mask`` over the plan's alphabet; drop and weight
-        are recomputed from the set and checked.  An up-link drops unless an
-        edge the set leaves uncovered crosses it."""
+        self._last = sweep = _Sweep(self._plan, p, q)
+        num, mask = sweep.root()
         links = self._links(mask)
         weight = sum(sl.weight for sl in links)
         kept = bytearray(len(self.uplinks))
@@ -517,9 +515,9 @@ class ComponentSearch:
                 kept[self.crossing[v]] = 1
         drops = tuple(i for i, hit in enumerate(kept) if not hit)
         drop_weight = sum(self.uplinks[i].weight for i in drops)
-        if self._p * drop_weight - self._q * weight != num:
+        if p * drop_weight - q * weight != num:
             raise AssertionError("table slack disagrees with recomputation")
-        return SlackResult(slack=Fraction(num, self._q), links=links,
+        return SlackResult(slack=Fraction(num, q), links=links,
                            drop_indices=drops, drop_weight=drop_weight,
                            weight=weight)
 
@@ -529,24 +527,24 @@ class ComponentSearch:
 
     # ------------------------------------------------------------------
     def drop_uplinks(self, indices: Iterable[int]) -> None:
-        """Remove the up-links at ``indices`` from U, and their search links.
+        """Remove the up-links at ``indices`` from U, and their links from
+        the alphabet.
 
-        The search links removed are the alphabet entries equal to
-        ``uplink_search_links`` of those up-links; ``links`` is filtered in
-        place, keeping the order of the others.  Afterwards the object
-        answers every query, ``entries`` included, as
-        ``ComponentSearch(instance, U', k, alphabet')`` would, with the same
-        states in the same order and the same candidates.
+        ``links`` becomes the instance's links and then the remaining
+        up-links, in their order.  Afterwards the object answers every
+        query, ``entries`` included, as ``ComponentSearch(instance, U', k)``
+        would, with the same states in the same order and the same
+        candidates.
 
-        Only ``crossing`` is rebuilt.  The plan is cut in place, as the
-        compile cuts it: for each removed up-link, the PLUS states at the
-        vertices of its path below its top die first; then ``_Plan.cut`` at
-        the top sets the PLUS alternatives into them to -1 and kills the
-        candidates whose Z holds the removed search link.  A candidate's
-        death takes its reads off the counts, and a state left with no
-        reader dies with its candidates, so the live states are again
-        exactly those the root reaches.  A state of a surviving up-link
-        keeps a candidate, Z minus the removed links.
+        Only ``links`` and ``crossing`` are rebuilt.  The plan is cut in
+        place, as the compile cuts it: for each removed up-link, the PLUS
+        states at the vertices of its path below its top die first; then
+        ``_Plan.cut`` at the top sets the PLUS alternatives into them to -1
+        and kills the candidates whose Z holds the removed up-link's own
+        bit.  A candidate's death takes its reads off the counts, and a
+        state left with no reader dies with its candidates, so the live
+        states are again exactly those the root reaches.  A state of a
+        surviving up-link keeps a candidate, Z minus the removed links.
 
         Counting PLUS alternatives keeps the counts exact, though leaving
         them out would kill the same states: a PLUS state (c, ends, +) is
@@ -561,12 +559,9 @@ class ComponentSearch:
         if not gone <= set(range(len(self.uplinks))):
             raise IndexError(f"no up-links {sorted(gone)} among {len(self.uplinks)}")
         dropped = [self.uplinks[i] for i in sorted(gone)]
-        cut_links = set(uplink_search_links(dropped))
         cut = 0
-        for i, sl in enumerate(self._alphabet):
-            if sl in cut_links:
-                cut |= 1 << i
-        self.links[:] = [sl for sl in self.links if sl not in cut_links]
+        for i in gone:
+            cut |= self._bits[i]
         self._last = None
         plan, parent = self._plan, self.idx.parent
         key = plan.key
@@ -576,12 +571,14 @@ class ComponentSearch:
             while v != up.top:
                 doomed.extend(s for s in plan.span[v] if key[s][1] == PLUS)
                 v = parent[v]
-        died = plan.kill(doomed)
+        plan.kill(doomed)
         for top in dict.fromkeys(up.top for up in dropped):
-            died += plan.cut(top, cut)
-        self.states -= died
-        self._index_uplinks([p for i, p in enumerate(self.uplinks) if i not in gone])
-        self._fresh()
+            plan.cut(top, cut)
+        keep = [i for i in range(len(self.uplinks)) if i not in gone]
+        self._bits = [self._bits[i] for i in keep]
+        self._index_uplinks([self.uplinks[i] for i in keep])
+        m = len(self.instance.links)
+        self.links = self.links[:m] + uplink_search_links(self.uplinks)
 
     def entries(self) -> Iterator[tuple]:
         """Every live state, in plan order, as (v, endpoints below v of its
@@ -630,7 +627,9 @@ class ComponentSearch:
            each step copies its parent's map and adds one link's legs.  So
            a state with no free budget, or at a vertex with no apex link,
            lists Z = {} alone, and a child first reached by an earlier link
-           comes earlier in the map, which orders the state's terms.
+           comes earlier in the map, which orders the state's terms.  The
+           states of one vertex that list the same Z hold one int for its
+           mask.
         2. Cut: ``count_reads`` names entries by their states and counts
            their readers, and ``_Plan.cut`` runs at each vertex bottom-up,
            killing the candidates that read a dead entry.  A PLUS state
@@ -682,6 +681,8 @@ class ComponentSearch:
             # (child, ends below it, child is cstar in a PLUS state) -> term id
             tid: dict[tuple[int, tuple[int, ...], bool], int] = {}
             states = asked[v]
+            # one int per distinct Z mask at v; a lone state walks each Z once
+            share: dict[int, int] | None = {} if len(states) > 1 else None
             plan.span[v] = range(len(names), len(names) + len(states))
             names.extend(states.values())
             plan.vert.extend([v] * len(states))
@@ -725,7 +726,8 @@ class ComponentSearch:
                             raise PlanTooLargeError(
                                 f"component-DP plan lists more than the budget "
                                 f"of {budget} candidates")
-                        cand_z.append(zmask)
+                        cand_z.append(zmask if share is None
+                                      else share.setdefault(zmask, zmask))
                         cand_ids.append(tuple(ids))
                 cand_lo.append(len(cand_w))
             asked[v] = None  # only v's parent requests v's states

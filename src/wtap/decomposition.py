@@ -13,6 +13,7 @@ solver's guarantee rests on executable and testable.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -178,8 +179,7 @@ def decompose(instance: Instance, f_ids: Sequence[int],
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     f_ids = sorted(set(f_ids))
-    one_over = Fraction(1) / eps
-    k = -(-one_over.numerator // one_over.denominator)
+    k = math.ceil(1 / eps)
     graph = build_dependency_graph(instance, f_ids, uplinks)
     labels = _chain_labels(graph)
 

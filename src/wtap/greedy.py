@@ -7,22 +7,22 @@ parameter: it fixes k = ceil(2/eps).
 
 The component alphabet is the original links plus the surviving up-link
 paths (each viewed as a link of its recorded cost); the guarantee needs
-only these.
+only these, and ``ComponentSearch`` builds it from U.
 
 Each iteration only removes up-links, so the alphabet only shrinks.  One
-``ComponentSearch`` is compiled per solve and holds U, k and the alphabet;
-after each iteration ``drop_uplinks`` cuts the dropped up-links and their
-search links out of it in place, and every later ratio search reuses it.
+``ComponentSearch`` is compiled per solve from the instance, U and k;
+after each iteration ``drop_uplinks`` cuts the dropped up-links out of it
+in place, and every later ratio search reuses it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .baseline import UpPath, cheapest_disjoint_uplink_cover
-from .component_dp import (ComponentSearch, SearchLink, original_search_links,
-                           uplink_search_links)
+from .component_dp import ComponentSearch, SearchLink
 from .model import Instance, uncovered_edges
 from .ratio import best_ratio_component
 
@@ -73,8 +73,7 @@ class GreedyTrace:
 def epsilon_to_k(eps: Fraction) -> int:
     if eps <= 0:
         raise InvalidEpsilonError(f"epsilon must be positive, got {eps}")
-    two_over = Fraction(2) / eps
-    return -(-two_over.numerator // two_over.denominator)
+    return math.ceil(Fraction(2) / eps)
 
 
 def _finish(instance: Instance, chosen: dict[tuple, SearchLink],
@@ -111,9 +110,7 @@ def solve(instance: Instance,
     trace = GreedyTrace(k=k, initial_u_weight=baseline.weight)
     chosen: dict[tuple, SearchLink] = {}
     up_by_pair = {(p.top, p.bottom): p for p in baseline.paths}
-    search = ComponentSearch(instance, baseline.paths, k,
-                             original_search_links(instance)
-                             + uplink_search_links(baseline.paths))
+    search = ComponentSearch(instance, baseline.paths, k)
     while search.uplinks:
         result = best_ratio_component(search)
         trace.probes += result.probes

@@ -20,7 +20,8 @@ positive integer, strictly decreases.  Non-positive weights are rejected.
 
 Both ``decide`` and ``best_ratio_component`` take only a ``ComponentSearch``
 and read U, k and the alphabet from it, so the search they probe is the one
-problem they answer for.
+problem they answer for.  The alphabet holds every up-link of U, and a lone
+up-link has slack 0 at rho = 1, so the first probe is always a hit.
 """
 
 from __future__ import annotations
@@ -69,9 +70,7 @@ def best_ratio_component(search: ComponentSearch) -> RatioResult:
             raise ValueError(f"up-link {up.top}-{up.bottom} of link {up.link_id} "
                              f"has weight {up.weight}; the ratio search needs "
                              "positive weights")
-    ok, res = decide(search, Fraction(1))
-    if not ok:
-        raise ValueError("search alphabet must contain every up-link of U")
+    _, res = decide(search, Fraction(1))
     witness, probes = res, 1
     while res.slack > 0:
         # W has slack 0 at its own ratio, so this probe is a hit

@@ -108,7 +108,7 @@ def test_criterion_3_component_dp_reproduction():
             accepted += 1
             w_u = sum(p.weight for p in uplinks)
             for k in (1, 2, 3):
-                cs = ComponentSearch(inst, uplinks, k, search)
+                cs = ComponentSearch(inst, uplinks, k)
                 table = KThinTable(inst, uplinks, k, search, oracle_budget)
                 oracle = wtap.brute_best_kthin(inst, uplinks, k, search,
                                                oracle_budget)

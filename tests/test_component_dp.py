@@ -14,8 +14,7 @@ from wtap import Instance, Link, component_dp
 from wtap.baseline import UpPath
 from wtap._kernels import lex_less
 from wtap.component_dp import (MINUS, PLUS, ComponentSearch, SearchLink,
-                               original_search_links, shadow_closure_search_links,
-                               uplink_search_links)
+                               original_search_links, uplink_search_links)
 from wtap.generators import fig2_link_groups, fig2_reference_cover
 from wtap.oracle import KThinTable, OracleBudget
 
@@ -26,7 +25,7 @@ def _search_for(inst, uplinks):
 
 def _slack_at(inst, uplinks, k, rho):
     """One probe of a fresh search over the standard alphabet."""
-    cs = ComponentSearch(inst, uplinks, k, _search_for(inst, uplinks))
+    cs = ComponentSearch(inst, uplinks, k)
     return cs.max_slack(rho.numerator, rho.denominator)
 
 
@@ -58,8 +57,7 @@ def test_leaf_entries():
     # chain 0-1-2; one up-link path (0..2); alphabet holds link 0 and that path
     inst = Instance(3, 0, [(0, 1), (1, 2)], [Link(0, 2, 4)])
     up = [wtap.uplink_from_link(inst, 0)]
-    search = _search_for(inst, up)
-    cs = ComponentSearch(inst, up, 1, search)
+    cs = ComponentSearch(inst, up, 1)
     cs.max_slack(1, 2)
     # every state the root reaches, as (v, boundary endpoints, x, slack*q, C):
     # at rho = 1/2 no set pays, and a leaf is feasible with the empty set,
@@ -74,7 +72,7 @@ def test_inner_plus_infeasible_without_boundary_link():
     # with an empty boundary set nothing can cover the up-link's inside edge
     inst = Instance(3, 0, [(0, 1), (1, 2)], [Link(0, 2, 4)])
     up = [wtap.uplink_from_link(inst, 0)]
-    cs = ComponentSearch(inst, up, 1, _search_for(inst, up))
+    cs = ComponentSearch(inst, up, 1)
     cs.max_slack(1, 1)
     entries = {(v, ends, x): (num, links) for v, ends, x, num, links in cs.entries()}
     assert (1, (), PLUS) not in entries
@@ -97,7 +95,7 @@ def test_oracle_equivalence_small():
         if len(search) > 12:
             continue
         for k in (1, 2, 3):
-            cs = ComponentSearch(inst, uplinks, k, search)
+            cs = ComponentSearch(inst, uplinks, k)
             table = KThinTable(inst, uplinks, k, search, budget)
             for p, q in ((0, 1), (1, 3), (1, 2), (2, 3), (1, 1)):
                 res = cs.max_slack(p, q)
@@ -107,14 +105,14 @@ def test_oracle_equivalence_small():
 
 
 def test_stored_slack_matches_recomputation():
-    # result_for re-derives drop and weight from the chosen set and asserts
+    # max_slack re-derives drop and weight from the chosen set and asserts
     for seed in range(40):
         inst = wtap.gen_random(n=3 + seed % 9, link_count=seed % 8,
                                weight_max=9, seed=5500 + seed)
         uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
         if not uplinks:
             continue
-        cs = ComponentSearch(inst, uplinks, 2, _search_for(inst, uplinks))
+        cs = ComponentSearch(inst, uplinks, 2)
         cs.max_slack(2, 3)  # raises internally on any slack disagreement
 
 
@@ -126,7 +124,7 @@ def test_chosen_component_is_k_thin():
         if not uplinks:
             continue
         for k in (1, 2):
-            cs = ComponentSearch(inst, uplinks, k, _search_for(inst, uplinks))
+            cs = ComponentSearch(inst, uplinks, k)
             res = cs.max_slack(1, 2)
             counts: dict[int, int] = {}
             for sl in res.links:
@@ -179,7 +177,7 @@ def test_table_entry_invariants_hold():
         if not uplinks:
             continue
         for k in (1, 2):
-            cs = ComponentSearch(inst, uplinks, k, _search_for(inst, uplinks))
+            cs = ComponentSearch(inst, uplinks, k)
             for p, q in ((1, 2), (1, 1)):
                 cs.max_slack(p, q)
                 _entry_invariants(inst, uplinks, cs, k, p, q)
@@ -197,7 +195,7 @@ def test_plan_reads_every_state():
         if not uplinks:
             continue
         for k in (1, 2, 3):
-            cs = ComponentSearch(inst, uplinks, k, _search_for(inst, uplinks))
+            cs = ComponentSearch(inst, uplinks, k)
             plan = cs._plan
             live = _live_states(plan)
             read = {e for zs in plan.zero for e in zs}
@@ -225,10 +223,8 @@ def _chained_drops(count, seed0):
             continue
         instances += 1
         k = 1 + seed % 3
-        originals = (shadow_closure_search_links(inst) if instances % 5 == 0
-                     else original_search_links(inst))
-        cs = ComponentSearch(inst, uplinks, k,
-                             originals + uplink_search_links(uplinks))
+        originals = original_search_links(inst)
+        cs = ComponentSearch(inst, uplinks, k)
         yield inst, k, cs, uplinks, originals, False
         while uplinks:
             gone = set(rng.sample(range(len(uplinks)),
@@ -248,7 +244,7 @@ def test_drop_uplinks_matches_fresh_compile():
         if not dropped:
             continue
         search = originals + uplink_search_links(uplinks)
-        fresh = ComponentSearch(inst, uplinks, k, search)
+        fresh = ComponentSearch(inst, uplinks, k)
         drops += 1
         assert cs.uplinks == uplinks and cs.links == search
         assert cs.states == fresh.states, k
@@ -371,7 +367,7 @@ def test_drop_chain_states_pinned(k, n, seed, states):
     # (infeasible PLUS ones), and leaves them as tombstones
     inst = wtap.gen_random(n, n, 20, seed)
     uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
-    cs = ComponentSearch(inst, uplinks, k, _search_for(inst, uplinks))
+    cs = ComponentSearch(inst, uplinks, k)
     plan = cs._plan
     assert any(lo == hi for lo, hi in zip(plan.cand_lo, plan.cand_hi))
     got = [cs.states]
@@ -410,7 +406,7 @@ def _witness_chains(k, n, seeds):
     for seed in seeds:
         inst = wtap.gen_random(n, n, 20, seed)
         uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
-        cs = ComponentSearch(inst, uplinks, k, _search_for(inst, uplinks))
+        cs = ComponentSearch(inst, uplinks, k)
         yield cs, None
         while cs.uplinks:
             witness = res = cs.max_slack(1, 1)
@@ -476,7 +472,7 @@ def test_raw_listing_pinned(monkeypatch, k, n, seeds, digest):
         inst = wtap.gen_random(n, n, 20, seed)
         uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
         for ups in (uplinks, uplinks[::2]):
-            ComponentSearch(inst, ups, k, _search_for(inst, ups))
+            ComponentSearch(inst, ups, k)
     assert h.hexdigest()[:16] == digest
 
 
@@ -485,7 +481,6 @@ def test_budget_stops_listing_within_a_state(monkeypatch):
     # lists more than the budget stops at budget + 1 candidates
     inst = wtap.gen_random(12, 12, 20, 3)
     uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
-    search = _search_for(inst, uplinks)
     plans, listed = [], []
 
     class Kept(component_dp._Plan):
@@ -498,14 +493,14 @@ def test_budget_stops_listing_within_a_state(monkeypatch):
             super().count_reads(names)
 
     monkeypatch.setattr(component_dp, "_Plan", Kept)
-    ComponentSearch(inst, uplinks, 3, search)
+    ComponentSearch(inst, uplinks, 3)
     lo = listed[0]
     s = max(range(1, len(lo) - 1), key=lambda t: lo[t + 1] - lo[t])
     assert lo[s + 1] - lo[s] >= 3
     budget = lo[s] + 1
     monkeypatch.setattr(component_dp, "PLAN_CANDIDATE_BUDGET", budget)
     with pytest.raises(wtap.PlanTooLargeError, match=f"budget of {budget} "):
-        ComponentSearch(inst, uplinks, 3, search)
+        ComponentSearch(inst, uplinks, 3)
     plan = plans[-1]
     assert len(plan.cand_w) == budget + 1
     assert len(plan.cand_lo) == s + 1
@@ -552,7 +547,7 @@ def test_zwalk_matches_combinations_reference():
 def test_drop_uplinks_rejects_unknown_index():
     inst = wtap.gen_fig2(3, 5)
     uplinks = fig2_reference_cover(inst)
-    cs = ComponentSearch(inst, uplinks, 2, _search_for(inst, uplinks))
+    cs = ComponentSearch(inst, uplinks, 2)
     with pytest.raises(IndexError):
         cs.drop_uplinks([len(uplinks)])
     with pytest.raises(IndexError):
@@ -562,7 +557,7 @@ def test_drop_uplinks_rejects_unknown_index():
 def test_answer_before_any_probe_raises():
     inst = wtap.gen_fig2(3, 5)
     uplinks = fig2_reference_cover(inst)
-    cs = ComponentSearch(inst, uplinks, 2, _search_for(inst, uplinks))
+    cs = ComponentSearch(inst, uplinks, 2)
     with pytest.raises(RuntimeError, match="max_slack"):
         cs.entries()
     cs.max_slack(1, 2)
@@ -575,9 +570,8 @@ def test_answer_before_any_probe_raises():
 def test_deterministic_tables():
     inst = wtap.gen_random(n=9, link_count=7, weight_max=6, seed=42)
     uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
-    search = _search_for(inst, uplinks)
-    a = ComponentSearch(inst, uplinks, 2, search).max_slack(1, 2)
-    b = ComponentSearch(inst, uplinks, 2, search).max_slack(1, 2)
+    a = ComponentSearch(inst, uplinks, 2).max_slack(1, 2)
+    b = ComponentSearch(inst, uplinks, 2).max_slack(1, 2)
     assert a == b
 
 
@@ -586,22 +580,31 @@ def test_plan_candidate_budget(monkeypatch):
     # budget; the plan keeps no more candidates than it listed
     inst = wtap.gen_fig2(4, 10)
     uplinks = fig2_reference_cover(inst)
-    search = _search_for(inst, uplinks)
-    kept = len(ComponentSearch(inst, uplinks, 2, search)._plan.cand_w)
+    kept = len(ComponentSearch(inst, uplinks, 2)._plan.cand_w)
     monkeypatch.setattr(component_dp, "PLAN_CANDIDATE_BUDGET", kept - 1)
     with pytest.raises(wtap.PlanTooLargeError, match=f"budget of {kept - 1} "):
-        ComponentSearch(inst, uplinks, 2, search)
+        ComponentSearch(inst, uplinks, 2)
     with pytest.raises(wtap.PlanTooLargeError):
         wtap.greedy.solve(inst, Fraction(1))
     monkeypatch.setattr(component_dp, "PLAN_CANDIDATE_BUDGET", 4 * kept)
-    assert ComponentSearch(inst, uplinks, 2, search).states > 0
+    assert ComponentSearch(inst, uplinks, 2).states > 0
 
 
 def test_up_links_must_be_disjoint():
     inst = Instance(3, 0, [(0, 1), (1, 2)], [Link(0, 2, 4)])
     overlapping = [UpPath(0, 2, 4, 0), UpPath(0, 1, 4, 0)]
     with pytest.raises(ValueError):
-        ComponentSearch(inst, overlapping, 1, _search_for(inst, overlapping))
+        ComponentSearch(inst, overlapping, 1)
+
+
+@pytest.mark.parametrize("top, bottom", [(4, 4), (6, 4), (3, 5)],
+                         ids=["top-is-bottom", "top-below-bottom", "unrelated"])
+def test_up_links_must_hang_from_a_strict_ancestor(top, bottom):
+    # gen_random(8, 8, 5, 1) has root 0, the path 0-2-3-4 and 6, 7 below 4
+    inst = wtap.gen_random(8, 8, 5, 1)
+    assert inst.index.parent == [-1, 0, 0, 2, 3, 0, 4, 4]
+    with pytest.raises(ValueError, match=f"{top} is not a strict ancestor of {bottom}"):
+        ComponentSearch(inst, [UpPath(top, bottom, 5, 0)], 2)
 
 
 def _caterpillar(n, link_count, wmax, seed):
@@ -678,7 +681,7 @@ def test_oracle_equivalence_deep_chains_arbitrary_u():
             continue
         tested += 1
         for k in (1, 3, 4):
-            cs = ComponentSearch(inst, ups, k, search)
+            cs = ComponentSearch(inst, ups, k)
             table = KThinTable(inst, ups, k, search, budget)
             for p, q in ((1, 4), (1, 2), (1, 1)):
                 res = cs.max_slack(p, q)
@@ -693,9 +696,8 @@ def test_oracle_equivalence_deep_chains_arbitrary_u():
 def test_runtime_envelope_n30_k2():
     inst = wtap.gen_random(n=30, link_count=45, weight_max=9, seed=77)
     uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
-    search = _search_for(inst, uplinks)
     t0 = time.perf_counter()  # the plan is compiled in the constructor
-    ComponentSearch(inst, uplinks, 2, search).max_slack(1, 2)
+    ComponentSearch(inst, uplinks, 2).max_slack(1, 2)
     assert time.perf_counter() - t0 < 10.0
 
 
@@ -710,19 +712,18 @@ def test_long_path_leaves_recursion_limit_alone():
         links.append(Link(max(0, v - rng.randint(1, 6)), v, rng.randint(1, 20)))
     inst = Instance(n, 0, [(i - 1, i) for i in range(1, n)], links)
     uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
-    search = _search_for(inst, uplinks)
     # one up-link of 1500 edges on the same path
     long_up = UpPath(0, 1500, 20, 0)
-    long_fresh = ComponentSearch(inst, [], 1, _search_for(inst, []))
+    long_fresh = ComponentSearch(inst, [], 1)
     old = sys.getrecursionlimit()
     try:
         sys.setrecursionlimit(1000)
-        cs = ComponentSearch(inst, uplinks, 2, search)
+        cs = ComponentSearch(inst, uplinks, 2)
         res = cs.max_slack(1, 2)
         while len(cs.uplinks) > 1:  # a chain of drops of every other up-link
             cs.drop_uplinks(range(0, len(cs.uplinks), 2))
             cs.max_slack(1, 2)
-        long_cs = ComponentSearch(inst, [long_up], 1, _search_for(inst, [long_up]))
+        long_cs = ComponentSearch(inst, [long_up], 1)
         long_cs.drop_uplinks([0])
         long_res = long_cs.max_slack(1, 2)
         assert sys.getrecursionlimit() == 1000

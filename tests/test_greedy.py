@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import wtap
-from wtap.component_dp import ComponentSearch, uplink_search_links
+from wtap.component_dp import ComponentSearch
 from wtap.greedy import InvalidEpsilonError, epsilon_to_k
 
 
@@ -139,10 +139,9 @@ def test_one_compile_per_solve(monkeypatch):
 
     def rebuild(self, indices):
         gone = set(indices)
-        cut = set(uplink_search_links([self.uplinks[i] for i in gone]))
         self.__init__(self.instance,
                       [p for i, p in enumerate(self.uplinks) if i not in gone],
-                      self.k, [sl for sl in self.links if sl not in cut])
+                      self.k)
 
     monkeypatch.setattr(ComponentSearch, "_compile", counting)
     cases = [(wtap.gen_random(n=6 + seed % 14, link_count=8 + seed % 13,

@@ -18,7 +18,7 @@ def _search_for(inst, uplinks):
 
 
 def _search(inst, uplinks, k):
-    return ComponentSearch(inst, uplinks, k, _search_for(inst, uplinks))
+    return ComponentSearch(inst, uplinks, k)
 
 
 def test_single_edge_ratio_one(single_edge):
@@ -30,7 +30,7 @@ def test_single_edge_ratio_one(single_edge):
 
 def test_empty_u_rejected(single_edge):
     with pytest.raises(EmptyUError):
-        wtap.best_ratio_component(ComponentSearch(single_edge, [], 1, []))
+        wtap.best_ratio_component(ComponentSearch(single_edge, [], 1))
 
 
 def test_fig2_reference_ratios():
@@ -88,7 +88,7 @@ def test_matches_exhaustive_minimum():
             continue
         for k in (1, 2, 3):
             got = wtap.best_ratio_component(
-                ComponentSearch(inst, uplinks, k, search))
+                ComponentSearch(inst, uplinks, k))
             want = wtap.brute_best_kthin(inst, uplinks, k, search, budget)
             assert got.rho == want.rho
             # cross-multiplied optimality of the returned witness
@@ -146,11 +146,10 @@ def test_dinkelbach_returns_canonical_answer():
         uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
         if not uplinks:
             continue
-        search = _search_for(inst, uplinks)
         w_u = sum(p.weight for p in uplinks)
         bound = (math.ceil(math.log2(w_u * w_u)) + 1) if w_u > 1 else 1
         for k in (1, 2, 3):
-            cs = ComponentSearch(inst, uplinks, k, search)
+            cs = ComponentSearch(inst, uplinks, k)
             seen = []
             max_slack = cs.max_slack
 
