@@ -7,10 +7,13 @@ from ``front[b]``, the least apex depth of a link passing b, so a table
 takes Σ_b (depth[b] - front[b]) slots, not Σ depth.  They live in
 ``array('q')`` (8 B per slot) and the kernels write them a row slice at a
 time; the links and the tree index they read as they are, with no copies.
-Callers reach the kernels as ``_kernels.<name>(...)`` so that a tracer can
-patch them in place; the benchmark's tracer does so by these names, which
-is why the minimum cover is still called ``min_cover_gray`` although it no
-longer walks a Gray code.
+The minimum cover builds its subset tables with list comprehensions and
+one stable C-level sort per table, not a Python step per subset: subset
+sums by doubling, tie orders generated already in order, then a sort by
+weight alone.  Callers reach the kernels as ``_kernels.<name>(...)`` so
+that a tracer can patch them in place; the benchmark's tracer does so by
+these names, which is why the minimum cover is still called
+``min_cover_gray`` although it no longer walks a Gray code.
 
 Table entries are int64; ``INF = 2**62`` is the "no entry" sentinel.
 Callers bound their weights so that finite sums stay below ``INF``
@@ -123,6 +126,39 @@ def fill_baseline_dp(order, children, depth, front, anc_off, cost, h, bp):
         bp[off + fc:off + dc] = array('q', sel)
 
 
+def tie_orders(lo):
+    """The ``2**lo`` low subsets of ``min_cover_gray`` in its two tie orders.
+
+    ``alone`` lists the masks by their sorted id tuples, lexicographically,
+    the empty set first.  ``beside`` lists them as if each also held id
+    ``lo``, their order next to a nonempty high subset, whose ids are all
+    >= lo: there a proper prefix no longer comes first (which matters only
+    when zero weights let a set tie a prefix of itself), and the empty set
+    comes last.  Both grow from ``[0]`` one bit at a time, from bit
+    ``lo - 1`` down to 0, with no sort: the sets holding the new least id
+    go before those without it, after the empty set in ``alone``.
+    """
+    alone = beside = [0]
+    for b in range(lo - 1, -1, -1):
+        bit = 1 << b
+        alone = [0] + [bit | s for s in alone] + alone[1:]
+        beside = [bit | s for s in beside] + beside
+    return alone, beside
+
+
+def _partial_covers(pmask, w):
+    """The edge set and weight of every subset s of the links, at index s.
+
+    Built by doubling: adding link b appends a copy of the lists so far
+    with b in every set."""
+    cov = [0]
+    wt = [0]
+    for pm, wb in zip(pmask, w):
+        cov += [c | pm for c in cov]
+        wt += [x + wb for x in wt]
+    return cov, wt
+
+
 def min_cover_gray(pmask, w, n_edges):
     """Minimum-weight covering subset, by blocked enumeration.
 
@@ -132,11 +168,14 @@ def min_cover_gray(pmask, w, n_edges):
     ``lex_less``-smallest subset, that is the smallest sorted id tuple.
 
     The first ``LOW_LINKS`` links form a table of every partial cover with
-    its weight, sorted by weight and then by the tie order.  Each subset of
-    the remaining high links scans that table for the first entry covering
-    what it leaves missing; the scan stops once the weight cannot match the
-    best found so far.  The result equals that of a Gray-code sweep over
-    all 2**m subsets, the method the name comes from.
+    its weight (``_partial_covers``); the remaining high links get the same
+    table, unsorted.  The low table is listed in each ``tie_orders`` order
+    and stably sorted by weight, so equal weights keep the tie order, with
+    no key tuple per subset.  Each subset of the high links scans
+    the low table for the first entry covering what it leaves missing; the
+    scan stops once the weight cannot match the best found so far.  The
+    result equals that of a Gray-code sweep over all 2**m subsets, the
+    method the name comes from.
     """
     m = len(pmask)
     full = 0
@@ -145,34 +184,16 @@ def min_cover_gray(pmask, w, n_edges):
     if bin(full).count("1") != n_edges:
         return -1, 0
     lo = min(m, LOW_LINKS)
-    cov = [0] * (1 << lo)
-    wt = [0] * (1 << lo)
-    ids = [()] * (1 << lo)
-    for s in range(1, 1 << lo):
-        low = s & -s
-        b = low.bit_length() - 1
-        cov[s] = cov[s ^ low] | pmask[b]
-        wt[s] = wt[s ^ low] + w[b]
-        ids[s] = (b,) + ids[s ^ low]
-    # Alone, a low subset ties by its sorted ids; beside a nonempty high
-    # subset, whose ids are all >= lo, a proper prefix no longer wins (which
-    # matters only when zero weights let a set tie a prefix of itself).
-    tables = [[(wt[s], cov[s], s)
-               for s in sorted(range(1 << lo), key=lambda s: (wt[s], ids[s] + tail))]
-              for tail in ((), (lo,))]
+    cov, wt = _partial_covers(pmask[:lo], w[:lo])
+    hcov, hw = _partial_covers(pmask[lo:], w[lo:])
+    key = wt.__getitem__
+    tables = [[(wt[s], cov[s], s) for s in sorted(order, key=key)]
+              for order in tie_orders(lo)]
     reach = cov[-1]
     bestw = -1
     bestmask = 0
-    hcov = [0]
-    hw = [0]
-    for hs in range(1 << (m - lo)):
-        if hs:
-            low = hs & -hs
-            b = low.bit_length() - 1
-            hcov.append(hcov[hs ^ low] | pmask[lo + b])
-            hw.append(hw[hs ^ low] + w[lo + b])
-        wh = hw[hs]
-        missing = full & ~hcov[hs]
+    for hs, (wh, hc) in enumerate(zip(hw, hcov)):
+        missing = full & ~hc
         if missing & ~reach:
             continue
         for ws, cs, s in tables[hs != 0]:

@@ -49,8 +49,9 @@ the alphabet the search was built with; an answer is a tuple of links.
 Ties between equal-slack candidates prefer a nonempty set, then the
 lexicographically smallest sorted position tuple, so tables are
 deterministic.  A sweep breaks a tie by composing each tied candidate's set
-from the picks below it and the entries its terms chose, in one loop over an
-explicit stack.
+in place from its vertex's empty-boundary sets and the sets of the entries
+its terms chose; those sets come from the picks below, composed in one loop
+over an explicit stack.
 """
 
 from __future__ import annotations
@@ -325,8 +326,11 @@ class _Sweep:
     values.  Link sets are needed only to break ties and to answer, so
     ``_fill`` composes them from the picks and ``took`` when asked, with an
     explicit stack and no call per state.  A tie at state s compares
-    candidate masks, each composed as if it were s's pick; the states
-    below s are swept already, and no state composed so far reads s.  Only
+    candidate masks, each composed in the pass as if it were s's pick: the
+    OR of the children's empty-boundary sets, taken once per vertex, plus
+    the candidate's Z, with each term's empty-boundary set swapped for the
+    set of the entry it took.  ``_fill`` composes only those entries not
+    composed yet; the states below s are swept already.  Only
     live candidates are in a state's range, in any order: ``_preferred`` is
     a strict order on the distinct Z, hence masks, of one state's
     candidates, so the pick does not depend on it.  A dead state's range
@@ -340,9 +344,9 @@ class _Sweep:
         self.pick = pick = [0] * nst
         self.msk = msk = [None] * nst
         self.took = took = [None] * len(plan.terms)
-        cand_mask = self._cand_mask
+        fill = self._fill
         cand_lo, cand_hi = plan.cand_lo, plan.cand_hi
-        cand_w, cand_ids = plan.cand_w, plan.cand_ids
+        cand_w, cand_z, cand_ids = plan.cand_w, plan.cand_z, plan.cand_ids
         terms, zero, vert = plan.terms, plan.zero, plan.vert
         at = -1
         for s in range(nst - 1, -1, -1):
@@ -352,12 +356,14 @@ class _Sweep:
             v = vert[s]
             if v != at:  # a vertex's states are contiguous
                 at = v
+                zm = None  # the children's empty-boundary sets, at a tie
                 zs = 0
                 for e in zero[v]:
                     zs += val[e]
                 tv = []  # each term's gain over its child's empty-boundary entry
                 took[v] = tk = []
-                for ze, ch, pl, uw in terms[v]:
+                vterms = terms[v]
+                for ze, ch, pl, uw in vterms:
                     a = val[ch]
                     if pl >= 0:
                         b = val[pl] + p * uw
@@ -384,10 +390,23 @@ class _Sweep:
                         ties = [best_c]
                     ties.append(c)
             if ties is not None:
-                m = cand_mask(s, best_c)
-                for c in ties[1:]:
-                    mc = cand_mask(s, c)
-                    if _preferred(mc, m):
+                # Each tied candidate's set, as ``_fill`` would compose it
+                # were the candidate s's pick.
+                if zm is None:
+                    zm = 0
+                    for e in zero[v]:
+                        if msk[e] is None:
+                            fill(e)
+                        zm |= msk[e]
+                m = None
+                for c in ties:
+                    mc = cand_z[c] | zm
+                    for i in cand_ids[c]:
+                        e = tk[i]
+                        if msk[e] is None:
+                            fill(e)
+                        mc = (mc & ~msk[vterms[i][0]]) | msk[e]
+                    if m is None or _preferred(mc, m):
                         best_c, m = c, mc
                 msk[s] = m
             val[s] = best
@@ -401,13 +420,6 @@ class _Sweep:
     def root(self) -> tuple[int, int]:
         """The plan root's slack * q and link-set mask."""
         return self.val[0], self.mask(0)
-
-    def _cand_mask(self, s: int, c: int) -> int:
-        """The link set of candidate c of state s, which the sweep is at."""
-        self.pick[s] = c
-        self._fill(s)
-        m, self.msk[s] = self.msk[s], None
-        return m
 
     def _fill(self, s: int) -> None:
         """Compose the set of state s and of everything it rests on: its

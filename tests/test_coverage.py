@@ -11,7 +11,7 @@ from wtap import Instance, Link
 from wtap.baseline import UpLinkSolution, UpPath, _assert_partition
 from wtap.cli import main
 from wtap.greedy import Solution
-from wtap.model import ValidationIssue, _check_tree, mask_bits, uncovered_edges
+from wtap.model import ValidationIssue, mask_bits, uncovered_edges
 
 
 def _reference_uncovered(inst, pairs):
@@ -23,11 +23,34 @@ def _reference_uncovered(inst, pairs):
     return mask_bits(inst.full_edge_mask & ~cover)
 
 
+def _reference_tree_issues(inst):
+    """n - 1 edges that a union-find joins without closing a cycle make a
+    tree; this reads the edge list alone, not the tree index."""
+    n = inst.n
+    if len(inst.edges) != n - 1:
+        return [ValidationIssue("NotATree", None,
+                                f"expected {n - 1} edges, got {len(inst.edges)}")]
+    boss = list(range(n))
+
+    def find(v):
+        while boss[v] != v:
+            boss[v] = v = boss[boss[v]]
+        return v
+
+    for u, v in inst.edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:  # a cycle, so with n - 1 edges some vertex is cut off
+            return [ValidationIssue("NotATree", None,
+                                    "edges do not connect all vertices from the root")]
+        boss[ru] = rv
+    return []
+
+
 def _reference_validate(inst):
     """``validate`` as it was when it ORed the ``link_paths`` bitmasks."""
     issues = [ValidationIssue("NonpositiveWeight", lid, f"weight {lk.weight}")
               for lid, lk in enumerate(inst.links) if lk.weight <= 0]
-    issues.extend(_check_tree(inst))
+    issues.extend(_reference_tree_issues(inst))
     if any(i.code == "NotATree" for i in issues):
         return issues
     pairs = [lk.endpoints() for lk in inst.links]
@@ -97,6 +120,12 @@ def test_validate_issue_lists_match_reference():
     bad = Instance(4, 0, [(0, 1), (1, 2), (2, 0)], [Link(0, 3, 0)])
     assert wtap.validate(bad) == _reference_validate(bad)
     assert [i.code for i in wtap.validate(bad)] == ["NonpositiveWeight", "NotATree"]
+    for n, edges in ((3, [(0, 1)]), (3, [(0, 1), (1, 2), (0, 2)]),
+                     (3, [(0, 1), (1, 0)]), (5, [(0, 1), (2, 3), (3, 4), (4, 2)]),
+                     (1, [(0, 0)])):
+        bad = Instance(n, n - 1, edges, [])
+        assert wtap.validate(bad) == _reference_validate(bad), (n, edges)
+        assert [i.code for i in wtap.validate(bad)] == ["NotATree"]
 
 
 def test_gen_random_same_as_with_bitset_patching(monkeypatch):

@@ -136,6 +136,31 @@ def test_exact_opt_kernel_matches_python_fallback(monkeypatch):
     assert infeasible == 20
 
 
+def test_tie_orders_match_sorted_id_tuples():
+    for lo in range(11):
+        ids = [tuple(b for b in range(lo) if s >> b & 1) for s in range(1 << lo)]
+        alone, beside = _kernels.tie_orders(lo)
+        assert alone == sorted(range(1 << lo), key=lambda s: ids[s]), lo
+        assert beside == sorted(range(1 << lo), key=lambda s: ids[s] + (lo,)), lo
+
+
+def test_min_cover_gray_matches_python_reference_at_every_split(monkeypatch):
+    rng = random.Random(4242)
+    for low_links in range(1, 11):
+        monkeypatch.setattr(_kernels, "LOW_LINKS", low_links)
+        for trial in range(12):
+            m = rng.randint(low_links + 1, min(low_links + 4, 13))
+            n_edges = rng.randint(1, 10)
+            masks = [rng.getrandbits(n_edges) for _ in range(m)]
+            # zero weights tie a set with its subsets; equal weights tie by ids
+            top = trial % 4
+            weights = [1] * m if top == 1 else [rng.randint(0, top) for _ in range(m)]
+            full = (1 << n_edges) - 1
+            want = _min_cover_python(masks, weights, full)
+            assert _kernels.min_cover_gray(masks, weights, n_edges) == want, \
+                (low_links, masks, weights)
+
+
 def test_exact_opt_weights_beyond_int64():
     # Two links of about 2**62 each: their sum overflows int64, and the
     # cheapest cover is the single heavy link 0, not links 1 and 2.
