@@ -9,9 +9,7 @@ brute-force oracles for desk-scale ground truth.
 
 from .baseline import (InfeasibleError, UpLinkSolution, UpPath,
                        cheapest_disjoint_uplink_cover, uplink_from_link)
-from .component_dp import (ComponentSearch, PlanTooLargeError, SearchLink,
-                           original_search_links, shadow_closure_search_links,
-                           uplink_search_links)
+from .component_dp import ComponentSearch, PlanTooLargeError, SearchLink
 from .decomposition import (CoverWitness, Decomposition, DependencyGraph,
                             NotABranchingError, build_dependency_graph,
                             compute_cover_witness, decompose,
@@ -29,4 +27,18 @@ from .ratio import EmptyUError, RatioResult, best_ratio_component, decide
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, in order; submodules stay reachable as attributes
+__all__ = [
+    "InfeasibleError", "UpLinkSolution", "UpPath", "cheapest_disjoint_uplink_cover",
+    "uplink_from_link", "ComponentSearch", "PlanTooLargeError", "SearchLink",
+    "CoverWitness", "Decomposition", "DependencyGraph", "NotABranchingError",
+    "build_dependency_graph", "compute_cover_witness", "decompose",
+    "verify_cover_structure", "gen_fig2", "gen_fig3", "gen_random",
+    "GreedyTrace", "InvalidEpsilonError", "Solution", "epsilon_to_k", "solve",
+    "two_approx_only", "dump", "dumps", "load", "loads", "Instance", "Link",
+    "RootedTreeIndex", "TableTooLargeError", "ValidationIssue", "VerticalCostTable",
+    "WeightOverflowError", "apex", "is_k_thin", "validate", "vertical_cost_table",
+    "BudgetExceededError", "KThinTable", "OracleBudget", "brute_best_kthin",
+    "brute_uplink_cover", "exact_opt", "EmptyUError", "RatioResult",
+    "best_ratio_component", "decide",
+]

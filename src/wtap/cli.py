@@ -107,8 +107,10 @@ _positive_int = _int_at_least(1)
 _nonnegative_int = _int_at_least(0)
 
 
-def _searchlink_json(sl) -> dict:
-    return {"u": sl.a, "v": sl.b, "w": sl.weight, "label": list(sl.label)}
+def _searchlink_json(sl, m: int) -> dict:
+    """A search link as JSON; positions from ``m``, the link count, are up-links."""
+    label = ["orig", sl.pos] if sl.pos < m else ["up", sl.a, sl.b]
+    return {"u": sl.a, "v": sl.b, "w": sl.weight, "label": label}
 
 
 def _cmd_gen(args) -> None:
@@ -147,7 +149,8 @@ def _cmd_solve(args) -> None:
                 "probes": trace.probes,
                 "states": trace.states,
                 "iterations": [{
-                    "component": [_searchlink_json(sl) for sl in it.component],
+                    "component": [_searchlink_json(sl, len(inst.links))
+                                  for sl in it.component],
                     "component_weight": it.component_weight,
                     "drop_weight": it.drop_weight,
                     "ratio": str(it.ratio),
@@ -176,7 +179,7 @@ def _cmd_ratio(args) -> None:
     result = best_ratio_component(cs)
     _emit({
         "rho": str(result.rho),
-        "component": [_searchlink_json(sl) for sl in result.links],
+        "component": [_searchlink_json(sl, len(inst.links)) for sl in result.links],
         "drop": [{"top": uplinks[i].top, "bottom": uplinks[i].bottom,
                   "weight": uplinks[i].weight} for i in result.drop_indices],
         "certificate": {"component_weight": result.weight,
@@ -193,7 +196,7 @@ def _cmd_component(args) -> None:
     _emit({
         "rho": str(args.rho),
         "slack": str(res.slack),
-        "component": [_searchlink_json(sl) for sl in res.links],
+        "component": [_searchlink_json(sl, len(inst.links)) for sl in res.links],
         "drop_weight": res.drop_weight,
         "component_weight": res.weight,
     }, args.out)

@@ -45,7 +45,8 @@ places with an empty candidate range; nothing is compacted.
 
 All slack values are integers in units of 1/q: slack * q = p*w(drop) - q*w(C).
 Inside the plan, a link set is a bitmask over the positions of the links in
-the alphabet the search was built with; an answer is a tuple of links.
+the alphabet the search was built with; an answer is a tuple of links in
+position order (drops keep it), each with ``pos``, its current position.
 Ties between equal-slack candidates prefer a nonempty set, then the
 lexicographically smallest sorted position tuple, so tables are
 deterministic.  A sweep breaks a tie by composing each tied candidate's set
@@ -65,7 +66,7 @@ from typing import Iterable, Iterator, Sequence
 
 from ._kernels import lex_less
 from .baseline import UpPath
-from .model import Instance, link_vertices, mask_bits, uncovered_edges
+from .model import Instance, mask_bits, uncovered_edges
 
 MINUS = 0
 PLUS = 1
@@ -83,37 +84,11 @@ class PlanTooLargeError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchLink:
-    """A candidate component link: instance link, shadow, or up-link path."""
+    """A component link; ``pos``, its one identity, is its place in ``links``."""
     a: int
     b: int
     weight: int
-    label: tuple
-
-
-def original_search_links(instance: Instance) -> list[SearchLink]:
-    return [SearchLink(lk.u, lk.v, lk.weight, ("orig", lid))
-            for lid, lk in enumerate(instance.links)]
-
-
-def uplink_search_links(uplinks: Sequence[UpPath]) -> list[SearchLink]:
-    return [SearchLink(p.top, p.bottom, p.weight, ("up", p.top, p.bottom))
-            for p in uplinks]
-
-
-def shadow_closure_search_links(instance: Instance) -> list[SearchLink]:
-    """All shadows of all links, keeping the cheapest link per vertex pair."""
-    best: dict[tuple[int, int], tuple[int, int]] = {}
-    for lid, lk in enumerate(instance.links):
-        verts = link_vertices(instance, lk)
-        for i in range(len(verts)):
-            for j in range(i + 1, len(verts)):
-                a, b = verts[i], verts[j]
-                key = (min(a, b), max(a, b))
-                cand = (lk.weight, lid)
-                if key not in best or cand < best[key]:
-                    best[key] = cand
-    return [SearchLink(a, b, w, ("shadow", lid))
-            for (a, b), (w, lid) in sorted(best.items())]
+    pos: int
 
 
 def _preferred(m1: int, m2: int) -> bool:
@@ -466,9 +441,10 @@ class ComponentSearch:
     It is the one owner of U (``uplinks``), k and the alphabet (``links``),
     and the ratio search reads them from it.  The alphabet is what the
     relative greedy swaps in: the instance's links, then each up-link of U
-    as a link of its own weight.  The plan's masks number links by their
-    position in the alphabet the search was built with, the only numbering
-    it keeps: link i of the instance at i, up-link i of that U at m + i.
+    as a link of its own weight: link i of the instance at position i,
+    up-link i of U at m + i.  The plan's masks count positions in the
+    alphabet the search was built with, which ``_alphabet`` maps to the
+    links now there.
     """
 
     def __init__(self, instance: Instance, uplinks: Sequence[UpPath], k: int):
@@ -478,17 +454,20 @@ class ComponentSearch:
         self.k = k
         self.idx = instance.index
         self._index_uplinks(uplinks)
-        self.links = original_search_links(instance) + uplink_search_links(self.uplinks)
-        self._alphabet = tuple(self.links)
+        self._alphabet = list(self.links)
         m = len(instance.links)
         self._bits = [1 << (m + i) for i in range(len(self.uplinks))]
         self._plan = self._compile()
         self._last: _Sweep | None = None
 
     def _index_uplinks(self, uplinks: Sequence[UpPath]) -> None:
-        """Store U and ``crossing``: for each vertex v, the index of the
-        up-link whose path runs through the edge above v, or -1."""
+        """Store U, the alphabet ``links`` over it, and ``crossing``: for
+        each vertex v, the index of the up-link whose path runs through the
+        edge above v, or -1."""
         self.uplinks = list(uplinks)
+        ends = [(lk.u, lk.v, lk.weight) for lk in self.instance.links]
+        ends += [(up.top, up.bottom, up.weight) for up in self.uplinks]
+        self.links = [SearchLink(a, b, w, pos) for pos, (a, b, w) in enumerate(ends)]
         idx = self.idx
         parent = idx.parent
         self.crossing = crossing = [-1] * self.instance.n
@@ -543,20 +522,22 @@ class ComponentSearch:
         the alphabet.
 
         ``links`` becomes the instance's links and then the remaining
-        up-links, in their order.  Afterwards the object answers every
-        query, ``entries`` included, as ``ComponentSearch(instance, U', k)``
-        would, with the same states in the same order and the same
-        candidates.
+        up-links, in their order, each at its new position, and
+        ``_alphabet`` maps each surviving up-link's build bit to its new
+        link.  Afterwards the object answers every query, ``entries``
+        included, as ``ComponentSearch(instance, U', k)`` would, with the
+        same states in the same order and the same candidates.
 
-        Only ``links`` and ``crossing`` are rebuilt.  The plan is cut in
-        place, as the compile cuts it: for each removed up-link, the PLUS
-        states at the vertices of its path below its top die first; then
-        ``_Plan.cut`` at the top sets the PLUS alternatives into them to -1
-        and kills the candidates whose Z holds the removed up-link's own
-        bit.  A candidate's death takes its reads off the counts, and a
-        state left with no reader dies with its candidates, so the live
-        states are again exactly those the root reaches.  A state of a
-        surviving up-link keeps a candidate, Z minus the removed links.
+        Only ``links``, ``_alphabet`` and ``crossing`` are rebuilt.  The
+        plan is cut in place, as the compile cuts it: for each removed
+        up-link, the PLUS states at the vertices of its path below its top
+        die first; then ``_Plan.cut`` at the top sets the PLUS alternatives
+        into them to -1 and kills the candidates whose Z holds the removed
+        up-link's own bit.  A candidate's death takes its reads off the
+        counts, and a state left with no reader dies with its candidates,
+        so the live states are again exactly those the root reaches.  A
+        state of a surviving up-link keeps a candidate, Z minus the removed
+        links.
 
         Counting PLUS alternatives keeps the counts exact, though leaving
         them out would kill the same states: a PLUS state (c, ends, +) is
@@ -590,7 +571,8 @@ class ComponentSearch:
         self._bits = [self._bits[i] for i in keep]
         self._index_uplinks([self.uplinks[i] for i in keep])
         m = len(self.instance.links)
-        self.links = self.links[:m] + uplink_search_links(self.uplinks)
+        for bit, sl in zip(self._bits, self.links[m:]):
+            self._alphabet[bit.bit_length() - 1] = sl
 
     def entries(self) -> Iterator[tuple]:
         """Every live state, in plan order, as (v, endpoints below v of its

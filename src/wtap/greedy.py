@@ -7,7 +7,10 @@ parameter: it fixes k = ceil(2/eps).
 
 The component alphabet is the original links plus the surviving up-link
 paths (each viewed as a link of its recorded cost); the guarantee needs
-only these, and ``ComponentSearch`` builds it from U.
+only these, and ``ComponentSearch`` builds it from U.  A component swapped
+in holds instance links only: at a ratio below 1, taking an up-link u out
+of C lowers w(C) by w(u) and d(C) by at most w(u), and d(C) > w(C), so the
+ratio falls, and the best-ratio set never holds u.
 
 Each iteration only removes up-links, so the alphabet only shrinks.  One
 ``ComponentSearch`` is compiled per solve from the instance, U and k;
@@ -76,20 +79,12 @@ def epsilon_to_k(eps: Fraction) -> int:
     return math.ceil(Fraction(2) / eps)
 
 
-def _finish(instance: Instance, chosen: dict[tuple, SearchLink],
+def _finish(instance: Instance, chosen: set[int],
             remaining: list[UpPath]) -> Solution:
-    weight = sum(sl.weight for sl in chosen.values())
+    weight = sum(instance.link(l).weight for l in chosen)
     weight += sum(p.weight for p in remaining)
-    ids = set()
-    pairs = []
-    for sl in chosen.values():
-        if sl.label[0] != "orig":
-            raise AssertionError(f"unmapped label {sl.label}")
-        ids.add(sl.label[1])
-        pairs.append((sl.a, sl.b))
-    for p in remaining:
-        ids.add(p.link_id)
-    pairs.extend(instance.link(l).endpoints() for l in ids)
+    ids = chosen | {p.link_id for p in remaining}
+    pairs = [instance.link(l).endpoints() for l in ids]
     if uncovered_edges(instance, pairs):
         raise AssertionError("greedy output does not cover all tree edges")
     deduped = sum(instance.link(l).weight for l in ids)
@@ -108,8 +103,8 @@ def solve(instance: Instance,
 
     baseline = cheapest_disjoint_uplink_cover(instance)
     trace = GreedyTrace(k=k, initial_u_weight=baseline.weight)
-    chosen: dict[tuple, SearchLink] = {}
-    up_by_pair = {(p.top, p.bottom): p for p in baseline.paths}
+    chosen: set[int] = set()  # instance link ids
+    m = len(instance.links)
     search = ComponentSearch(instance, baseline.paths, k)
     while search.uplinks:
         result = best_ratio_component(search)
@@ -120,11 +115,10 @@ def solve(instance: Instance,
             trace.stopped_early = True
             break
         for sl in result.links:
-            if sl.label[0] == "up":
-                # a surviving path chosen as a component link maps to its witness
-                path = up_by_pair[(sl.label[1], sl.label[2])]
-                sl = SearchLink(sl.a, sl.b, sl.weight, ("orig", path.link_id))
-            chosen[sl.label] = sl
+            if sl.pos >= m:
+                raise AssertionError("an up-link in a component of ratio < 1, "
+                                     "whose ratio is lower without it")
+            chosen.add(sl.pos)
         search.drop_uplinks(result.drop_indices)
         trace.iterations.append(IterationRecord(
             component=result.links, component_weight=result.weight,

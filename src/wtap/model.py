@@ -7,9 +7,8 @@ by their child vertex (the endpoint farther from the root).
 Whether a set of links covers the tree is checked in O(n + m) by
 ``uncovered_edges``, with no per-link edge sets; the solve path and the
 decomposition lab check coverage this way or on the index's depths and
-Euler intervals.  Edge sets as int bitsets over the child ids
-(``Instance.link_paths``, ``full_edge_mask``, ``path_edge_mask``,
-``vertical_edge_mask``) take Θ(n) bits each; only the oracles build them.
+Euler intervals.  This module holds what the solvers and the lab use; the
+Θ(n)-bit edge sets that the oracles build live in ``wtap.oracle``.
 
 Weights are positive integers; rational inputs are scaled at parse time
 (see ``wtap.io``), so all arithmetic here is exact.
@@ -86,16 +85,6 @@ class Instance:
     @cached_property
     def index(self) -> "RootedTreeIndex":
         return RootedTreeIndex(self.n, self.root, self.edges)
-
-    @cached_property
-    def full_edge_mask(self) -> int:
-        return ((1 << self.n) - 1) & ~(1 << self.root)
-
-    @cached_property
-    def link_paths(self) -> tuple[int, ...]:
-        """Edge bitmask of every link's covered path, indexed by link id."""
-        idx = self.index
-        return tuple(idx.path_edge_mask(lk.u, lk.v) for lk in self.links)
 
     def link(self, link_id: int) -> Link:
         return self.links[link_id]
@@ -216,25 +205,6 @@ class RootedTreeIndex:
             right.append(v)
             v = self.parent[v]
         return left + [top] + right[::-1]
-
-    def path_edge_mask(self, a: int, b: int) -> int:
-        top = self.lca(a, b)
-        mask = 0
-        for e in (a, b):
-            v = e
-            while v != top:
-                mask |= 1 << v
-                v = self.parent[v]
-        return mask
-
-    def vertical_edge_mask(self, t: int, b: int) -> int:
-        """Edges of the vertical path from ancestor t down to b."""
-        mask = 0
-        v = b
-        while v != t:
-            mask |= 1 << v
-            v = self.parent[v]
-        return mask
 
 
 def _check_tree(instance: Instance) -> list[ValidationIssue]:

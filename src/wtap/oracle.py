@@ -6,7 +6,8 @@ a table of the partial covers of the low links, scanned once per subset of
 the high links, with no bound on weights or on n), Gray-code sweeps over the
 search alphabet for best-ratio k-thin components, and memoized recursion
 over vertical-path partitions for the cheapest disjoint up-link cover.
-The solvers are validated against these oracles exactly.
+The solvers are validated against these oracles exactly.  Edge sets here
+are int bitsets over the child ids, Θ(n) bits each; no solver builds them.
 """
 
 from __future__ import annotations
@@ -20,8 +21,42 @@ from ._kernels import lex_less
 from .baseline import UpPath
 from .component_dp import SearchLink
 from .greedy import Solution
-from .model import Instance, link_vertices, mask_bits, vertical_cost_table
+from .model import Instance, RootedTreeIndex, mask_bits, vertical_cost_table
 from .ratio import RatioResult
+
+
+def full_edge_mask(instance: Instance) -> int:
+    """Every tree edge."""
+    return ((1 << instance.n) - 1) & ~(1 << instance.root)
+
+
+def vertical_edge_mask(index: RootedTreeIndex, t: int, b: int) -> int:
+    """Edges of the vertical path from ancestor t down to b."""
+    parent = index.parent
+    mask = 0
+    v = b
+    while v != t:
+        mask |= 1 << v
+        v = parent[v]
+    return mask
+
+
+def path_edge_mask(index: RootedTreeIndex, a: int, b: int) -> int:
+    """Edges of the tree path a..b."""
+    top = index.lca(a, b)
+    mask = 0
+    for e in (a, b):
+        v = e
+        while v != top:
+            mask |= 1 << v
+            v = index.parent[v]
+    return mask
+
+
+def link_paths(instance: Instance) -> list[int]:
+    """Edge set of every link's path, indexed by link id."""
+    idx = instance.index
+    return [path_edge_mask(idx, lk.u, lk.v) for lk in instance.links]
 
 
 class BudgetExceededError(RuntimeError):
@@ -47,7 +82,7 @@ def exact_opt(instance: Instance, budget: OracleBudget | None = None) -> Solutio
     if instance.n == 1:
         return Solution(link_ids=(), weight=0, deduped_weight=0)
     weights = [lk.weight for lk in instance.links]
-    bestw, bestmask = _kernels.min_cover_gray(list(instance.link_paths), weights,
+    bestw, bestmask = _kernels.min_cover_gray(link_paths(instance), weights,
                                               instance.n - 1)
     if bestw < 0:
         raise ValueError("instance is infeasible")
@@ -71,9 +106,9 @@ class KThinTable:
         budget.check_links(m, "k-thin enumeration")
         idx = instance.index
         verts = [idx.path_vertices(sl.a, sl.b) for sl in search_links]
-        lmasks = [idx.path_edge_mask(sl.a, sl.b) for sl in search_links]
+        lmasks = [path_edge_mask(idx, sl.a, sl.b) for sl in search_links]
         weights = [sl.weight for sl in search_links]
-        u_masks = [idx.vertical_edge_mask(p.top, p.bottom) for p in uplinks]
+        u_masks = [vertical_edge_mask(idx, p.top, p.bottom) for p in uplinks]
         u_w = [p.weight for p in uplinks]
         edge_owner: dict[int, int] = {}
         for ui, um in enumerate(u_masks):
@@ -176,9 +211,9 @@ def brute_best_kthin(instance: Instance, uplinks: Sequence[UpPath], k: int,
     idx = instance.index
     cover = 0
     for i in bits:
-        cover |= idx.path_edge_mask(search_links[i].a, search_links[i].b)
+        cover |= path_edge_mask(idx, search_links[i].a, search_links[i].b)
     drops = tuple(i for i, p in enumerate(uplinks)
-                  if idx.vertical_edge_mask(p.top, p.bottom) & ~cover == 0)
+                  if vertical_edge_mask(idx, p.top, p.bottom) & ~cover == 0)
     drop_weight = sum(uplinks[i].weight for i in drops)
     assert Fraction(weight, drop_weight) == ratio
     return RatioResult(rho=ratio, links=links, drop_indices=drops,
@@ -199,7 +234,7 @@ def brute_uplink_cover(instance: Instance,
         return 0, []
     table = vertical_cost_table(instance)
     idx = instance.index
-    full = instance.full_edge_mask
+    full = full_edge_mask(instance)
 
     anc_cache: dict[int, list[int]] = {}
 
@@ -233,7 +268,7 @@ def brute_uplink_cover(instance: Instance,
                 ent = table.cost_of(t, b)
                 if ent is None:
                     continue
-                pmask = idx.vertical_edge_mask(t, b)
+                pmask = vertical_edge_mask(idx, t, b)
                 if pmask & ~uncovered:
                     continue
                 sub = best(uncovered & ~pmask)
@@ -261,7 +296,7 @@ def brute_uplink_cover(instance: Instance,
                 ent = table.cost_of(t, b)
                 if ent is None:
                     continue
-                pmask = idx.vertical_edge_mask(t, b)
+                pmask = vertical_edge_mask(idx, t, b)
                 if pmask & ~uncovered:
                     continue
                 sub = best(uncovered & ~pmask)
@@ -273,5 +308,5 @@ def brute_uplink_cover(instance: Instance,
         assert picked is not None
         t, b, w, lid = picked
         paths.append(UpPath(top=t, bottom=b, weight=w, link_id=lid))
-        uncovered &= ~idx.vertical_edge_mask(t, b)
+        uncovered &= ~vertical_edge_mask(idx, t, b)
     return total, paths

@@ -63,7 +63,7 @@ def best_ratio_component(search: ComponentSearch) -> RatioResult:
         raise EmptyUError("up-link set is empty")
     for sl in search.links:
         if sl.weight <= 0:
-            raise ValueError(f"search link {sl.label} has weight {sl.weight}; "
+            raise ValueError(f"search link {sl.pos} has weight {sl.weight}; "
                              "the ratio search needs positive weights")
     for up in search.uplinks:
         if up.weight <= 0:

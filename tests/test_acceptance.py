@@ -20,17 +20,13 @@ import pytest
 
 import wtap
 from wtap.bench import bench, report_to_json
-from wtap.component_dp import ComponentSearch, original_search_links, uplink_search_links
+from wtap.component_dp import ComponentSearch
 from wtap.generators import fig2_reference_cover
-from wtap.oracle import KThinTable, OracleBudget
+from wtap.oracle import KThinTable, OracleBudget, link_paths, vertical_edge_mask
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'}: {detail}")
-
-
-def _search_for(inst, uplinks):
-    return original_search_links(inst) + uplink_search_links(uplinks)
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -102,15 +98,14 @@ def test_criterion_3_component_dp_reproduction():
             uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
             if not uplinks:
                 continue
-            search = _search_for(inst, uplinks)
-            if len(search) > 12:
+            if len(inst.links) + len(uplinks) > 12:
                 continue
             accepted += 1
             w_u = sum(p.weight for p in uplinks)
             for k in (1, 2, 3):
                 cs = ComponentSearch(inst, uplinks, k)
-                table = KThinTable(inst, uplinks, k, search, oracle_budget)
-                oracle = wtap.brute_best_kthin(inst, uplinks, k, search,
+                table = KThinTable(inst, uplinks, k, cs.links, oracle_budget)
+                oracle = wtap.brute_best_kthin(inst, uplinks, k, cs.links,
                                                oracle_budget)
                 # every probe the production search makes, against the table
                 probes = []
@@ -245,6 +240,7 @@ def test_criterion_5_decomposition_properties(decomposition_triples):
     try:
         for seed, inst, f_ids, uplinks in decomposition_triples:
             idx = inst.index
+            paths = link_paths(inst)
             w_u = sum(p.weight for p in uplinks)
             for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 3)):
                 dec = wtap.decompose(inst, f_ids, uplinks, eps)
@@ -257,17 +253,17 @@ def test_criterion_5_decomposition_properties(decomposition_triples):
                     assert wtap.is_k_thin(inst, part, k), (seed, eps, part)
                     cover = 0
                     for lid in part:
-                        cover |= inst.link_paths[lid]
+                        cover |= paths[lid]
                     covers.append(cover)
                 drop_total = 0
                 for cover in covers:
                     drop_total += sum(
                         p.weight for p in uplinks
-                        if idx.vertical_edge_mask(p.top, p.bottom) & ~cover == 0)
+                        if vertical_edge_mask(idx, p.top, p.bottom) & ~cover == 0)
                 for ui, p in enumerate(uplinks):
                     if ui in removed:
                         continue
-                    pmask = idx.vertical_edge_mask(p.top, p.bottom)
+                    pmask = vertical_edge_mask(idx, p.top, p.bottom)
                     assert any(pmask & ~cover == 0 for cover in covers), \
                         (seed, eps, ui)
                 assert drop_total >= w_u - w_r, (seed, eps)

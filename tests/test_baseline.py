@@ -8,6 +8,7 @@ import wtap
 from wtap import Instance, Link, _kernels, model
 from wtap._kernels import INF
 from wtap.generators import fig2_link_groups, fig2_reference_cover
+from wtap.oracle import full_edge_mask, vertical_edge_mask
 
 
 def _baseline_dp_reference(order, children, depth, front, anc_off, cost):
@@ -93,10 +94,10 @@ def test_paths_partition_edges():
         seen = 0
         idx = inst.index
         for p in sol.paths:
-            mask = idx.vertical_edge_mask(p.top, p.bottom)
+            mask = vertical_edge_mask(idx, p.top, p.bottom)
             assert mask & seen == 0
             seen |= mask
-        assert seen == inst.full_edge_mask
+        assert seen == full_edge_mask(inst)
         table = wtap.vertical_cost_table(inst)
         for p in sol.paths:
             assert table.cost_of(p.top, p.bottom) == (p.weight, p.link_id)

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -58,6 +59,52 @@ def test_exact_ratio_component(tmp_path, capsys):
                             str(inst_path)], capsys)
     assert code == 0
     assert "slack" in json.loads(out)
+
+
+def test_search_outputs_pinned(tmp_path, capsys):
+    # pinned: the bytes of ``solve --algorithm relgreedy``, ``ratio`` and
+    # ``component`` on generated instances; at rho = 2 the components print
+    # both label forms, ["orig", link id] and ["up", top, bottom]
+    h = hashlib.sha256()
+    labels = set()
+    for n, seed in ((10, 1), (14, 2), (18, 3), (22, 4)):
+        path = tmp_path / f"i{seed}.json"
+        wtap.io.dump(wtap.gen_random(n, n, 20, seed), path)
+        for args in (["solve", "--algorithm", "relgreedy", "--eps", "1"],
+                     ["ratio", "--k", "2"],
+                     ["component", "--rho", "2", "--k", "2"]):
+            code, out, _ = run_cli(args + [str(path)], capsys)
+            assert code == 0
+            h.update(out.encode())
+            labels.update(sl["label"][0] for sl in json.loads(out).get("component", ()))
+    assert labels == {"orig", "up"}
+    assert h.hexdigest()[:16] == "40332b64e7723871"
+
+
+def test_package_exports():
+    # ``__all__`` is the public API, spelled out: each name resolves, and
+    # the search-alphabet helpers, which ``ComponentSearch.links`` replaced,
+    # are gone
+    assert set(wtap.__all__) == {
+        "BudgetExceededError", "ComponentSearch", "CoverWitness", "Decomposition",
+        "DependencyGraph", "EmptyUError", "GreedyTrace", "InfeasibleError",
+        "Instance", "InvalidEpsilonError", "KThinTable", "Link",
+        "NotABranchingError", "OracleBudget", "PlanTooLargeError", "RatioResult",
+        "RootedTreeIndex", "SearchLink", "Solution", "TableTooLargeError",
+        "UpLinkSolution", "UpPath", "ValidationIssue", "VerticalCostTable",
+        "WeightOverflowError", "apex", "best_ratio_component", "brute_best_kthin",
+        "brute_uplink_cover", "build_dependency_graph",
+        "cheapest_disjoint_uplink_cover", "compute_cover_witness", "decide",
+        "decompose", "dump", "dumps", "epsilon_to_k", "exact_opt", "gen_fig2",
+        "gen_fig3", "gen_random", "is_k_thin", "load", "loads", "solve",
+        "two_approx_only", "uplink_from_link", "validate",
+        "verify_cover_structure", "vertical_cost_table"}
+    assert len(wtap.__all__) == len(set(wtap.__all__))
+    for name in wtap.__all__:
+        getattr(wtap, name)
+    for gone in ("original_search_links", "uplink_search_links",
+                 "shadow_closure_search_links"):
+        assert not hasattr(wtap, gone) and not hasattr(component_dp, gone)
 
 
 def test_decompose_command(tmp_path, capsys):

@@ -7,11 +7,20 @@ from fractions import Fraction
 import pytest
 
 import wtap
-from wtap import Instance, Link
+from wtap import (Instance, Link, _kernels, baseline, cli, component_dp,
+                  greedy, model, ratio)
 from wtap.baseline import UpLinkSolution, UpPath, _assert_partition
 from wtap.cli import main
 from wtap.greedy import Solution
 from wtap.model import ValidationIssue, mask_bits, uncovered_edges
+from wtap.oracle import full_edge_mask, path_edge_mask
+
+# The edge bitmask builders, all in wtap.oracle, and the modules that
+# ``wtap solve``, ``ratio`` and ``component`` run.
+EDGE_MASK_BUILDERS = ("full_edge_mask", "path_edge_mask", "vertical_edge_mask",
+                      "link_paths")
+SOLVE_PATH_MODULES = (model, _kernels, baseline, component_dp, ratio, greedy,
+                      wtap.io, cli)
 
 
 def _reference_uncovered(inst, pairs):
@@ -19,8 +28,8 @@ def _reference_uncovered(inst, pairs):
     idx = inst.index
     cover = 0
     for a, b in pairs:
-        cover |= idx.path_edge_mask(a, b)
-    return mask_bits(inst.full_edge_mask & ~cover)
+        cover |= path_edge_mask(idx, a, b)
+    return mask_bits(full_edge_mask(inst) & ~cover)
 
 
 def _reference_tree_issues(inst):
@@ -47,7 +56,7 @@ def _reference_tree_issues(inst):
 
 
 def _reference_validate(inst):
-    """``validate`` as it was when it ORed the ``link_paths`` bitmasks."""
+    """``validate`` as it was when it ORed the links' path bitmasks."""
     issues = [ValidationIssue("NonpositiveWeight", lid, f"weight {lk.weight}")
               for lid, lk in enumerate(inst.links) if lk.weight <= 0]
     issues.extend(_reference_tree_issues(inst))
@@ -173,40 +182,49 @@ def test_covers_false_once_a_needed_link_is_removed():
     assert needed_seen > 100
 
 
-def test_solve_paths_build_no_link_bitmasks():
+@pytest.fixture
+def no_edge_masks(monkeypatch):
+    """Make every edge bitmask builder of ``wtap.oracle`` raise."""
+    def forbidden(*args):
+        raise AssertionError("edge bitmask built on a solve path")
+
+    for name in EDGE_MASK_BUILDERS:
+        monkeypatch.setattr(wtap.oracle, name, forbidden)
+
+
+def test_solve_path_modules_bind_no_edge_mask_builder():
+    # so the ``no_edge_masks`` patches reach every call a solve path could
+    # make: no module on it binds a builder of its own, nor does a tree class
+    for module in SOLVE_PATH_MODULES:
+        assert not set(EDGE_MASK_BUILDERS) & set(vars(module)), module.__name__
+    for cls in (Instance, wtap.RootedTreeIndex):
+        assert not [name for name in EDGE_MASK_BUILDERS if hasattr(cls, name)]
+
+
+def test_solve_paths_build_no_link_bitmasks(no_edge_masks):
     inst = wtap.gen_random(n=30, link_count=40, weight_max=9, seed=5)
     assert wtap.validate(inst) == []
     sol = wtap.two_approx_only(inst)
     assert sol.covers(inst)
     relg, _ = wtap.solve(inst, 1)
     assert relg.covers(inst)
-    assert "link_paths" not in inst.__dict__
 
 
-def test_cli_solve_never_reads_link_bitmasks(tmp_path, capsys, monkeypatch):
-    def forbidden(self):
-        raise AssertionError("link_paths read on a solve path")
-
+def test_cli_solve_never_reads_link_bitmasks(tmp_path, capsys, no_edge_masks):
     path = tmp_path / "inst.json"
     wtap.io.dump(wtap.gen_random(n=25, link_count=30, weight_max=9, seed=8), path)
-    monkeypatch.setattr(Instance, "link_paths", property(forbidden))
     for algo in ("uplink2", "relgreedy"):
         assert main(["solve", "--algorithm", algo, str(path)]) == 0
     capsys.readouterr()
 
 
-def test_solve_path_builds_no_edge_bitmask(tmp_path, capsys, monkeypatch):
+def test_solve_path_builds_no_edge_bitmask(tmp_path, capsys, no_edge_masks):
     # the greedy, the ratio search and the component DP find drops through
     # uncovered_edges; no per-link or per-up-link edge mask is built
-    def forbidden(self, *args):
-        raise AssertionError("edge bitmask built on a solve path")
-
     insts = [wtap.gen_random(n=20, link_count=28, weight_max=9, seed=s)
              for s in range(3)] + [wtap.gen_fig2(4, 10), wtap.gen_fig3(2)]
     path = tmp_path / "inst.json"
     wtap.io.dump(insts[0], path)
-    monkeypatch.setattr(wtap.RootedTreeIndex, "path_edge_mask", forbidden)
-    monkeypatch.setattr(wtap.RootedTreeIndex, "vertical_edge_mask", forbidden)
     iterations = 0
     for inst in insts:
         for eps in (2, 1, Fraction(2, 3)):  # k = 1, 2, 3
@@ -219,7 +237,7 @@ def test_solve_path_builds_no_edge_bitmask(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_validate_memory_stays_linear_on_a_long_path():
+def test_validate_memory_stays_linear_on_a_long_path(no_edge_masks):
     # The bitset check ORed one (v+1)-bit int per link here: about 150 MB.
     n = 50_000
     inst = Instance(n, 0, [(i - 1, i) for i in range(1, n)],
@@ -231,5 +249,4 @@ def test_validate_memory_stays_linear_on_a_long_path():
     finally:
         tracemalloc.stop()
     assert issues == []
-    assert "link_paths" not in inst.__dict__
     assert peak < 40 * 2**20, peak

@@ -9,6 +9,7 @@ import wtap
 from wtap import Instance, Link
 from wtap.baseline import UpPath
 from wtap.generators import fig3_solution_ids, fig3_uplinks
+from wtap.oracle import link_paths, vertical_edge_mask
 
 
 def _chain_instance():
@@ -146,12 +147,13 @@ def test_averaging_inequality():
         w_r = sum(uplinks[i].weight for i in dec.removed)
         total_drop = 0
         idx = inst.index
+        paths = link_paths(inst)
         for part in dec.parts:
             cover = 0
             for lid in part:
-                cover |= inst.link_paths[lid]
+                cover |= paths[lid]
             total_drop += sum(p.weight for p in uplinks
-                              if idx.vertical_edge_mask(p.top, p.bottom) & ~cover == 0)
+                              if vertical_edge_mask(idx, p.top, p.bottom) & ~cover == 0)
         assert total_drop >= w_u - w_r
 
 

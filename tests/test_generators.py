@@ -10,6 +10,7 @@ from wtap import io as wio
 from wtap.generators import (_stream, fig2_link_groups, fig2_reference_cover,
                              fig3_solution_ids, fig3_uplinks)
 from wtap.model import link_vertices
+from wtap.oracle import full_edge_mask, link_paths, vertical_edge_mask
 
 GOLDEN_SEED42 = (
     '{"edges":[[0,1],[0,2],[2,3],[2,4],[4,5],[1,6],[6,7]],'
@@ -222,10 +223,10 @@ def test_fig2_reference_cover_structure():
     ref = fig2_reference_cover(inst)
     seen = 0
     for p in ref:
-        mask = inst.index.vertical_edge_mask(p.top, p.bottom)
+        mask = vertical_edge_mask(inst.index, p.top, p.bottom)
         assert mask & seen == 0
         seen |= mask
-    assert seen == inst.full_edge_mask
+    assert seen == full_edge_mask(inst)
     assert sum(p.weight for p in ref) == 2 * (4 * 10 + 4)
 
 
@@ -236,13 +237,14 @@ def test_fig2_small_components_cannot_win():
     ref = fig2_reference_cover(inst)
     u_ids = [p.link_id for p in ref]
     idx = inst.index
-    u_masks = {p.link_id: idx.vertical_edge_mask(p.top, p.bottom) for p in ref}
+    u_masks = {p.link_id: vertical_edge_mask(idx, p.top, p.bottom) for p in ref}
+    paths = link_paths(inst)
     all_ids = range(len(inst.links))
     for size in (1, 2):
         for combo in combinations(all_ids, size):
             cover = 0
             for lid in combo:
-                cover |= inst.link_paths[lid]
+                cover |= paths[lid]
             dropw = sum(inst.links[u].weight for u in u_ids
                         if u_masks[u] & ~cover == 0)
             cost = sum(inst.links[lid].weight for lid in combo)
@@ -267,7 +269,7 @@ def test_fig3_structure():
         assert len(ups) == m
         seen = 0
         for p in ups:
-            mask = inst.index.vertical_edge_mask(p.top, p.bottom)
+            mask = vertical_edge_mask(inst.index, p.top, p.bottom)
             assert mask & seen == 0
             seen |= mask
 

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 import wtap
 from wtap import Instance, Link
-from wtap.component_dp import shadow_closure_search_links
 from wtap.model import link_vertices, mask_bits
+from wtap.oracle import path_edge_mask, vertical_edge_mask
 
 
 def test_validate_minimal_ok(single_edge):
@@ -48,12 +48,12 @@ def test_self_loop_rejected_at_construction():
 
 
 def test_link_path_parent_child(single_edge):
-    assert single_edge.index.path_edge_mask(0, 1) == 0b10
+    assert path_edge_mask(single_edge.index, 0, 1) == 0b10
 
 
 def test_link_path_through_root(path3):
     # both edges, children 1 and 2
-    assert path3.index.path_edge_mask(0, 2) == 0b110
+    assert path_edge_mask(path3.index, 0, 2) == 0b110
 
 
 def test_link_path_length_identity():
@@ -62,7 +62,7 @@ def test_link_path_length_identity():
     for lk in inst.links:
         apx = wtap.apex(inst, lk)
         expect = int(idx.depth[lk.u]) + int(idx.depth[lk.v]) - 2 * int(idx.depth[apx])
-        assert len(mask_bits(inst.index.path_edge_mask(lk.u, lk.v))) == expect
+        assert len(mask_bits(path_edge_mask(inst.index, lk.u, lk.v))) == expect
 
 
 def test_apex_and_uplink(star_ab, single_edge):
@@ -104,9 +104,10 @@ def test_path_is_union_of_vertical_legs():
         idx = inst.index
         for lk in inst.links:
             apx = wtap.apex(inst, lk)
-            legs = idx.vertical_edge_mask(apx, lk.u) | idx.vertical_edge_mask(apx, lk.v)
-            assert legs == inst.index.path_edge_mask(lk.u, lk.v)
-            assert idx.vertical_edge_mask(apx, lk.u) & idx.vertical_edge_mask(apx, lk.v) == 0
+            up_u = vertical_edge_mask(idx, apx, lk.u)
+            up_v = vertical_edge_mask(idx, apx, lk.v)
+            assert up_u | up_v == path_edge_mask(idx, lk.u, lk.v)
+            assert up_u & up_v == 0
 
 
 @given(st.integers(0, 10_000), st.integers(2, 9), st.integers(1, 3))
@@ -139,6 +140,23 @@ def test_vertical_cost_table_fig2_top_edge():
     assert wtap.vertical_cost_table(cheap).cost_of(0, 1) == (2, 0)
 
 
+def _shadow_closure(inst):
+    """All shadows of all links: each vertex pair on a link's path, mapped
+    to the (weight, id) of the cheapest link through it, the smaller id on
+    ties."""
+    best = {}
+    for lid, lk in enumerate(inst.links):
+        verts = link_vertices(inst, lk)
+        for i in range(len(verts)):
+            for j in range(i + 1, len(verts)):
+                a, b = verts[i], verts[j]
+                key = (min(a, b), max(a, b))
+                cand = (lk.weight, lid)
+                if key not in best or cand < best[key]:
+                    best[key] = cand
+    return best
+
+
 def test_vertical_cost_table_matches_explicit_shadows():
     # Oracle: materialize every shadow and take the per-pair minimum.
     for seed in range(25):
@@ -146,9 +164,7 @@ def test_vertical_cost_table_matches_explicit_shadows():
                                weight_max=6, seed=1500 + seed)
         idx = inst.index
         table = wtap.vertical_cost_table(inst)
-        closure = {}
-        for sl in shadow_closure_search_links(inst):
-            closure[(sl.a, sl.b)] = (sl.weight, sl.label[1])
+        closure = _shadow_closure(inst)
         for b in range(inst.n):
             for d in range(int(idx.depth[b])):
                 t = idx.ancestor_at_depth(b, d)
@@ -231,4 +247,4 @@ def test_link_vertices_matches_path():
     for lk in inst.links:
         verts = link_vertices(inst, lk)
         assert verts[0] in (lk.u, lk.v) and verts[-1] in (lk.u, lk.v)
-        assert len(verts) == len(mask_bits(inst.index.path_edge_mask(lk.u, lk.v))) + 1
+        assert len(verts) == len(mask_bits(path_edge_mask(inst.index, lk.u, lk.v))) + 1

@@ -9,7 +9,9 @@ from wtap import _kernels
 from wtap._kernels import lex_less
 from wtap.generators import fig2_link_groups
 from wtap.model import Instance, Link
-from wtap.oracle import BudgetExceededError, OracleBudget
+from wtap.component_dp import ComponentSearch
+from wtap.oracle import (BudgetExceededError, OracleBudget, full_edge_mask,
+                         link_paths, vertical_edge_mask)
 
 
 def _min_cover_python(masks: list[int], weights: list[int], full: int) -> tuple[int, int]:
@@ -122,9 +124,9 @@ def test_exact_opt_kernel_matches_python_fallback(monkeypatch):
     for i, inst in enumerate(cases):
         # small low tables too, so that small cases run the high-link scan
         monkeypatch.setattr(_kernels, "LOW_LINKS", 10 if i % 3 else 1 + i % 5)
-        masks = list(inst.link_paths)
+        masks = link_paths(inst)
         weights = [lk.weight for lk in inst.links]
-        w, mask = _min_cover_python(masks, weights, inst.full_edge_mask)
+        w, mask = _min_cover_python(masks, weights, full_edge_mask(inst))
         if w < 0:
             infeasible += 1
             with pytest.raises(ValueError, match="infeasible"):
@@ -180,17 +182,16 @@ def test_brute_uplink_cover_examples(path3, star_ab):
     w, paths = wtap.brute_uplink_cover(inst)
     seen = 0
     for p in paths:
-        mask = inst.index.vertical_edge_mask(p.top, p.bottom)
+        mask = vertical_edge_mask(inst.index, p.top, p.bottom)
         assert mask & seen == 0
         seen |= mask
-    assert seen == inst.full_edge_mask
+    assert seen == full_edge_mask(inst)
     assert sum(p.weight for p in paths) == w
 
 
 def test_brute_best_kthin_singleton(single_edge):
     up = [wtap.uplink_from_link(single_edge, 0)]
-    from wtap.component_dp import original_search_links, uplink_search_links
-    search = original_search_links(single_edge) + uplink_search_links(up)
+    search = ComponentSearch(single_edge, up, 1).links
     res = wtap.brute_best_kthin(single_edge, up, 1, search)
     assert res.rho == 1
 

@@ -6,15 +6,10 @@ from fractions import Fraction
 import pytest
 
 import wtap
-from wtap.component_dp import (ComponentSearch, original_search_links,
-                               uplink_search_links)
+from wtap.component_dp import ComponentSearch
 from wtap.generators import fig2_link_groups, fig2_reference_cover
-from wtap.oracle import OracleBudget
+from wtap.oracle import OracleBudget, path_edge_mask, vertical_edge_mask
 from wtap.ratio import EmptyUError
-
-
-def _search_for(inst, uplinks):
-    return original_search_links(inst) + uplink_search_links(uplinks)
 
 
 def _search(inst, uplinks, k):
@@ -39,7 +34,7 @@ def test_fig2_reference_ratios():
     groups = fig2_link_groups(inst)
     res2 = wtap.best_ratio_component(_search(inst, uplinks, 2))
     assert res2.rho == Fraction(1, 2)
-    assert sorted(sl.label[1] for sl in res2.links) == sorted(
+    assert sorted(sl.pos for sl in res2.links) == sorted(
         groups["long"] + groups["leafpair"])
     assert (res2.weight, res2.drop_weight) == (18, 36)
     assert len(res2.drop_indices) == 6
@@ -83,13 +78,12 @@ def test_matches_exhaustive_minimum():
         uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
         if not uplinks:
             continue
-        search = _search_for(inst, uplinks)
-        if len(search) > 12:
+        if len(inst.links) + len(uplinks) > 12:
             continue
         for k in (1, 2, 3):
-            got = wtap.best_ratio_component(
-                ComponentSearch(inst, uplinks, k))
-            want = wtap.brute_best_kthin(inst, uplinks, k, search, budget)
+            cs = ComponentSearch(inst, uplinks, k)
+            got = wtap.best_ratio_component(cs)
+            want = wtap.brute_best_kthin(inst, uplinks, k, cs.links, budget)
             assert got.rho == want.rho
             # cross-multiplied optimality of the returned witness
             assert (got.weight * want.drop_weight
@@ -190,7 +184,7 @@ def test_nonpositive_weight_rejected_by_solve():
     for w in (0, -1):
         inst = wtap.Instance(3, 0, [(0, 1), (1, 2)],
                              [wtap.Link(0, 2, 4), wtap.Link(1, 2, w)])
-        with pytest.raises(ValueError, match=r"\('orig', 1\) has weight"):
+        with pytest.raises(ValueError, match="search link 1 has weight"):
             wtap.solve(inst, 1)
 
 
@@ -203,7 +197,7 @@ def test_result_invariants():
     idx = inst.index
     cover = 0
     for sl in res.links:
-        cover |= idx.path_edge_mask(sl.a, sl.b)
+        cover |= path_edge_mask(idx, sl.a, sl.b)
     for i, p in enumerate(uplinks):
-        inside = idx.vertical_edge_mask(p.top, p.bottom) & ~cover == 0
+        inside = vertical_edge_mask(idx, p.top, p.bottom) & ~cover == 0
         assert inside == (i in res.drop_indices)
