@@ -5,40 +5,52 @@ Exact-arithmetic implementation of a relative greedy approximation: a
 best-ratio k-thin components found through dynamic programming, plus the
 decomposition machinery used to verify the structural guarantees and
 brute-force oracles for desk-scale ground truth.
+
+``import wtap`` loads no submodule.  Each public name, and each submodule
+read as an attribute (``wtap.greedy``), is imported on first use (PEP 562),
+so a command pays at start-up only for the modules it runs; on hosts that
+compile every module from source at each start that is most of the cost.
 """
 
-from .baseline import (InfeasibleError, UpLinkSolution, UpPath,
-                       cheapest_disjoint_uplink_cover, uplink_from_link)
-from .component_dp import ComponentSearch, PlanTooLargeError, SearchLink
-from .decomposition import (CoverWitness, Decomposition, DependencyGraph,
-                            NotABranchingError, build_dependency_graph,
-                            compute_cover_witness, decompose,
-                            verify_cover_structure)
-from .generators import gen_fig2, gen_fig3, gen_random
-from .greedy import (GreedyTrace, InvalidEpsilonError, Solution, epsilon_to_k,
-                     solve, two_approx_only)
-from .io import dump, dumps, load, loads
-from .model import (Instance, Link, RootedTreeIndex, TableTooLargeError,
-                    ValidationIssue, VerticalCostTable, WeightOverflowError,
-                    apex, is_k_thin, validate, vertical_cost_table)
-from .oracle import (BudgetExceededError, KThinTable, OracleBudget,
-                     brute_best_kthin, brute_uplink_cover, exact_opt)
-from .ratio import EmptyUError, RatioResult, best_ratio_component, decide
+import importlib
 
 __version__ = "0.1.0"
 
-# the names imported above, in order; submodules stay reachable as attributes
-__all__ = [
-    "InfeasibleError", "UpLinkSolution", "UpPath", "cheapest_disjoint_uplink_cover",
-    "uplink_from_link", "ComponentSearch", "PlanTooLargeError", "SearchLink",
-    "CoverWitness", "Decomposition", "DependencyGraph", "NotABranchingError",
-    "build_dependency_graph", "compute_cover_witness", "decompose",
-    "verify_cover_structure", "gen_fig2", "gen_fig3", "gen_random",
-    "GreedyTrace", "InvalidEpsilonError", "Solution", "epsilon_to_k", "solve",
-    "two_approx_only", "dump", "dumps", "load", "loads", "Instance", "Link",
-    "RootedTreeIndex", "TableTooLargeError", "ValidationIssue", "VerticalCostTable",
-    "WeightOverflowError", "apex", "is_k_thin", "validate", "vertical_cost_table",
-    "BudgetExceededError", "KThinTable", "OracleBudget", "brute_best_kthin",
-    "brute_uplink_cover", "exact_opt", "EmptyUError", "RatioResult",
-    "best_ratio_component", "decide",
-]
+# the public names, by the submodule that defines them
+_EXPORTS = {
+    "baseline": ("InfeasibleError", "UpLinkSolution", "UpPath",
+                 "cheapest_disjoint_uplink_cover", "uplink_from_link"),
+    "component_dp": ("ComponentSearch", "PlanTooLargeError", "SearchLink"),
+    "decomposition": ("CoverWitness", "Decomposition", "DependencyGraph",
+                      "NotABranchingError", "build_dependency_graph",
+                      "compute_cover_witness", "decompose",
+                      "verify_cover_structure"),
+    "generators": ("gen_fig2", "gen_fig3", "gen_random"),
+    "greedy": ("GreedyTrace", "InvalidEpsilonError", "Solution", "epsilon_to_k",
+               "solve", "two_approx_only"),
+    "io": ("dump", "dumps", "load", "loads"),
+    "model": ("BudgetExceededError", "Instance", "Link", "RootedTreeIndex",
+              "TableTooLargeError", "ValidationIssue", "VerticalCostTable",
+              "WeightOverflowError", "apex", "is_k_thin", "validate",
+              "vertical_cost_table"),
+    "oracle": ("KThinTable", "OracleBudget", "brute_best_kthin",
+               "brute_uplink_cover", "exact_opt"),
+    "ratio": ("EmptyUError", "RatioResult", "best_ratio_component", "decide"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "_kernels", "bench", "cli")
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    # not cached in globals(): each read sees the submodule's current binding
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

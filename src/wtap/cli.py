@@ -4,6 +4,11 @@ Subcommands: gen, solve, exact, ratio, component, decompose, bench.
 Exit codes: 0 success, 2 validation error (an unreadable input or an
 unwritable ``--out`` included), 3 enumeration budget, table size budget or
 component-DP plan size budget (``PlanTooLargeError``) exceeded.
+
+Each command imports only the modules it runs, when it runs: ``solve``
+loads no decomposition, oracle, bench or generator code, and ``gen`` no
+solver.  On hosts that compile every module from source at each start,
+start-up otherwise costs more than a desk-scale solve.
 """
 
 from __future__ import annotations
@@ -14,18 +19,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import bench as bench_mod
 from . import io as wio
-from .baseline import cheapest_disjoint_uplink_cover
-from .component_dp import ComponentSearch, PlanTooLargeError
-from .decomposition import decompose, verify_cover_structure
-from .generators import gen_fig2, gen_fig3, gen_random
-from .greedy import solve as greedy_solve
-from .greedy import two_approx_only
-from .model import (Instance, TableTooLargeError, WeightOverflowError,
-                    uncovered_edges, validate)
-from .oracle import BudgetExceededError, OracleBudget, exact_opt
-from .ratio import best_ratio_component
+from .model import (BudgetExceededError, Instance, TableTooLargeError,
+                    WeightOverflowError, uncovered_edges, validate)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -114,6 +110,7 @@ def _searchlink_json(sl, m: int) -> dict:
 
 
 def _cmd_gen(args) -> None:
+    from .generators import gen_fig2, gen_fig3, gen_random
     if args.family == "random":
         inst = gen_random(args.n, args.links, args.weight_max, args.seed)
     elif args.family == "fig2":
@@ -126,6 +123,7 @@ def _cmd_gen(args) -> None:
 def _cmd_solve(args) -> None:
     inst = _load_validated(args.instance)
     if args.algorithm == "uplink2":
+        from .baseline import cheapest_disjoint_uplink_cover
         sol = cheapest_disjoint_uplink_cover(inst)
         payload = {
             "algorithm": "uplink2",
@@ -135,7 +133,8 @@ def _cmd_solve(args) -> None:
             "witness_links": sorted({p.link_id for p in sol.paths}),
         }
     else:
-        sol, trace = greedy_solve(inst, args.eps)
+        from .greedy import solve
+        sol, trace = solve(inst, args.eps)
         payload = {
             "algorithm": "relgreedy",
             "k": trace.k,
@@ -163,6 +162,7 @@ def _cmd_solve(args) -> None:
 
 
 def _cmd_exact(args) -> None:
+    from .oracle import OracleBudget, exact_opt
     inst = _load_validated(args.instance)
     budget = OracleBudget(max_links=args.max_links)
     sol = exact_opt(inst, budget)
@@ -170,6 +170,9 @@ def _cmd_exact(args) -> None:
 
 
 def _cmd_ratio(args) -> None:
+    from .baseline import cheapest_disjoint_uplink_cover
+    from .component_dp import ComponentSearch
+    from .ratio import best_ratio_component
     inst = _load_validated(args.instance)
     cs = ComponentSearch(inst, cheapest_disjoint_uplink_cover(inst).paths, args.k)
     uplinks = cs.uplinks
@@ -190,6 +193,8 @@ def _cmd_ratio(args) -> None:
 
 
 def _cmd_component(args) -> None:
+    from .baseline import cheapest_disjoint_uplink_cover
+    from .component_dp import ComponentSearch
     inst = _load_validated(args.instance)
     cs = ComponentSearch(inst, cheapest_disjoint_uplink_cover(inst).paths, args.k)
     res = cs.max_slack(args.rho.numerator, args.rho.denominator)
@@ -203,6 +208,8 @@ def _cmd_component(args) -> None:
 
 
 def _cmd_decompose(args) -> None:
+    from .baseline import cheapest_disjoint_uplink_cover
+    from .decomposition import decompose, verify_cover_structure
     inst = _load_validated(args.instance)
     try:
         data = json.loads(Path(args.solution).read_text())
@@ -241,6 +248,7 @@ def _cmd_decompose(args) -> None:
 
 
 def _cmd_bench(args) -> None:
+    from . import bench as bench_mod
     try:
         config = json.loads(Path(args.config).read_text())
     except (OSError, ValueError, RecursionError) as exc:
@@ -337,12 +345,20 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (BudgetExceededError, TableTooLargeError, PlanTooLargeError) as exc:
+    except (RuntimeError, WeightOverflowError) as exc:
+        # the three budget errors are RuntimeErrors; PlanTooLargeError is
+        # imported only here, so that a command which never runs the
+        # component DP does not load it
+        from .component_dp import PlanTooLargeError
+        if isinstance(exc, (BudgetExceededError, TableTooLargeError,
+                            PlanTooLargeError)):
+            code = EXIT_BUDGET
+        elif isinstance(exc, WeightOverflowError):
+            code = EXIT_VALIDATION
+        else:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except WeightOverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return code
     return EXIT_OK
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import operator
 
-from .baseline import UpPath, uplink_from_link
 from .model import Instance, Link, uncovered_edges
 
 
@@ -290,17 +289,6 @@ def fig2_link_groups(instance: Instance) -> dict[str, list[int]]:
     }
 
 
-def fig2_reference_cover(instance: Instance) -> list[UpPath]:
-    """The disjoint up-link cover made of the vertical and pendant links.
-
-    Covers every edge, has weight d*(2M+2), and is a cheapest such cover
-    when d is even.
-    """
-    groups = fig2_link_groups(instance)
-    return [uplink_from_link(instance, lid)
-            for lid in groups["vertical"] + groups["pendant"]]
-
-
 def gen_fig3(m: int) -> Instance:
     """Hub family: spine to a hub vertex with m+1 leaves.
 
@@ -330,12 +318,3 @@ def gen_fig3(m: int) -> Instance:
                  for i in range(1, m + 1))
     return Instance(n=n, root=0, edges=edges, links=links)
 
-
-def fig3_solution_ids(instance: Instance) -> list[int]:
-    m = (instance.n - 4) // 3
-    return list(range(m + 1))
-
-
-def fig3_uplinks(instance: Instance) -> list[UpPath]:
-    m = (instance.n - 4) // 3
-    return [uplink_from_link(instance, m + i) for i in range(1, m + 1)]

@@ -29,6 +29,10 @@ class WeightOverflowError(ValueError):
     """Weights too large for the int64 kernel arithmetic."""
 
 
+class BudgetExceededError(RuntimeError):
+    """An exact oracle's enumeration would exceed its ``OracleBudget``."""
+
+
 class TableTooLargeError(RuntimeError):
     """The tree tables of ``uplink2`` would exceed ``TABLE_SLOT_BUDGET``."""
 

@@ -21,7 +21,8 @@ from ._kernels import lex_less
 from .baseline import UpPath
 from .component_dp import SearchLink
 from .greedy import Solution
-from .model import Instance, RootedTreeIndex, mask_bits, vertical_cost_table
+from .model import (BudgetExceededError, Instance, RootedTreeIndex, mask_bits,
+                    vertical_cost_table)
 from .ratio import RatioResult
 
 
@@ -57,10 +58,6 @@ def link_paths(instance: Instance) -> list[int]:
     """Edge set of every link's path, indexed by link id."""
     idx = instance.index
     return [path_edge_mask(idx, lk.u, lk.v) for lk in instance.links]
-
-
-class BudgetExceededError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ import pytest
 import wtap
 from wtap.bench import bench, report_to_json
 from wtap.component_dp import ComponentSearch
-from wtap.generators import fig2_reference_cover
 from wtap.oracle import KThinTable, OracleBudget, link_paths, vertical_edge_mask
+
+from fig_helpers import fig2_reference_cover
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -14,11 +14,22 @@ from wtap import component_dp, model
 from wtap.bench import bench
 from wtap.cli import main
 
+from fig_helpers import fig3_solution_ids
+
 
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter on this checkout; its stdout."""
+    src = str(Path(wtap.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout.decode()
 
 
 def test_gen_and_solve_roundtrip(tmp_path, capsys):
@@ -100,8 +111,19 @@ def test_package_exports():
         "two_approx_only", "uplink_from_link", "validate",
         "verify_cover_structure", "vertical_cost_table"}
     assert len(wtap.__all__) == len(set(wtap.__all__))
+    # each name is its defining submodule's object, not a copy
     for name in wtap.__all__:
-        getattr(wtap, name)
+        obj = getattr(wtap, name)
+        assert obj.__module__.startswith("wtap.")
+        assert getattr(sys.modules[obj.__module__], name) is obj
+    assert wtap.oracle.BudgetExceededError is wtap.model.BudgetExceededError
+    assert set(wtap.__all__) <= set(dir(wtap))
+    assert {"greedy", "bench", "cli"} <= set(dir(wtap))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wtap.no_such_name
+    star = {}
+    exec("from wtap import *", star)
+    assert set(wtap.__all__) <= star.keys()
     for gone in ("original_search_links", "uplink_search_links",
                  "shadow_closure_search_links"):
         assert not hasattr(wtap, gone) and not hasattr(component_dp, gone)
@@ -127,7 +149,7 @@ def test_decompose_builds_each_witness_once(tmp_path, capsys, monkeypatch):
     sol_path = tmp_path / "sol.json"
     run_cli(["gen", "fig3", "--m", "6", "--out", str(inst_path)], capsys)
     inst = wtap.load(inst_path)
-    sol_path.write_text(json.dumps(wtap.generators.fig3_solution_ids(inst)))
+    sol_path.write_text(json.dumps(fig3_solution_ids(inst)))
     calls = []
     witness = wtap.decomposition.compute_cover_witness
     monkeypatch.setattr(wtap.decomposition, "compute_cover_witness",
@@ -358,14 +380,43 @@ def test_weight_overflow_exit_code(tmp_path, capsys):
     assert json.loads(out) == {"weight": 1 << 62, "links": [0]}
 
 
-def test_solving_does_not_import_numpy():
-    # only the random generators need numpy, and they import it on first use
-    code = ("import sys, wtap, wtap.bench, wtap.cli; "
-            "sys.exit('numpy' in sys.modules)")
-    src = str(Path(wtap.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr.decode()
+def test_package_loads_submodules_on_first_use():
+    # a fresh ``import wtap`` loads no submodule; a name read while its
+    # submodule is patched is not kept once the patch is undone
+    out = run_fresh(
+        "import sys, wtap\n"
+        "print(sorted(m for m in sys.modules if m.startswith('wtap.')))\n"
+        "import wtap.greedy as g\n"
+        "real, g.solve = g.solve, lambda *a: None\n"
+        "assert wtap.solve is g.solve\n"
+        "g.solve = real\n"
+        "assert wtap.solve is wtap.greedy.solve is real\n"
+        "assert 'solve' not in vars(wtap)\n")
+    assert out == "[]\n"
+
+
+def test_solving_does_not_import_numpy(tmp_path):
+    # no wtap module imports numpy; the generators draw numpy's PCG64
+    # stream in plain Python
+    run_fresh("import sys, wtap, wtap.bench, wtap.cli; "
+              "sys.exit('numpy' in sys.modules)")
+    # each command imports only its own modules
+    inst, out = str(tmp_path / "inst.json"), str(tmp_path / "out.json")
+    assert main(["gen", "random", "--n", "24", "--links", "24", "--out", inst]) == 0
+    not_solve = {"decomposition", "oracle", "bench", "generators"}
+    not_gen = {"component_dp", "greedy", "ratio", "decomposition", "oracle", "bench"}
+    for args, absent in (
+            (["solve", "--algorithm", "uplink2", "--out", out, inst], not_solve),
+            (["solve", "--algorithm", "relgreedy", "--out", out, inst], not_solve),
+            (["gen", "fig3", "--m", "3", "--out", out], not_gen)):
+        loaded = run_fresh(
+            "import sys\n"
+            "from wtap.cli import main\n"
+            f"assert main({args!r}) == 0\n"
+            "assert 'numpy' not in sys.modules\n"
+            "print(*(m for m in sys.modules if m.startswith('wtap.')))\n").split()
+        assert "wtap.cli" in loaded and "wtap.io" in loaded
+        assert not {m.removeprefix("wtap.") for m in loaded} & absent, (args, loaded)
 
 
 def test_generating_does_not_import_numpy(tmp_path):
@@ -381,10 +432,7 @@ def test_generating_does_not_import_numpy(tmp_path):
         "gen_fig2(4, 10)\n"
         "gen_fig3(3)\n"
         "sys.exit('numpy' in sys.modules)\n")
-    src = str(Path(wtap.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr.decode()
+    run_fresh(code)
     assert json.loads(out.read_text())["n"] == 9
 
 

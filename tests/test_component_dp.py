@@ -14,9 +14,11 @@ from wtap import Instance, Link, component_dp
 from wtap.baseline import UpPath
 from wtap._kernels import lex_less
 from wtap.component_dp import MINUS, PLUS, ComponentSearch, SearchLink
-from wtap.generators import fig2_link_groups, fig2_reference_cover
+from wtap.generators import fig2_link_groups
 from wtap.oracle import (KThinTable, OracleBudget, path_edge_mask,
                          vertical_edge_mask)
+
+from fig_helpers import fig2_reference_cover
 
 
 def _slack_at(inst, uplinks, k, rho):

@@ -8,8 +8,9 @@ import pytest
 import wtap
 from wtap import Instance, Link
 from wtap.baseline import UpPath
-from wtap.generators import fig3_solution_ids, fig3_uplinks
 from wtap.oracle import link_paths, vertical_edge_mask
+
+from fig_helpers import fig3_solution_ids, fig3_uplinks
 
 
 def _chain_instance():

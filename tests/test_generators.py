@@ -7,10 +7,11 @@ import pytest
 import wtap
 from wtap import generators
 from wtap import io as wio
-from wtap.generators import (_stream, fig2_link_groups, fig2_reference_cover,
-                             fig3_solution_ids, fig3_uplinks)
+from wtap.generators import _stream, fig2_link_groups
 from wtap.model import link_vertices
 from wtap.oracle import full_edge_mask, link_paths, vertical_edge_mask
+
+from fig_helpers import fig2_reference_cover, fig3_solution_ids, fig3_uplinks
 
 GOLDEN_SEED42 = (
     '{"edges":[[0,1],[0,2],[2,3],[2,4],[4,5],[1,6],[6,7]],'

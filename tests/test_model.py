@@ -91,7 +91,7 @@ def test_is_k_thin_examples():
     assert not wtap.is_k_thin(inst, opt, 1)
     m = 3
     hub = wtap.gen_fig3(m)
-    from wtap.generators import fig3_solution_ids
+    from fig_helpers import fig3_solution_ids
     sol = fig3_solution_ids(hub)
     assert not wtap.is_k_thin(hub, sol, m)
     assert wtap.is_k_thin(hub, sol, m + 1)

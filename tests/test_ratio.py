@@ -7,9 +7,11 @@ import pytest
 
 import wtap
 from wtap.component_dp import ComponentSearch
-from wtap.generators import fig2_link_groups, fig2_reference_cover
+from wtap.generators import fig2_link_groups
 from wtap.oracle import OracleBudget, path_edge_mask, vertical_edge_mask
 from wtap.ratio import EmptyUError
+
+from fig_helpers import fig2_reference_cover
 
 
 def _search(inst, uplinks, k):
