@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from weakref import WeakKeyDictionary
 
 from . import _kernels
 from ._kernels import INF
@@ -49,12 +50,30 @@ def uplink_from_link(instance: Instance, link_id: int) -> UpPath:
     return UpPath(top=top, bottom=bottom, weight=lk.weight, link_id=link_id)
 
 
+# instance -> its cover, held only while the instance lives
+_covers: WeakKeyDictionary[Instance, UpLinkSolution] = WeakKeyDictionary()
+
+
 def cheapest_disjoint_uplink_cover(instance: Instance) -> UpLinkSolution:
     """Minimum-weight cover of all tree edges by disjoint vertical paths.
 
     Every returned path carries the cheapest original link realizing it.
     Raises InfeasibleError when some edge is on no link path.
+
+    The cover is computed once per instance, as ``Instance.index`` is: a
+    later call on the same instance returns the same object, so the
+    2-approximation and the relative greedy that starts from it share one.
+    It is held only while its instance lives.  An error is not kept; the
+    next call computes again.
     """
+    solution = _covers.get(instance)
+    if solution is None:
+        solution = _covers[instance] = _cover(instance)
+    return solution
+
+
+def _cover(instance: Instance) -> UpLinkSolution:
+    """The cover itself, computed from the instance's tables."""
     n = instance.n
     if n == 1:
         return UpLinkSolution(paths=(), weight=0)

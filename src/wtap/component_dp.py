@@ -24,11 +24,12 @@ listing loop is the one place that says what a state reads, and it lists
 each requested state's candidates once.  What the states of one vertex
 share (its apex links, the up-links hanging from it, the child toward each
 boundary end, each term) is resolved once per vertex.  Each state lists the
-Z its free budget k - |ends| allows in one walk that starts from its own
-boundary and adds one apex link per step.  A term (one child entry a
-candidate reads) is stored once per vertex, and a candidate holds the ids of
-its terms, so a probe values each of a vertex's distinct terms once and a
-candidate only adds up the values of its terms.
+empty Z first, with its own boundary, and then the nonempty Z its free
+budget k - |ends| allows in one walk that starts from that boundary and
+adds one apex link per step.  A term (one child entry a candidate reads) is
+stored once per vertex, and a candidate holds the ids of its terms, so a
+probe values each of a vertex's distinct terms once and a candidate only
+adds up the values of its terms.
 
 States leave the plan one way, in the compile and in drops alike: each
 state counts its readers, ``_Plan.cut`` kills at one vertex the candidates
@@ -112,17 +113,14 @@ def _zwalk(apex: Sequence[tuple[int, int, tuple]], i: int, left: int, w: int,
            ) -> Iterator[tuple[int, int, dict[int, tuple[int, ...]]]]:
     """Yield each Z made of the links so far (weight w, mask m) and ``left``
     more of the apex links ``apex[i:]``, each ``(bit, weight, legs)``, in
-    ``combinations`` order, as ``(w(Z), Z mask, ends)``.
+    ``combinations`` order, as ``(w(Z), Z mask, ends)``; ``left`` is at
+    least 1 (the compile lists the empty Z itself).
 
     ``ends`` maps each child to the sorted endpoints below it of the links
     so far, a state's boundary links at the start.  Each step copies it and
     adds one link's legs, so a child first reached by a later link comes
-    later, and no map is changed once made.  With ``left`` 0 it yields
-    ``(w, m, ends)`` alone.
+    later, and no map is changed once made.
     """
-    if not left:
-        yield w, m, ends
-        return
     for j in range(i, len(apex) - left + 1):
         bit, weight, legs = apex[j]
         step = dict(ends)
@@ -453,6 +451,8 @@ class ComponentSearch:
         self.instance = instance
         self.k = k
         self.idx = instance.index
+        self.links = [SearchLink(lk.u, lk.v, lk.weight, pos)
+                      for pos, lk in enumerate(instance.links)]
         self._index_uplinks(uplinks)
         self._alphabet = list(self.links)
         m = len(instance.links)
@@ -461,13 +461,15 @@ class ComponentSearch:
         self._last: _Sweep | None = None
 
     def _index_uplinks(self, uplinks: Sequence[UpPath]) -> None:
-        """Store U, the alphabet ``links`` over it, and ``crossing``: for
-        each vertex v, the index of the up-link whose path runs through the
-        edge above v, or -1."""
+        """Store U, rebuild the up-link tail of the alphabet ``links`` (its
+        instance links are kept), and store ``crossing``: for each vertex v,
+        the index of the up-link whose path runs through the edge above v,
+        or -1."""
         self.uplinks = list(uplinks)
-        ends = [(lk.u, lk.v, lk.weight) for lk in self.instance.links]
-        ends += [(up.top, up.bottom, up.weight) for up in self.uplinks]
-        self.links = [SearchLink(a, b, w, pos) for pos, (a, b, w) in enumerate(ends)]
+        m = len(self.instance.links)
+        self.links = self.links[:m] + [
+            SearchLink(up.top, up.bottom, up.weight, m + i)
+            for i, up in enumerate(self.uplinks)]
         idx = self.idx
         parent = idx.parent
         self.crossing = crossing = [-1] * self.instance.n
@@ -528,16 +530,17 @@ class ComponentSearch:
         included, as ``ComponentSearch(instance, U', k)`` would, with the
         same states in the same order and the same candidates.
 
-        Only ``links``, ``_alphabet`` and ``crossing`` are rebuilt.  The
-        plan is cut in place, as the compile cuts it: for each removed
-        up-link, the PLUS states at the vertices of its path below its top
-        die first; then ``_Plan.cut`` at the top sets the PLUS alternatives
-        into them to -1 and kills the candidates whose Z holds the removed
-        up-link's own bit.  A candidate's death takes its reads off the
-        counts, and a state left with no reader dies with its candidates,
-        so the live states are again exactly those the root reaches.  A
-        state of a surviving up-link keeps a candidate, Z minus the removed
-        links.
+        Only the up-link tail of ``links`` (the instance links'
+        ``SearchLink`` objects are kept), ``_alphabet`` and ``crossing`` are
+        rebuilt.  The plan is cut in place, as the compile cuts it: for each
+        removed up-link, the PLUS states at the vertices of its path below
+        its top die first; then ``_Plan.cut`` at the top sets the PLUS
+        alternatives into them to -1 and kills the candidates whose Z holds
+        the removed up-link's own bit.  A candidate's death takes its reads
+        off the counts, and a state left with no reader dies with its
+        candidates, so the live states are again exactly those the root
+        reaches.  A state of a surviving up-link keeps a candidate, Z minus
+        the removed links.
 
         Counting PLUS alternatives keeps the counts exact, though leaving
         them out would kill the same states: a PLUS state (c, ends, +) is
@@ -615,12 +618,13 @@ class ComponentSearch:
            What v's states share is set up once per vertex: its apex
            links, the children an up-link hangs from v into, cstar, the
            child toward each boundary end as it is asked, and the term ids.
-           Each state walks its Z (``_zwalk``) from its own boundary map,
-           the sorted ends below each child of its boundary links: sizes 0
-           to min(k - |ends|, |apex|), each in ``combinations`` order, and
-           each step copies its parent's map and adds one link's legs.  So
-           a state with no free budget, or at a vertex with no apex link,
-           lists Z = {} alone, and a child first reached by an earlier link
+           Each state lists the empty Z first, with its own boundary map,
+           the sorted ends below each child of its boundary links, and then
+           walks (``_zwalk``) the sizes 1 to min(k - |ends|, |apex|) from
+           that map, each in ``combinations`` order; each step copies its
+           parent's map and adds one link's legs.  So a state with no free
+           budget, or at a vertex with no apex link, lists Z = {} alone and
+           starts no walk, and a child first reached by an earlier link
            comes earlier in the map, which orders the state's terms.  The
            states of one vertex that list the same Z hold one int for its
            mask.
@@ -696,33 +700,36 @@ class ComponentSearch:
                             c = side[e] = toward(v, e)
                         ybase[c] = ybase.get(c, ()) + (e,)
                 most = min(k - len(ends), len(apex))
-                for size in range(most + 1):
-                    for zweight, zmask, ydict in _zwalk(apex, 0, size, 0, 0, ybase):
-                        # cstar must get a link, or its up-link stays uncovered
-                        if want >= 0 and want not in ydict:
-                            continue
-                        ids = []
-                        for child, ce in ydict.items():
-                            key = (child, ce, child == want)
-                            i = tid.get(key)
-                            if i is None:  # v's next distinct term
-                                got, uw = asked[child], hang.get(child)
-                                if uw is None:
-                                    ch = got[ce, PLUS if child == want else MINUS]
-                                    pl, uw = -1, 0
-                                else:
-                                    ch, pl = got[ce, MINUS], got[ce, PLUS]
-                                vterms.append((zero[child], ch, pl, uw))
-                                i = tid[key] = len(vterms) - 1
-                            ids.append(i)
-                        cand_w.append(zweight)
-                        if len(cand_w) > budget:
-                            raise PlanTooLargeError(
-                                f"component-DP plan lists more than the budget "
-                                f"of {budget} candidates")
-                        cand_z.append(zmask if share is None
-                                      else share.setdefault(zmask, zmask))
-                        cand_ids.append(tuple(ids))
+                walk = ((0, 0, ybase),)  # the empty Z
+                if most:
+                    walk = chain(walk, *[_zwalk(apex, 0, size, 0, 0, ybase)
+                                         for size in range(1, most + 1)])
+                for zweight, zmask, ydict in walk:
+                    # cstar must get a link, or its up-link stays uncovered
+                    if want >= 0 and want not in ydict:
+                        continue
+                    ids = []
+                    for child, ce in ydict.items():
+                        key = (child, ce, child == want)
+                        i = tid.get(key)
+                        if i is None:  # v's next distinct term
+                            got, uw = asked[child], hang.get(child)
+                            if uw is None:
+                                ch = got[ce, PLUS if child == want else MINUS]
+                                pl, uw = -1, 0
+                            else:
+                                ch, pl = got[ce, MINUS], got[ce, PLUS]
+                            vterms.append((zero[child], ch, pl, uw))
+                            i = tid[key] = len(vterms) - 1
+                        ids.append(i)
+                    cand_w.append(zweight)
+                    if len(cand_w) > budget:
+                        raise PlanTooLargeError(
+                            f"component-DP plan lists more than the budget "
+                            f"of {budget} candidates")
+                    cand_z.append(zmask if share is None
+                                  else share.setdefault(zmask, zmask))
+                    cand_ids.append(tuple(ids))
                 cand_lo.append(len(cand_w))
             asked[v] = None  # only v's parent requests v's states
 

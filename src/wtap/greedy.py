@@ -16,6 +16,10 @@ Each iteration only removes up-links, so the alphabet only shrinks.  One
 ``ComponentSearch`` is compiled per solve from the instance, U and k;
 after each iteration ``drop_uplinks`` cuts the dropped up-links out of it
 in place, and every later ratio search reuses it.
+
+The starting cover is ``cheapest_disjoint_uplink_cover``'s, which is
+computed once per instance: ``two_approx_only`` and ``solve`` on the same
+instance share it.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 """Disjoint vertical-path cover: examples, oracle agreement, invariants."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
 import wtap
-from wtap import Instance, Link, _kernels, model
+from wtap import Instance, Link, _kernels, baseline, model
 from wtap._kernels import INF
 from wtap.generators import fig2_link_groups
 from wtap.oracle import full_edge_mask, vertical_edge_mask
@@ -208,11 +210,39 @@ def test_long_path_table_holds_only_feasible_slots():
 
 def test_table_size_budget(monkeypatch):
     # the slot count is known before anything is allocated; past the
-    # budget the table build raises instead of allocating
+    # budget the table build raises instead of allocating.  The second call
+    # is on a fresh instance: the first one's cover is kept with it.
     inst = wtap.gen_fig2(4, 10)
     slots = wtap.vertical_cost_table(inst).anc_off[-1]
     monkeypatch.setattr(model, "TABLE_SLOT_BUDGET", slots)
     assert wtap.cheapest_disjoint_uplink_cover(inst).weight == 88
     monkeypatch.setattr(model, "TABLE_SLOT_BUDGET", slots - 1)
     with pytest.raises(wtap.TableTooLargeError, match=f"needs {slots} slots"):
+        wtap.cheapest_disjoint_uplink_cover(wtap.gen_fig2(4, 10))
+
+
+def test_cover_is_kept_with_its_instance():
+    # a second call on the same instance returns the first call's cover,
+    # and the cover goes when its instance goes
+    gc.collect()
+    held = len(baseline._covers)
+    inst = wtap.gen_random(n=12, link_count=12, weight_max=9, seed=7300)
+    cover = wtap.cheapest_disjoint_uplink_cover(inst)
+    assert wtap.cheapest_disjoint_uplink_cover(inst) is cover
+    assert len(baseline._covers) == held + 1
+    dead = weakref.ref(inst)
+    del inst
+    gc.collect()
+    assert dead() is None
+    assert len(baseline._covers) == held
+
+
+def test_cover_errors_are_not_kept(monkeypatch):
+    # a call that raises keeps nothing: the next call on the same instance
+    # computes again
+    inst = wtap.gen_fig2(4, 10)
+    monkeypatch.setattr(model, "TABLE_SLOT_BUDGET", 1)
+    with pytest.raises(wtap.TableTooLargeError):
         wtap.cheapest_disjoint_uplink_cover(inst)
+    monkeypatch.undo()
+    assert wtap.cheapest_disjoint_uplink_cover(inst).weight == 88

@@ -515,6 +515,19 @@ def test_solve_eps_two_gives_k_one(tmp_path, capsys):
     assert doc["k"] == 1 and doc["weight"] == 88
 
 
+def test_bench_builds_one_cover_per_instance(table_builds):
+    # an uplink2 row and relgreedy rows of one instance share its cover
+    report = bench({
+        "instances": [{"kind": "random_batch", "count": 4, "n_min": 6,
+                       "n_max": 9, "seed": 31},
+                      {"kind": "fig2", "d": 4, "M": 10}],
+        "algorithms": [{"name": "uplink2"}, {"name": "relgreedy", "eps": "1"},
+                       {"name": "relgreedy", "eps": "1/2"}],
+        "oracle": {"max_links": 0}})
+    assert [r["status"] for r in report["rows"]] == ["ok"] * 15
+    assert len(table_builds) == len(set(map(id, table_builds))) == 5
+
+
 def test_bench_unknown_algorithm_key_is_an_error_row():
     # a key the runner does not read (a stale k_override, say) would run
     # another k than the one asked for; the row says so instead

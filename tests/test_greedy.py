@@ -165,3 +165,23 @@ def test_one_compile_per_solve(monkeypatch):
         assert sol == ref_sol
         assert trace == ref_trace
     assert iterations > 100
+
+
+def test_two_approx_and_solve_share_one_cover(table_builds):
+    # the 2-approximation and the greedy that starts from it compute one
+    # cover per instance, and answer as on an instance solved afresh
+    iterations = 0
+    for seed in range(7800, 7808):
+        inst, fresh = (wtap.gen_random(n=14, link_count=14, weight_max=9, seed=seed)
+                       for _ in range(2))
+        table_builds.clear()
+        two = wtap.two_approx_only(inst)
+        sol, trace = wtap.solve(inst, 1)
+        assert table_builds == [inst]
+        assert wtap.solve(fresh, 1) == (sol, trace)  # probes, states, iterations
+        assert wtap.two_approx_only(fresh) == two
+        assert (wtap.cheapest_disjoint_uplink_cover(fresh)
+                == wtap.cheapest_disjoint_uplink_cover(inst))
+        assert trace.initial_u_weight == two.weight
+        iterations += len(trace.iterations)
+    assert iterations > 0
