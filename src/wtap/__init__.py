@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 # the public names, by the submodule that defines them
 _EXPORTS = {
     "baseline": ("InfeasibleError", "UpLinkSolution", "UpPath",
-                 "cheapest_disjoint_uplink_cover", "uplink_from_link"),
+                 "cheapest_disjoint_uplink_cover"),
     "component_dp": ("ComponentSearch", "PlanTooLargeError", "SearchLink"),
     "decomposition": ("CoverWitness", "Decomposition", "DependencyGraph",
                       "NotABranchingError", "build_dependency_graph",
@@ -29,10 +29,10 @@ _EXPORTS = {
     "greedy": ("GreedyTrace", "InvalidEpsilonError", "Solution", "epsilon_to_k",
                "solve", "two_approx_only"),
     "io": ("dump", "dumps", "load", "loads"),
-    "model": ("BudgetExceededError", "Instance", "Link", "RootedTreeIndex",
-              "TableTooLargeError", "ValidationIssue", "VerticalCostTable",
-              "WeightOverflowError", "apex", "is_k_thin", "validate",
-              "vertical_cost_table"),
+    "model": ("BudgetError", "BudgetExceededError", "Instance", "Link",
+              "RootedTreeIndex", "TableTooLargeError", "ValidationIssue",
+              "VerticalCostTable", "WeightOverflowError", "apex", "is_k_thin",
+              "validate", "vertical_cost_table"),
     "oracle": ("KThinTable", "OracleBudget", "brute_best_kthin",
                "brute_uplink_cover", "exact_opt"),
     "ratio": ("EmptyUError", "RatioResult", "best_ratio_component", "decide"),

@@ -14,7 +14,7 @@ from weakref import WeakKeyDictionary
 
 from . import _kernels
 from ._kernels import INF
-from .model import Instance, apex, vertical_cost_table
+from .model import Instance, path_owner, vertical_cost_table
 
 
 class InfeasibleError(ValueError):
@@ -38,16 +38,6 @@ class UpPath:
 class UpLinkSolution:
     paths: tuple[UpPath, ...]
     weight: int
-
-
-def uplink_from_link(instance: Instance, link_id: int) -> UpPath:
-    """View an up-link of the instance as a vertical path record."""
-    lk = instance.link(link_id)
-    apx = apex(instance, lk)
-    if apx not in (lk.u, lk.v):
-        raise ValueError(f"link {link_id} is not an up-link")
-    top, bottom = (lk.u, lk.v) if apx == lk.u else (lk.v, lk.u)
-    return UpPath(top=top, bottom=bottom, weight=lk.weight, link_id=link_id)
 
 
 # instance -> its cover, held only while the instance lives
@@ -120,18 +110,10 @@ def _cover(instance: Instance) -> UpLinkSolution:
 
 def _assert_partition(instance: Instance, solution: UpLinkSolution) -> None:
     """Raise unless the paths' edges partition the tree edges."""
-    idx = instance.index
-    parent = idx.parent
-    seen = bytearray(instance.n)
-    for p in solution.paths:
-        if p.top == p.bottom or not idx.is_ancestor(p.top, p.bottom):
-            raise AssertionError(f"path {p.top}..{p.bottom} is not vertical")
-        v = p.bottom
-        while v != p.top:
-            if seen[v]:
-                raise AssertionError("vertical paths overlap")
-            seen[v] = 1
-            v = parent[v]
-    # Only the root, which no edge is named after, may stay unseen.
-    if seen.count(0) != 1:
+    try:
+        owner = path_owner(instance, solution.paths)
+    except ValueError as exc:
+        raise AssertionError(str(exc)) from exc
+    # Only the root, which no edge is named after, may have no owner.
+    if owner.count(-1) != 1:
         raise AssertionError("vertical paths do not cover all edges")

@@ -1,9 +1,10 @@
 """Command line interface.
 
 Subcommands: gen, solve, exact, ratio, component, decompose, bench.
-Exit codes: 0 success, 2 validation error (an unreadable input or an
-unwritable ``--out`` included), 3 enumeration budget, table size budget or
-component-DP plan size budget (``PlanTooLargeError``) exceeded.
+Exit codes: 0 success, 2 validation error (an unreadable input, an
+unwritable ``--out`` or a ``WeightOverflowError`` included), 3 a size budget
+exceeded (``model.BudgetError``: the oracle's enumeration, the tree tables
+or the component-DP plan).
 
 Each command imports only the modules it runs, when it runs: ``solve``
 loads no decomposition, oracle, bench or generator code, and ``gen`` no
@@ -20,8 +21,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import io as wio
-from .model import (BudgetExceededError, Instance, TableTooLargeError,
-                    WeightOverflowError, uncovered_edges, validate)
+from .model import (BudgetError, Instance, WeightOverflowError,
+                    uncovered_edges, validate)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -343,23 +344,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _COMMANDS[args.command](args)
     except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (RuntimeError, WeightOverflowError) as exc:
-        # the three budget errors are RuntimeErrors; PlanTooLargeError is
-        # imported only here, so that a command which never runs the
-        # component DP does not load it
-        from .component_dp import PlanTooLargeError
-        if isinstance(exc, (BudgetExceededError, TableTooLargeError,
-                            PlanTooLargeError)):
-            code = EXIT_BUDGET
-        elif isinstance(exc, WeightOverflowError):
-            code = EXIT_VALIDATION
-        else:
-            raise
-        print(f"error: {exc}", file=sys.stderr)
-        return code
-    return EXIT_OK
+        error, code = exc, exc.code
+    except BudgetError as exc:
+        error, code = exc, EXIT_BUDGET
+    except WeightOverflowError as exc:
+        error, code = exc, EXIT_VALIDATION
+    else:
+        return EXIT_OK
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -67,7 +67,7 @@ from typing import Iterable, Iterator, Sequence
 
 from ._kernels import lex_less
 from .baseline import UpPath
-from .model import Instance, mask_bits, uncovered_edges
+from .model import BudgetError, Instance, dropped_paths, mask_bits, path_owner
 
 MINUS = 0
 PLUS = 1
@@ -79,7 +79,7 @@ _EMPTY_KEY = ((), MINUS)  # state key of (v, {}, -)
 PLAN_CANDIDATE_BUDGET = 1 << 20
 
 
-class PlanTooLargeError(RuntimeError):
+class PlanTooLargeError(BudgetError):
     """The component-DP plan would list over ``PLAN_CANDIDATE_BUDGET`` candidates."""
 
 
@@ -462,26 +462,16 @@ class ComponentSearch:
 
     def _index_uplinks(self, uplinks: Sequence[UpPath]) -> None:
         """Store U, rebuild the up-link tail of the alphabet ``links`` (its
-        instance links are kept), and store ``crossing``: for each vertex v,
-        the index of the up-link whose path runs through the edge above v,
-        or -1."""
+        instance links are kept), and store ``crossing``, U's
+        ``model.path_owner``: for each vertex v, the index of the up-link
+        whose path runs through the edge above v, or -1.  Raises ValueError
+        unless U is disjoint vertical paths."""
         self.uplinks = list(uplinks)
         m = len(self.instance.links)
         self.links = self.links[:m] + [
             SearchLink(up.top, up.bottom, up.weight, m + i)
             for i, up in enumerate(self.uplinks)]
-        idx = self.idx
-        parent = idx.parent
-        self.crossing = crossing = [-1] * self.instance.n
-        for ui, up in enumerate(self.uplinks):
-            v = up.bottom
-            if v == up.top or not idx.is_ancestor(up.top, v):
-                raise ValueError(f"{up.top} is not a strict ancestor of {v}")
-            while v != up.top:
-                if crossing[v] != -1:
-                    raise ValueError("up-link paths are not pairwise disjoint")
-                crossing[v] = ui
-                v = parent[v]
+        self.crossing = path_owner(self.instance, self.uplinks)
 
     @property
     def states(self) -> int:
@@ -494,19 +484,16 @@ class ComponentSearch:
         """Best k-thin component at rho = p/q; empty set is always admissible.
 
         Drop and weight are recomputed from the chosen set and checked
-        against the table's slack.  An up-link drops unless an edge the set
-        leaves uncovered crosses it."""
+        against the table's slack; the drop is ``model.dropped_paths``, the
+        up-links on which the set leaves no edge uncovered."""
         if q <= 0 or p < 0:
             raise ValueError("rho must be a nonnegative rational")
         self._last = sweep = _Sweep(self._plan, p, q)
         num, mask = sweep.root()
         links = self._links(mask)
         weight = sum(sl.weight for sl in links)
-        kept = bytearray(len(self.uplinks))
-        for v in uncovered_edges(self.instance, ((sl.a, sl.b) for sl in links)):
-            if self.crossing[v] >= 0:
-                kept[self.crossing[v]] = 1
-        drops = tuple(i for i, hit in enumerate(kept) if not hit)
+        drops = dropped_paths(self.instance, self.crossing, len(self.uplinks),
+                              ((sl.a, sl.b) for sl in links))
         drop_weight = sum(self.uplinks[i].weight for i in drops)
         if p * drop_weight - q * weight != num:
             raise AssertionError("table slack disagrees with recomputation")

@@ -7,6 +7,9 @@ branching over F; labeling the chains by their distance from the component
 roots and deleting every k-th label class leaves connected components that
 are k-thin and still cover every surviving up-link.
 
+U must be disjoint vertical paths (``model.path_owner``), and a part covers
+an up-link by the solver's own drop rule, ``model.dropped_paths``.
+
 This module is not on the solve path; it makes the structural claims the
 solver's guarantee rests on executable and testable.
 """
@@ -20,8 +23,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .baseline import UpPath
-from .model import (Instance, is_k_thin, link_vertices, mask_bits,
-                    uncovered_edges)
+from .model import (Instance, dropped_paths, is_k_thin, link_vertices,
+                    mask_bits, path_owner)
 
 
 class NotABranchingError(AssertionError):
@@ -124,7 +127,9 @@ def compute_cover_witness(instance: Instance, f_ids: Sequence[int],
 
 def build_dependency_graph(instance: Instance, f_ids: Sequence[int],
                            uplinks: Sequence[UpPath]) -> DependencyGraph:
-    """Disjoint union of witness chains; checked to be a branching."""
+    """Disjoint union of witness chains; checked to be a branching.  Raises
+    ValueError unless U is disjoint vertical paths (``path_owner``)."""
+    path_owner(instance, uplinks)
     f_ids = sorted(set(f_ids))
     witnesses = tuple(compute_cover_witness(instance, f_ids, up)
                       for up in uplinks)
@@ -220,9 +225,9 @@ def decompose(instance: Instance, f_ids: Sequence[int],
 def check_decomposition(instance: Instance, f_ids: Sequence[int],
                         uplinks: Sequence[UpPath], eps: Fraction,
                         dec: Decomposition) -> list[str]:
-    """Exact checks of every decomposition property; empty list when ok."""
+    """Exact checks of every decomposition property; empty list when ok.
+    A part drops the up-links it covers whole, as a component does."""
     issues = []
-    idx = instance.index
     w_u = sum(p.weight for p in uplinks)
     w_r = sum(uplinks[ui].weight for ui in dec.removed)
     if w_r * eps.denominator > eps.numerator * w_u:
@@ -230,21 +235,14 @@ def check_decomposition(instance: Instance, f_ids: Sequence[int],
     for part in dec.parts:
         if not is_k_thin(instance, part, dec.k):
             issues.append(f"part {part} is not {dec.k}-thin")
-    # A part drops an up-link unless an edge it leaves uncovered lies on
-    # it: marks[v] counts those edges on the root..v path.
+    owner = path_owner(instance, uplinks)
     covered = bytearray(len(uplinks))
     drop_total = 0
     for part in dec.parts:
-        marks = [0] * instance.n
-        for v in uncovered_edges(instance, (instance.link(lid).endpoints()
-                                            for lid in part)):
-            marks[v] = 1
-        for v in idx.bfs_order[1:]:
-            marks[v] += marks[idx.parent[v]]
-        for ui, up in enumerate(uplinks):
-            if marks[up.bottom] == marks[up.top]:
-                covered[ui] = 1
-                drop_total += up.weight
+        for ui in dropped_paths(instance, owner, len(uplinks),
+                                (instance.link(lid).endpoints() for lid in part)):
+            covered[ui] = 1
+            drop_total += uplinks[ui].weight
     removed_set = set(dec.removed)
     for ui in range(len(uplinks)):
         if ui not in removed_set and not covered[ui]:

@@ -278,17 +278,6 @@ def gen_fig2(d: int, M: int) -> Instance:
     return Instance(n=n, root=root, edges=edges, links=links)
 
 
-def fig2_link_groups(instance: Instance) -> dict[str, list[int]]:
-    """Link ids of gen_fig2 output by role: long / vertical / pendant / leafpair."""
-    d = (instance.n - 1) // 3
-    return {
-        "long": [0],
-        "vertical": list(range(1, d + 1)),
-        "pendant": list(range(d + 1, 2 * d + 1)),
-        "leafpair": list(range(2 * d + 1, 3 * d + 1)),
-    }
-
-
 def gen_fig3(m: int) -> Instance:
     """Hub family: spine to a hub vertex with m+1 leaves.
 

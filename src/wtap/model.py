@@ -7,8 +7,11 @@ by their child vertex (the endpoint farther from the root).
 Whether a set of links covers the tree is checked in O(n + m) by
 ``uncovered_edges``, with no per-link edge sets; the solve path and the
 decomposition lab check coverage this way or on the index's depths and
-Euler intervals.  This module holds what the solvers and the lab use; the
-Θ(n)-bit edge sets that the oracles build live in ``wtap.oracle``.
+Euler intervals.  A disjoint vertical-path cover U is an owner map from
+each edge to its path (``path_owner``); ``dropped_paths`` reads off the
+paths a link set covers whole, for the component search and the lab alike.
+This module holds what the solvers and the lab use; the Θ(n)-bit edge sets
+that the oracles build live in ``wtap.oracle``.
 
 Weights are positive integers; rational inputs are scaled at parse time
 (see ``wtap.io``), so all arithmetic here is exact.
@@ -29,11 +32,15 @@ class WeightOverflowError(ValueError):
     """Weights too large for the int64 kernel arithmetic."""
 
 
-class BudgetExceededError(RuntimeError):
+class BudgetError(RuntimeError):
+    """A size budget would be exceeded; the command line exits 3."""
+
+
+class BudgetExceededError(BudgetError):
     """An exact oracle's enumeration would exceed its ``OracleBudget``."""
 
 
-class TableTooLargeError(RuntimeError):
+class TableTooLargeError(BudgetError):
     """The tree tables of ``uplink2`` would exceed ``TABLE_SLOT_BUDGET``."""
 
 
@@ -282,6 +289,40 @@ def uncovered_edges(instance: Instance, pairs: Iterable[tuple[int, int]]) -> lis
     root = instance.root
     return [v for v in range(instance.n)
             if lo[v] == tin[v] and hi[v] == tout[v] and v != root]
+
+
+def path_owner(instance: Instance, paths: Iterable) -> list[int]:
+    """For each vertex v, the index of the vertical path (``top`` down to
+    ``bottom``) whose edges include (parent(v), v), or -1.  Raises ValueError
+    unless each top is a strict ancestor of its bottom and no two paths
+    share an edge."""
+    idx = instance.index
+    parent = idx.parent
+    owner = [-1] * instance.n
+    for i, path in enumerate(paths):
+        top, v = path.top, path.bottom
+        if v == top or not idx.is_ancestor(top, v):
+            raise ValueError(f"path {top}..{v} is not vertical: {top} is not "
+                             f"a strict ancestor of {v}")
+        while v != top:
+            if owner[v] != -1:
+                raise ValueError(f"paths {owner[v]} and {i} overlap on the "
+                                 f"edge above {v}")
+            owner[v] = i
+            v = parent[v]
+    return owner
+
+
+def dropped_paths(instance: Instance, owner: Sequence[int], count: int,
+                  pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The paths, ascending, with no edge in ``uncovered_edges(pairs)``: the
+    drop d(C) in the ratio w(C)/d(C).  ``owner`` is the ``path_owner`` of
+    ``count`` paths."""
+    kept = bytearray(count)
+    for v in uncovered_edges(instance, pairs):
+        if owner[v] >= 0:
+            kept[owner[v]] = 1
+    return tuple(i for i, hit in enumerate(kept) if not hit)
 
 
 def apex(instance: Instance, link: Link | int) -> int:

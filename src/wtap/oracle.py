@@ -60,13 +60,17 @@ def link_paths(instance: Instance) -> list[int]:
     return [path_edge_mask(idx, lk.u, lk.v) for lk in instance.links]
 
 
+# An enumeration takes at most this many links (2^22 subsets), whatever
+# its budget's ``max_links`` allows.
+MAX_ENUMERATED_LINKS = 22
+
+
 @dataclass(frozen=True)
 class OracleBudget:
     max_links: int = 20
-    max_subsets: int = 1 << 22
 
     def check_links(self, count: int, what: str) -> None:
-        if count > self.max_links or (1 << count) > self.max_subsets:
+        if count > min(self.max_links, MAX_ENUMERATED_LINKS):
             raise BudgetExceededError(
                 f"{what}: {count} links exceed the enumeration budget")
 
@@ -160,7 +164,6 @@ class KThinTable:
         self.masks = rows_mask
         self.weights = rows_w
         self.drops = rows_drop
-        self.search_links = list(search_links)
 
     def max_slack(self, p: int, q: int) -> tuple[Fraction, int]:
         """Exhaustive max of p*w(drop) - q*w(C); returns (slack, best mask)."""

@@ -1,8 +1,28 @@
 """Reference covers and solutions of the structured generator families."""
 
-from wtap.baseline import UpPath, uplink_from_link
-from wtap.generators import fig2_link_groups
-from wtap.model import Instance
+from wtap.baseline import UpPath
+from wtap.model import Instance, apex
+
+
+def uplink_from_link(instance: Instance, link_id: int) -> UpPath:
+    """View an up-link of the instance as a vertical path record."""
+    lk = instance.link(link_id)
+    apx = apex(instance, lk)
+    if apx not in (lk.u, lk.v):
+        raise ValueError(f"link {link_id} is not an up-link")
+    top, bottom = (lk.u, lk.v) if apx == lk.u else (lk.v, lk.u)
+    return UpPath(top=top, bottom=bottom, weight=lk.weight, link_id=link_id)
+
+
+def fig2_link_groups(instance: Instance) -> dict[str, list[int]]:
+    """Link ids of gen_fig2 output by role: long / vertical / pendant / leafpair."""
+    d = (instance.n - 1) // 3
+    return {
+        "long": [0],
+        "vertical": list(range(1, d + 1)),
+        "pendant": list(range(d + 1, 2 * d + 1)),
+        "leafpair": list(range(2 * d + 1, 3 * d + 1)),
+    }
 
 
 def fig2_reference_cover(instance: Instance) -> list[UpPath]:

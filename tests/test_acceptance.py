@@ -87,7 +87,7 @@ def test_criterion_3_component_dp_reproduction():
     t0 = time.perf_counter()
     accepted = 0
     probe_checks = 0
-    oracle_budget = OracleBudget(max_links=12, max_subsets=1 << 13)
+    oracle_budget = OracleBudget(max_links=12)
     try:
         seed = 0
         while accepted < 200:

@@ -9,10 +9,9 @@ import pytest
 import wtap
 from wtap import Instance, Link, _kernels, baseline, model
 from wtap._kernels import INF
-from wtap.generators import fig2_link_groups
 from wtap.oracle import full_edge_mask, vertical_edge_mask
 
-from fig_helpers import fig2_reference_cover
+from fig_helpers import fig2_link_groups, fig2_reference_cover
 
 
 def _baseline_dp_reference(order, children, depth, front, anc_off, cost):

@@ -97,18 +97,18 @@ def test_package_exports():
     # the search-alphabet helpers, which ``ComponentSearch.links`` replaced,
     # are gone
     assert set(wtap.__all__) == {
-        "BudgetExceededError", "ComponentSearch", "CoverWitness", "Decomposition",
-        "DependencyGraph", "EmptyUError", "GreedyTrace", "InfeasibleError",
-        "Instance", "InvalidEpsilonError", "KThinTable", "Link",
-        "NotABranchingError", "OracleBudget", "PlanTooLargeError", "RatioResult",
-        "RootedTreeIndex", "SearchLink", "Solution", "TableTooLargeError",
-        "UpLinkSolution", "UpPath", "ValidationIssue", "VerticalCostTable",
-        "WeightOverflowError", "apex", "best_ratio_component", "brute_best_kthin",
-        "brute_uplink_cover", "build_dependency_graph",
-        "cheapest_disjoint_uplink_cover", "compute_cover_witness", "decide",
-        "decompose", "dump", "dumps", "epsilon_to_k", "exact_opt", "gen_fig2",
-        "gen_fig3", "gen_random", "is_k_thin", "load", "loads", "solve",
-        "two_approx_only", "uplink_from_link", "validate",
+        "BudgetError", "BudgetExceededError", "ComponentSearch", "CoverWitness",
+        "Decomposition", "DependencyGraph", "EmptyUError", "GreedyTrace",
+        "InfeasibleError", "Instance", "InvalidEpsilonError", "KThinTable",
+        "Link", "NotABranchingError", "OracleBudget", "PlanTooLargeError",
+        "RatioResult", "RootedTreeIndex", "SearchLink", "Solution",
+        "TableTooLargeError", "UpLinkSolution", "UpPath", "ValidationIssue",
+        "VerticalCostTable", "WeightOverflowError", "apex",
+        "best_ratio_component", "brute_best_kthin", "brute_uplink_cover",
+        "build_dependency_graph", "cheapest_disjoint_uplink_cover",
+        "compute_cover_witness", "decide", "decompose", "dump", "dumps",
+        "epsilon_to_k", "exact_opt", "gen_fig2", "gen_fig3", "gen_random",
+        "is_k_thin", "load", "loads", "solve", "two_approx_only", "validate",
         "verify_cover_structure", "vertical_cost_table"}
     assert len(wtap.__all__) == len(set(wtap.__all__))
     # each name is its defining submodule's object, not a copy
@@ -117,6 +117,9 @@ def test_package_exports():
         assert obj.__module__.startswith("wtap.")
         assert getattr(sys.modules[obj.__module__], name) is obj
     assert wtap.oracle.BudgetExceededError is wtap.model.BudgetExceededError
+    for budget in (wtap.BudgetExceededError, wtap.TableTooLargeError,
+                   wtap.PlanTooLargeError):
+        assert issubclass(budget, wtap.BudgetError)
     assert set(wtap.__all__) <= set(dir(wtap))
     assert {"greedy", "bench", "cli"} <= set(dir(wtap))
     with pytest.raises(AttributeError, match="no_such_name"):

@@ -13,7 +13,7 @@ from wtap.baseline import UpLinkSolution, UpPath, _assert_partition
 from wtap.cli import main
 from wtap.greedy import Solution
 from wtap.model import ValidationIssue, mask_bits, uncovered_edges
-from wtap.oracle import full_edge_mask, path_edge_mask
+from wtap.oracle import full_edge_mask, path_edge_mask, vertical_edge_mask
 
 # The edge bitmask builders, all in wtap.oracle, and the modules that
 # ``wtap solve``, ``ratio`` and ``component`` run.
@@ -162,6 +162,35 @@ def test_assert_partition_raises_on_overlap_gap_and_non_vertical():
     sideways = [UpPath(2, 3, 1, 1), UpPath(0, 2, 1, 0)]
     with pytest.raises(AssertionError, match="not vertical"):
         _assert_partition(inst, UpLinkSolution(paths=tuple(sideways), weight=2))
+
+
+def test_path_owner_and_dropped_paths_match_edge_masks():
+    # the owner map and the drop rule against the oracle's bitmasks: random
+    # sub-covers of cheapest_disjoint_uplink_cover (so some edges have no
+    # owner) and random link subsets
+    rng = random.Random(29)
+    seen = set()
+    for seed in range(80):
+        inst = wtap.gen_random(n=2 + seed % 25, link_count=3 + seed % 17,
+                               weight_max=9, seed=2_900 + seed)
+        idx = inst.index
+        cover = wtap.cheapest_disjoint_uplink_cover(inst).paths
+        paths = [p for p in cover if rng.random() < 0.8]
+        masks = [vertical_edge_mask(idx, p.top, p.bottom) for p in paths]
+        owner = model.path_owner(inst, paths)
+        assert owner == [next((i for i, m in enumerate(masks) if m >> v & 1), -1)
+                         for v in range(inst.n)]
+        for _ in range(6):
+            pairs = [lk.endpoints() for lk in inst.links if rng.random() < 0.4]
+            covered = 0
+            for a, b in pairs:
+                covered |= path_edge_mask(idx, a, b)
+            want = tuple(i for i, m in enumerate(masks) if m & ~covered == 0)
+            assert model.dropped_paths(inst, owner, len(paths), pairs) == want
+            if paths:
+                seen.add("none" if not want else
+                         "all" if len(want) == len(paths) else "some")
+    assert seen == {"none", "some", "all"}
 
 
 def test_covers_false_once_a_needed_link_is_removed():

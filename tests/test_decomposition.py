@@ -10,7 +10,7 @@ from wtap import Instance, Link
 from wtap.baseline import UpPath
 from wtap.oracle import link_paths, vertical_edge_mask
 
-from fig_helpers import fig3_solution_ids, fig3_uplinks
+from fig_helpers import fig3_solution_ids, fig3_uplinks, uplink_from_link
 
 
 def _chain_instance():
@@ -28,7 +28,7 @@ def _chain_instance():
 
 def test_witness_chain_order():
     inst = _chain_instance()
-    up = wtap.uplink_from_link(inst, 4)
+    up = uplink_from_link(inst, 4)
     wit = wtap.compute_cover_witness(inst, [0, 1, 2, 3], up)
     assert wit.links == (0, 1, 2, 3)
     assert wit.v_u == 0
@@ -49,7 +49,7 @@ def test_witness_single_link():
 
 def test_witness_requires_coverage():
     inst = _chain_instance()
-    up = wtap.uplink_from_link(inst, 4)
+    up = uplink_from_link(inst, 4)
     with pytest.raises(ValueError):
         wtap.compute_cover_witness(inst, [0, 1], up)
 
@@ -121,7 +121,7 @@ def test_verify_lemmas_on_families_and_random():
         assert rep["ok"], rep["failed"]
     inst = _chain_instance()
     graph = wtap.build_dependency_graph(inst, [0, 1, 2, 3],
-                                        [wtap.uplink_from_link(inst, 4)])
+                                        [uplink_from_link(inst, 4)])
     rep = wtap.verify_cover_structure(inst, graph)
     assert rep["ok"], rep["failed"]
     for seed in range(50):
@@ -248,6 +248,36 @@ def test_witness_rejects_non_vertical_uplink():
             wtap.decompose(instance, f_ids, [up], Fraction(1, 2))
         with pytest.raises(ValueError, match="not a strict ancestor"):
             wtap.build_dependency_graph(instance, f_ids, [up])
+
+
+def test_lab_refuses_overlapping_uplinks():
+    # both witnesses exist (0..8 by links 0-3, 2..4 by link 1), so only the
+    # up-front check of U refuses them
+    inst = _chain_instance()
+    overlapping = [UpPath(0, 8, 1, 4), UpPath(2, 4, 1, 1)]
+    with pytest.raises(ValueError, match="overlap"):
+        wtap.build_dependency_graph(inst, [0, 1, 2, 3], overlapping)
+    with pytest.raises(ValueError, match="overlap"):
+        wtap.decompose(inst, [0, 1, 2, 3], overlapping, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("chains, message", [
+    (((0, 2), (1, 2)), "link 2 has two incoming arcs"),
+    (((0, 1), (1, 0)), "cycle through link"),
+], ids=["two-in-arcs", "cycle"])
+def test_dependency_graph_must_be_a_branching(monkeypatch, chains, message):
+    # real witnesses always chain into a branching, so these are supplied
+    inst = _chain_instance()
+    uplinks = [UpPath(0, 4, 1, 4), UpPath(4, 8, 1, 4)]
+    links = dict(zip(uplinks, chains))
+
+    def witness(instance, f_ids, up):
+        return wtap.CoverWitness(uplink=up, v_u=up.top, links=links[up],
+                                 own_edges={})
+
+    monkeypatch.setattr(wtap.decomposition, "compute_cover_witness", witness)
+    with pytest.raises(wtap.NotABranchingError, match=message):
+        wtap.build_dependency_graph(inst, [0, 1, 2, 3], uplinks)
 
 
 def test_path_count_thinness_counts_chains_not_arcs():

@@ -83,7 +83,7 @@ def test_fig2_long_link_apex_is_root():
 
 def test_is_k_thin_examples():
     inst = wtap.gen_fig2(3, 5)
-    from wtap.generators import fig2_link_groups
+    from fig_helpers import fig2_link_groups
     groups = fig2_link_groups(inst)
     opt = groups["long"] + groups["leafpair"]
     assert wtap.is_k_thin(inst, [], 0)

@@ -7,11 +7,12 @@ import pytest
 import wtap
 from wtap import _kernels
 from wtap._kernels import lex_less
-from wtap.generators import fig2_link_groups
 from wtap.model import Instance, Link
 from wtap.component_dp import ComponentSearch
 from wtap.oracle import (BudgetExceededError, OracleBudget, full_edge_mask,
                          link_paths, vertical_edge_mask)
+
+from fig_helpers import fig2_link_groups, uplink_from_link
 
 
 def _min_cover_python(masks: list[int], weights: list[int], full: int) -> tuple[int, int]:
@@ -190,7 +191,7 @@ def test_brute_uplink_cover_examples(path3, star_ab):
 
 
 def test_brute_best_kthin_singleton(single_edge):
-    up = [wtap.uplink_from_link(single_edge, 0)]
+    up = [uplink_from_link(single_edge, 0)]
     search = ComponentSearch(single_edge, up, 1).links
     res = wtap.brute_best_kthin(single_edge, up, 1, search)
     assert res.rho == 1

@@ -7,11 +7,10 @@ import pytest
 
 import wtap
 from wtap.component_dp import ComponentSearch
-from wtap.generators import fig2_link_groups
 from wtap.oracle import OracleBudget, path_edge_mask, vertical_edge_mask
 from wtap.ratio import EmptyUError
 
-from fig_helpers import fig2_reference_cover
+from fig_helpers import fig2_link_groups, fig2_reference_cover, uplink_from_link
 
 
 def _search(inst, uplinks, k):
@@ -19,7 +18,7 @@ def _search(inst, uplinks, k):
 
 
 def test_single_edge_ratio_one(single_edge):
-    up = [wtap.uplink_from_link(single_edge, 0)]
+    up = [uplink_from_link(single_edge, 0)]
     res = wtap.best_ratio_component(_search(single_edge, up, 1))
     assert res.rho == 1
     assert res.weight == res.drop_weight == 5
