@@ -8,12 +8,12 @@ takes Σ_b (depth[b] - front[b]) slots, not Σ depth.  They live in
 ``array('q')`` (8 B per slot) and the kernels write them a row slice at a
 time; the links and the tree index they read as they are, with no copies.
 The minimum cover builds its subset tables with list comprehensions and
-one stable C-level sort per table, not a Python step per subset: subset
-sums by doubling, tie orders generated already in order, then a sort by
-weight alone.  Callers reach the kernels as ``_kernels.<name>(...)`` so
-that a tracer can patch them in place; the benchmark's tracer does so by
-these names, which is why the minimum cover is still called
-``min_cover_gray`` although it no longer walks a Gray code.
+one stable C-level sort, not a Python step per subset: subset sums by
+doubling, then a sort of the low table by weight alone.  Callers reach
+the kernels as ``_kernels.<name>(...)`` so that a tracer can patch them in
+place; the benchmark's tracer does so by these names, which is why the
+minimum cover is still called ``min_cover_gray`` although it no longer
+walks a Gray code.
 
 Table entries are int64; ``INF = 2**62`` is the "no entry" sentinel.
 Callers bound their weights so that finite sums stay below ``INF``
@@ -29,18 +29,6 @@ INF = 1 << 62
 
 # Links in the low table of ``min_cover_gray``: 2**LOW_LINKS partial covers.
 LOW_LINKS = 10
-
-
-def lex_less(m1: int, m2: int) -> bool:
-    """Compare bitmasks as sorted id tuples, lexicographically."""
-    if m1 == m2:
-        return False
-    d = m1 ^ m2
-    low = d & (-d)
-    hi = ~((low << 1) - 1)
-    if m1 & low:
-        return (m2 & hi) != 0
-    return (m1 & hi) == 0
 
 
 def fill_vertical_table(links, lapex, parent, depth, anc_off, cost, best):
@@ -126,26 +114,6 @@ def fill_baseline_dp(order, children, depth, front, anc_off, cost, h, bp):
         bp[off + fc:off + dc] = array('q', sel)
 
 
-def tie_orders(lo):
-    """The ``2**lo`` low subsets of ``min_cover_gray`` in its two tie orders.
-
-    ``alone`` lists the masks by their sorted id tuples, lexicographically,
-    the empty set first.  ``beside`` lists them as if each also held id
-    ``lo``, their order next to a nonempty high subset, whose ids are all
-    >= lo: there a proper prefix no longer comes first (which matters only
-    when zero weights let a set tie a prefix of itself), and the empty set
-    comes last.  Both grow from ``[0]`` one bit at a time, from bit
-    ``lo - 1`` down to 0, with no sort: the sets holding the new least id
-    go before those without it, after the empty set in ``alone``.
-    """
-    alone = beside = [0]
-    for b in range(lo - 1, -1, -1):
-        bit = 1 << b
-        alone = [0] + [bit | s for s in alone] + alone[1:]
-        beside = [bit | s for s in beside] + beside
-    return alone, beside
-
-
 def _partial_covers(pmask, w):
     """The edge set and weight of every subset s of the links, at index s.
 
@@ -165,17 +133,17 @@ def min_cover_gray(pmask, w, n_edges):
     ``pmask[j]`` is the edge bitmask covered by link j, ``w[j]`` its weight,
     both Python ints of any size.  Returns ``(best_weight, best_subset_mask)``;
     weight -1 when no subset covers all ``n_edges`` edges.  Ties pick the
-    ``lex_less``-smallest subset, that is the smallest sorted id tuple.
+    smallest subset mask.
 
     The first ``LOW_LINKS`` links form a table of every partial cover with
     its weight (``_partial_covers``); the remaining high links get the same
-    table, unsorted.  The low table is listed in each ``tie_orders`` order
-    and stably sorted by weight, so equal weights keep the tie order, with
-    no key tuple per subset.  Each subset of the high links scans
-    the low table for the first entry covering what it leaves missing; the
-    scan stops once the weight cannot match the best found so far.  The
-    result equals that of a Gray-code sweep over all 2**m subsets, the
-    method the name comes from.
+    table, unsorted.  The low table is stably sorted by weight, so equal
+    weights keep the order of their masks.  Each subset of the high links,
+    in mask order, scans the low table for the first entry covering what it
+    leaves missing; the scan stops once the weight cannot beat the best
+    found so far, so the first cover of a weight found is the smallest
+    mask of that weight.  The result equals that of a Gray-code sweep over
+    all 2**m subsets, the method the name comes from.
     """
     m = len(pmask)
     full = 0
@@ -186,9 +154,8 @@ def min_cover_gray(pmask, w, n_edges):
     lo = min(m, LOW_LINKS)
     cov, wt = _partial_covers(pmask[:lo], w[:lo])
     hcov, hw = _partial_covers(pmask[lo:], w[lo:])
-    key = wt.__getitem__
-    tables = [[(wt[s], cov[s], s) for s in sorted(order, key=key)]
-              for order in tie_orders(lo)]
+    table = [(wt[s], cov[s], s)
+             for s in sorted(range(len(wt)), key=wt.__getitem__)]
     reach = cov[-1]
     bestw = -1
     bestmask = 0
@@ -196,14 +163,12 @@ def min_cover_gray(pmask, w, n_edges):
         missing = full & ~hc
         if missing & ~reach:
             continue
-        for ws, cs, s in tables[hs != 0]:
+        for ws, cs, s in table:
             total = wh + ws
-            if bestw >= 0 and total > bestw:
+            if 0 <= bestw <= total:
                 break
             if cs & missing == missing:
-                mask = (hs << lo) | s
-                if bestw < 0 or total < bestw or lex_less(mask, bestmask):
-                    bestw = total
-                    bestmask = mask
+                bestw = total
+                bestmask = (hs << lo) | s
                 break
     return bestw, bestmask

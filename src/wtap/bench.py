@@ -163,7 +163,8 @@ def bench(config: dict, timings: bool = False) -> dict:
             row["iterations"] = iters
             if exact_weight is not None:
                 row["exact_weight"] = exact_weight
-                row["ratio"] = str(Fraction(weight, exact_weight))
+                if exact_weight:  # else a tree with no edge, and weight 0
+                    row["ratio"] = str(Fraction(weight, exact_weight))
             if timings:
                 row["wall_time_ms"] = round(elapsed_ms, 3)
             rows.append(row)

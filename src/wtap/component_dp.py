@@ -48,12 +48,14 @@ All slack values are integers in units of 1/q: slack * q = p*w(drop) - q*w(C).
 Inside the plan, a link set is a bitmask over the positions of the links in
 the alphabet the search was built with; an answer is a tuple of links in
 position order (drops keep it), each with ``pos``, its current position.
-Ties between equal-slack candidates prefer a nonempty set, then the
-lexicographically smallest sorted position tuple, so tables are
-deterministic.  A sweep breaks a tie by composing each tied candidate's set
-in place from its vertex's empty-boundary sets and the sets of the entries
-its terms chose; those sets come from the picks below, composed in one loop
-over an explicit stack.
+Ties between equal-slack candidates prefer the larger mask, so tables are
+deterministic; drops keep the order of the positions, hence of the masks.
+The order survives disjoint union, (a | x) against (b | x) ordering as a
+against b, and the empty set, mask 0, loses every tie.  A sweep breaks a
+tie by composing each tied candidate's set in place from its vertex's
+empty-boundary sets and the sets of the entries its terms chose; those
+sets come from the picks below, composed in one loop over an explicit
+stack.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from itertools import chain, count
 from operator import lt
 from typing import Iterable, Iterator, Sequence
 
-from ._kernels import lex_less
 from .baseline import UpPath
 from .model import BudgetError, Instance, dropped_paths, mask_bits, path_owner
 
@@ -90,13 +91,6 @@ class SearchLink:
     b: int
     weight: int
     pos: int
-
-
-def _preferred(m1: int, m2: int) -> bool:
-    """Tie-break between equal slacks: nonempty first, then ``lex_less``."""
-    if (m1 != 0) != (m2 != 0):
-        return m1 != 0
-    return lex_less(m1, m2)
 
 
 @dataclass(frozen=True)
@@ -304,9 +298,9 @@ class _Sweep:
     the candidate's Z, with each term's empty-boundary set swapped for the
     set of the entry it took.  ``_fill`` composes only those entries not
     composed yet; the states below s are swept already.  Only
-    live candidates are in a state's range, in any order: ``_preferred`` is
-    a strict order on the distinct Z, hence masks, of one state's
-    candidates, so the pick does not depend on it.  A dead state's range
+    live candidates are in a state's range, in any order: the larger mask
+    wins a tie, and one state's candidates have distinct Z, hence distinct
+    masks, so the pick does not depend on it.  A dead state's range
     is empty, and no live state reads it.
     """
 
@@ -371,7 +365,7 @@ class _Sweep:
                         if msk[e] is None:
                             fill(e)
                         zm |= msk[e]
-                m = None
+                m = -1
                 for c in ties:
                     mc = cand_z[c] | zm
                     for i in cand_ids[c]:
@@ -379,7 +373,7 @@ class _Sweep:
                         if msk[e] is None:
                             fill(e)
                         mc = (mc & ~msk[vterms[i][0]]) | msk[e]
-                    if m is None or _preferred(mc, m):
+                    if mc > m:
                         best_c, m = c, mc
                 msk[s] = m
             val[s] = best

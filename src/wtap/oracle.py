@@ -6,8 +6,10 @@ a table of the partial covers of the low links, scanned once per subset of
 the high links, with no bound on weights or on n), Gray-code sweeps over the
 search alphabet for best-ratio k-thin components, and memoized recursion
 over vertical-path partitions for the cheapest disjoint up-link cover.
-The solvers are validated against these oracles exactly.  Edge sets here
-are int bitsets over the child ids, Θ(n) bits each; no solver builds them.
+The solvers are validated against these oracles exactly.  Ties go to the
+smallest link-set mask in the exact optimum and to the largest in the
+k-thin table, as in the component DP.  Edge sets here are int bitsets over
+the child ids, Θ(n) bits each; no solver builds them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _kernels
-from ._kernels import lex_less
 from .baseline import UpPath
 from .component_dp import SearchLink
 from .greedy import Solution
@@ -166,34 +167,21 @@ class KThinTable:
         self.drops = rows_drop
 
     def max_slack(self, p: int, q: int) -> tuple[Fraction, int]:
-        """Exhaustive max of p*w(drop) - q*w(C); returns (slack, best mask)."""
-        slacks = [p * d - q * w for d, w in zip(self.drops, self.weights)]
-        best = max(slacks)
-        hits = (i for i, s in enumerate(slacks) if s == best)
-        best_nonempty = None
-        for i in hits:
-            mask = self.masks[i]
-            if mask == 0:
-                continue
-            if best_nonempty is None or lex_less(mask, best_nonempty):
-                best_nonempty = mask
-        mask = best_nonempty if best_nonempty is not None else 0
+        """Exhaustive max of p*w(drop) - q*w(C); returns (slack, the
+        largest mask of that slack)."""
+        best, mask = max((p * d - q * w, mask) for d, w, mask
+                         in zip(self.drops, self.weights, self.masks))
         return Fraction(best, q), mask
 
     def min_ratio(self) -> tuple[Fraction, int] | None:
-        """Exhaustive min of w(C)/w(drop) over nonempty k-thin C."""
-        best: Fraction | None = None
-        best_mask = 0
-        for mask, w, dw in zip(self.masks, self.weights, self.drops):
-            if mask == 0 or dw == 0:
-                continue
-            ratio = Fraction(w, dw)
-            if best is None or ratio < best or (ratio == best and lex_less(mask, best_mask)):
-                best = ratio
-                best_mask = mask
-        if best is None:
+        """Exhaustive min of w(C)/w(drop) over nonempty k-thin C, ties to
+        the larger mask; None when no such C drops anything."""
+        got = min(((Fraction(w, dw), -mask) for mask, w, dw
+                   in zip(self.masks, self.weights, self.drops) if mask and dw),
+                  default=None)
+        if got is None:
             return None
-        return best, best_mask
+        return got[0], -got[1]
 
 
 def brute_best_kthin(instance: Instance, uplinks: Sequence[UpPath], k: int,

@@ -8,7 +8,7 @@ so the last witness W attains rho*.
 
 The answer does not depend on the probe path.  It is the nonempty k-thin set
 of ratio rho* = p/q with the largest drop weight, ties broken by the DP's
-``lex_less`` order: what ``max_slack`` returns at rho* + 1/(q*(w(U)+1)),
+order, the larger mask: what ``max_slack`` returns at rho* + 1/(q*(w(U)+1)),
 where no other ratio fits.  W maximized the slack at a rho above rho*, where
 a ratio-rho* set gains slack with its drop weight.  If the probe at rho = 1
 already has slack 0, rho* = 1 and that probe's set is returned.

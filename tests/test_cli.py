@@ -75,8 +75,10 @@ def test_exact_ratio_component(tmp_path, capsys):
 def test_search_outputs_pinned(tmp_path, capsys):
     # pinned: the bytes of ``solve --algorithm relgreedy``, ``ratio`` and
     # ``component`` on generated instances; at rho = 2 the components print
-    # both label forms, ["orig", link id] and ["up", top, bottom]
-    h = hashlib.sha256()
+    # both label forms, ["orig", link id] and ["up", top, bottom].  Ties
+    # decide the sets; the solve's weight, the best ratio and the slack at
+    # rho = 2 have a digest of their own
+    h, hv = hashlib.sha256(), hashlib.sha256()
     labels = set()
     for n, seed in ((10, 1), (14, 2), (18, 3), (22, 4)):
         path = tmp_path / f"i{seed}.json"
@@ -87,9 +89,13 @@ def test_search_outputs_pinned(tmp_path, capsys):
             code, out, _ = run_cli(args + [str(path)], capsys)
             assert code == 0
             h.update(out.encode())
-            labels.update(sl["label"][0] for sl in json.loads(out).get("component", ()))
+            doc = json.loads(out)
+            hv.update(repr([doc.get(key)
+                            for key in ("weight", "rho", "slack")]).encode())
+            labels.update(sl["label"][0] for sl in doc.get("component", ()))
     assert labels == {"orig", "up"}
-    assert h.hexdigest()[:16] == "40332b64e7723871"
+    assert hv.hexdigest()[:16] == "8a0197e139417aaf"
+    assert h.hexdigest()[:16] == "bdf786ec307d2d2b"
 
 
 def test_package_exports():
@@ -506,6 +512,25 @@ def test_bench_fig2_sweep_matches_exact(tmp_path, capsys):
     assert code == 0
     for row in json.loads(out)["rows"]:
         assert row["weight"] == row["exact_weight"]
+
+
+def test_bench_zero_optimum_row_has_no_ratio(tmp_path, capsys):
+    # a one-vertex tree has optimum 0: its rows say so and carry no ratio
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "instances": [{"kind": "random", "n": 1, "seed": 0}],
+        "algorithms": [{"name": "uplink2"}, {"name": "relgreedy", "eps": "1"}],
+    }))
+    code, out, _ = run_cli(["bench", "--config", str(cfg)], capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["status"], r["weight"], r["exact_weight"]) for r in rows] == \
+        [("ok", 0, 0)] * 2
+    assert not any("ratio" in r for r in rows)
+    code, out, _ = run_cli(["bench", "--config", str(cfg), "--format", "csv"],
+                           capsys)
+    assert code == 0
+    assert out.splitlines()[1] == 'random-n1-s0,"relgreedy,eps=1",1,0,0,0,,0,ok,'
 
 
 def test_solve_eps_two_gives_k_one(tmp_path, capsys):

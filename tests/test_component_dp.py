@@ -12,7 +12,6 @@ import pytest
 import wtap
 from wtap import Instance, Link, component_dp
 from wtap.baseline import UpPath
-from wtap._kernels import lex_less
 from wtap.component_dp import MINUS, PLUS, ComponentSearch, SearchLink
 from wtap.oracle import (KThinTable, OracleBudget, path_edge_mask,
                          vertical_edge_mask)
@@ -76,8 +75,20 @@ def test_inner_plus_infeasible_without_boundary_link():
     assert (1, (), PLUS) not in entries
     # a boundary link ending at 2 covers everything below vertex 1
     assert entries[(1, (2,), PLUS)] == (0, ())
-    # at rho = 1 link 0 pays for the up-link exactly; a nonempty set wins the tie
-    assert entries[(0, (), MINUS)] == (0, (SearchLink(0, 2, 4, 0),))
+    # at rho = 1 link 0 and the up-link each pay for the up-link exactly;
+    # a nonempty set wins the tie, and of those the larger mask, the up-link
+    assert entries[(0, (), MINUS)] == (0, (SearchLink(0, 2, 4, 1),))
+
+
+def test_kthin_table_ties_take_larger_mask():
+    # the tie above, exhaustively: at rho = 1 the empty set, link 0 (mask
+    # 0b01) and the up-link (0b10) all have slack 0, and both nonempty sets
+    # have ratio 1
+    inst = Instance(3, 0, [(0, 1), (1, 2)], [Link(0, 2, 4)])
+    up = [uplink_from_link(inst, 0)]
+    table = KThinTable(inst, up, 1, ComponentSearch(inst, up, 1).links)
+    assert table.max_slack(1, 1) == (0, 0b10)
+    assert table.min_ratio() == (1, 0b10)
 
 
 def test_oracle_equivalence_small():
@@ -336,7 +347,7 @@ def test_vertex_terms_are_distinct_and_ids_in_range():
 
 
 @pytest.mark.parametrize("eps, n, seed, k, weight, probes, states", [
-    (Fraction(2), 14, 1, 1, 60, 5, 141),
+    (Fraction(2), 14, 1, 1, 60, 6, 141),
     (Fraction(1), 20, 5, 2, 88, 7, 578),
     (Fraction(2, 3), 12, 3, 3, 40, 4, 222),
     (Fraction(1, 2), 12, 6, 4, 54, 4, 310),
@@ -422,14 +433,44 @@ def _link_rows(links, m):
                  for sl in links)
 
 
+def _fixed_probes(k, n, seeds):
+    # per seed, a search as built and after each drop of every other
+    # up-link, probed at rho = 1, at 1/2 and at the best ratio; unlike the
+    # witness chains, these probes do not depend on how ties are broken
+    for seed in seeds:
+        inst = wtap.gen_random(n, n, 20, seed)
+        uplinks = list(wtap.cheapest_disjoint_uplink_cover(inst).paths)
+        cs = ComponentSearch(inst, uplinks, k)
+        while cs.uplinks:
+            for rho in (Fraction(1), Fraction(1, 2),
+                        wtap.best_ratio_component(cs).rho):
+                yield cs, cs.max_slack(rho.numerator, rho.denominator)
+            cs.drop_uplinks(range(0, len(cs.uplinks), 2))
+
+
 @pytest.mark.parametrize("k, n, seeds, digest", [
-    (2, 24, (1, 2, 10, 20), "681d93afce0337aa"),
-    (4, 12, (1, 2, 3, 27), "81a2b557ff94ff81"),
+    (2, 24, (1, 2, 10, 20), "491bbdc79ebf4759"),
+    (4, 12, (1, 2, 3, 27), "cb71ba323cca847b"),
+])
+def test_entry_values_pinned(k, n, seeds, digest):
+    # pinned: the live state count, the best slack and every entry's key
+    # and slack * q after each fixed probe, none of which a tie decides
+    h = hashlib.sha256()
+    for cs, res in _fixed_probes(k, n, seeds):
+        h.update(repr((cs.states, res.slack,
+                       [entry[:4] for entry in cs.entries()])).encode())
+    assert h.hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("k, n, seeds, digest", [
+    (2, 24, (1, 2, 10, 20), "f12ec8bc99f9574d"),
+    (4, 12, (1, 2, 3, 27), "d0765fbdc2a719b9"),
 ])
 def test_entries_pinned(k, n, seeds, digest):
     # pinned: the live state count, the answer and entries() after each
     # probe of the witness chains, which do not depend on the plan's layout,
-    # nor on how a link is numbered
+    # nor on how a link is numbered; ties decide the sets and, through
+    # them, the chains
     h = hashlib.sha256()
     for cs, res in _witness_chains(k, n, seeds):
         if res is not None:
@@ -442,18 +483,22 @@ def test_entries_pinned(k, n, seeds, digest):
     assert h.hexdigest()[:16] == digest
 
 
-@pytest.mark.parametrize("k, n, seeds, digest", [
-    (2, 24, (1, 2, 10, 20), "5962efb681a85dac"),
-    (4, 12, (1, 2, 3, 27), "e0e05d2e21a89b6b"),
+@pytest.mark.parametrize("k, n, seeds, built, dropped", [
+    (2, 24, (1, 2, 10, 20), "a46bc8533ee43a84", "fa92b210dc678a8d"),
+    (4, 12, (1, 2, 3, 27), "a7801c781c9f9555", "85cf7ffce9800879"),
 ])
-def test_plan_columns_pinned(k, n, seeds, digest):
-    # pinned: the whole plan, dead slots and tombstones included, as built
-    # and after each drop of the witness chains
-    h = hashlib.sha256()
+def test_plan_columns_pinned(k, n, seeds, built, dropped):
+    # pinned: the whole plan, dead slots and tombstones included, as built,
+    # which no tie decides, and after each drop of the witness chains,
+    # whose witnesses ties decide
+    hb, hd = hashlib.sha256(), hashlib.sha256()
+    last = None
     for cs, res in _witness_chains(k, n, seeds):
         if res is None:
+            h = hd if cs is last else hb
             h.update(repr(_plan_columns(cs._plan)).encode())
-    assert h.hexdigest()[:16] == digest
+            last = cs
+    assert (hb.hexdigest()[:16], hd.hexdigest()[:16]) == (built, dropped)
 
 
 @pytest.mark.parametrize("k, n, seeds, digest", [
@@ -741,11 +786,3 @@ def test_long_path_leaves_recursion_limit_alone():
     assert long_cs.states == long_fresh.states
     assert long_res == long_fresh.max_slack(1, 2)
 
-
-def test_lex_less_rules():
-    a = 0b1
-    b = 0b100001
-    assert lex_less(a, b)       # {0} before {0,5}
-    assert lex_less(b, 0b110)   # {0,5} before {1,2}
-    assert not lex_less(0b110, b)
-    assert not lex_less(a, a)

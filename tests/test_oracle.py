@@ -6,7 +6,6 @@ import pytest
 
 import wtap
 from wtap import _kernels
-from wtap._kernels import lex_less
 from wtap.model import Instance, Link
 from wtap.component_dp import ComponentSearch
 from wtap.oracle import (BudgetExceededError, OracleBudget, full_edge_mask,
@@ -18,8 +17,8 @@ from fig_helpers import fig2_link_groups, uplink_from_link
 def _min_cover_python(masks: list[int], weights: list[int], full: int) -> tuple[int, int]:
     """Reference minimum cover: a Gray-code sweep over all 2**m subsets.
 
-    Keeps per-edge coverage counts; ties pick the ``lex_less``-smallest
-    subset.  Returns ``(-1, 0)`` when no subset covers ``full``.
+    Keeps per-edge coverage counts; ties pick the smallest subset mask.
+    Returns ``(-1, 0)`` when no subset covers ``full``.
     """
     m = len(masks)
     counts: dict[int, int] = {}
@@ -47,7 +46,7 @@ def _min_cover_python(masks: list[int], weights: list[int], full: int) -> tuple[
                 covered -= 1
             pm ^= low
         if covered == n_edges:
-            if bestw < 0 or curw < bestw or (curw == bestw and lex_less(cur, bestmask)):
+            if bestw < 0 or curw < bestw or (curw == bestw and cur < bestmask):
                 bestw, bestmask = curw, cur
     return bestw, bestmask
 
@@ -102,12 +101,12 @@ def _oracle_cases():
         n = 2 + seed % 12
         cases.append(wtap.gen_random(n=n, link_count=seed % 15, weight_max=6,
                                      seed=9000 + seed))
-    for seed in range(60):  # all weights equal: every tie goes to lex_less
+    for seed in range(60):  # all weights equal: every tie goes to the smaller mask
         cases.append(wtap.gen_random(n=3 + seed % 9, link_count=4 + seed % 11,
                                      weight_max=1, seed=9500 + seed))
     for i in range(60):  # n >= 64, beyond the old 63-bit edge masks
         cases.append(_random_path(64 + i, 8 + i % 7, 1 + i % 4, rng))
-    for seed in range(20):  # zero weights: a set can tie a proper prefix of it
+    for seed in range(20):  # zero weights: a set can tie a proper subset of it
         inst = wtap.gen_random(n=4 + seed % 6, link_count=11 + seed % 4,
                                weight_max=2, seed=9700 + seed)
         cases.append(Instance(inst.n, inst.root, inst.edges,
@@ -139,12 +138,16 @@ def test_exact_opt_kernel_matches_python_fallback(monkeypatch):
     assert infeasible == 20
 
 
-def test_tie_orders_match_sorted_id_tuples():
-    for lo in range(11):
-        ids = [tuple(b for b in range(lo) if s >> b & 1) for s in range(1 << lo)]
-        alone, beside = _kernels.tie_orders(lo)
-        assert alone == sorted(range(1 << lo), key=lambda s: ids[s]), lo
-        assert beside == sorted(range(1 << lo), key=lambda s: ids[s] + (lo,)), lo
+def test_min_cover_tie_takes_smaller_mask(monkeypatch):
+    # {0,5} and {1,2} both cover the four edges at weight 4, and no other
+    # set does as cheaply; as sorted id tuples {0,5} comes first, as masks
+    # {1,2} (0b110 < 0b100001)
+    masks = [0b0011, 0b0101, 0b1010, 0b0001, 0b0001, 0b1100]
+    weights = [2, 2, 2, 9, 9, 2]
+    assert _min_cover_python(masks, weights, 0b1111) == (4, 0b110)
+    for low_links in range(1, 8):
+        monkeypatch.setattr(_kernels, "LOW_LINKS", low_links)
+        assert _kernels.min_cover_gray(masks, weights, 4) == (4, 0b110)
 
 
 def test_min_cover_gray_matches_python_reference_at_every_split(monkeypatch):
@@ -155,7 +158,7 @@ def test_min_cover_gray_matches_python_reference_at_every_split(monkeypatch):
             m = rng.randint(low_links + 1, min(low_links + 4, 13))
             n_edges = rng.randint(1, 10)
             masks = [rng.getrandbits(n_edges) for _ in range(m)]
-            # zero weights tie a set with its subsets; equal weights tie by ids
+            # zero weights tie a set with its subsets; equal weights tie by masks
             top = trial % 4
             weights = [1] * m if top == 1 else [rng.randint(0, top) for _ in range(m)]
             full = (1 << n_edges) - 1
